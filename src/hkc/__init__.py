@@ -3,11 +3,9 @@ bounded-confidence opinion averaging on finite connected graphs."""
 
 from .analysis import (
     BoundInputs,
-    LimitGraph,
     check_event_a,
     classify_consensus,
     generator_drift,
-    limit_graph,
     theoretical_bound,
     total_disagreement,
 )
@@ -22,11 +20,10 @@ from .dynamics import (
     compatibility,
     default_stopping,
     gillespie_step,
-    local_average,
     run_trial,
     stop_reached,
 )
-from .graph import SocialGraph, generate, graph_distance, parse_edge_list, to_edge_list_text
+from .graph import SocialGraph, generate, parse_edge_list, to_edge_list_text
 from .montecarlo import (
     ExperimentSpec,
     MonteCarloReport,

@@ -1,5 +1,5 @@
-"""Observables over configurations: disagreement functionals, drift, limit
-structure, consensus classification, and the consensus-probability bound.
+"""Observables over configurations: disagreement functionals, drift,
+consensus classification, and the consensus-probability bound.
 
 The total distance of all opinions to any fixed point is nonincreasing in
 expectation under the dynamics; `generator_drift` computes its exact expected
@@ -16,14 +16,6 @@ from typing import Sequence
 from .dynamics import Configuration, StoppingSpec, compatibility, stop_reached, _neighbor_mean
 from .graph import SocialGraph
 from .space import Norm, OpinionSpace, distance_fn
-
-
-@dataclass(frozen=True)
-class LimitGraph:
-    """Subgraph of edges still within tau, with its connected components."""
-
-    edges: tuple[tuple[int, int], ...]
-    components: tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -71,14 +63,6 @@ def generator_drift(
         mean = _neighbor_mean(ops, view.neighbors[x], config.dim)
         drift += k * (kernel(mean, c) - kernel(ops[x], c))
     return float(drift)
-
-
-def limit_graph(config: Configuration, g: SocialGraph, tau: float, norm: Norm) -> LimitGraph:
-    """Edges whose endpoint opinions are within tau, plus the resulting components."""
-    kernel = distance_fn(norm)
-    ops = config.opinions
-    kept = [(u, v) for u, v in g.edges() if kernel(ops[u], ops[v]) <= tau]
-    return LimitGraph(edges=tuple(kept), components=_components(g.vertex_count, kept))
 
 
 def _components(n: int, edges: list[tuple[int, int]]) -> tuple[tuple[int, ...], ...]:

@@ -10,13 +10,12 @@ import argparse
 import os
 import sys
 
-from .analysis import BoundInputs, theoretical_bound
 from .config import ConfigError, build_experiment, load_config
 from .dynamics import run_trial
 from .invariants import run_drift_check
-from .montecarlo import BOUND_MC_SAMPLES, run_estimate
+from .montecarlo import consensus_bound, run_estimate
 from .render import TRACE_HEADER, to_json, trace_row
-from .space import expected_center_distance, max_pairwise_distance
+from .space import max_pairwise_distance
 from . import seeding
 
 
@@ -32,7 +31,10 @@ def _seed_override() -> int | None:
 
 def cmd_simulate(args) -> int:
     spec = build_experiment(load_config(args.config), seed_override=_seed_override())
-    trace_fh = open(args.trace, "w", encoding="utf-8", newline="\n") if args.trace else None
+    try:
+        trace_fh = open(args.trace, "w", encoding="utf-8", newline="\n") if args.trace else None
+    except OSError as exc:
+        raise ConfigError(f"--trace: cannot write {args.trace!r}: {exc}") from exc
     try:
         on_event = None
         if trace_fh is not None:
@@ -48,7 +50,7 @@ def cmd_simulate(args) -> int:
         rng = seeding.trial_rng(spec.master_seed, 0)
         outcome = run_trial(
             spec.graph, spec.space, spec.init, spec.params, spec.stopping, rng,
-            record_samples=True, on_event=on_event,
+            record_samples=False, on_event=on_event,
         )
     finally:
         if trace_fh is not None:
@@ -80,20 +82,12 @@ def cmd_estimate(args) -> int:
 
 def cmd_bound(args) -> int:
     spec = build_experiment(load_config(args.config), seed_override=_seed_override())
-    tau = spec.params.tau
-    rho = spec.space.radius
-    applicable = tau > rho
-    expected = bound = None
-    if applicable:
-        expected = expected_center_distance(
-            spec.init, spec.space, samples=BOUND_MC_SAMPLES, rng=seeding.bound_rng(spec.master_seed)
-        )
-        bound = theoretical_bound(BoundInputs(expected_dist=expected, tau=tau, rho=rho))
+    applicable, expected, bound = consensus_bound(spec)
     print(
         to_json(
             {
-                "tau": tau,
-                "rho": rho,
+                "tau": spec.params.tau,
+                "rho": spec.space.radius,
                 "expected_center_distance": expected,
                 "bound": bound,
                 "bound_applicable": applicable,

@@ -50,8 +50,9 @@ class ModelParams:
     def __post_init__(self):
         if not self.tau > 0:
             raise ValueError(f"tau must be positive, got {self.tau}")
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
+        # alpha = 1 would never move an opinion, so every banded trial would run to the cap
+        if not 0.0 <= self.alpha < 1.0:
+            raise ValueError(f"alpha must be in [0, 1), got {self.alpha}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,12 +81,6 @@ class Configuration:
     @property
     def dim(self) -> int:
         return self.opinions.shape[1]
-
-    def vector(self, x: int) -> np.ndarray:
-        return self.opinions[x]
-
-    def rows(self) -> list[tuple[float, ...]]:
-        return [tuple(row) for row in self.opinions.tolist()]
 
 
 @dataclass(frozen=True)
@@ -201,13 +196,6 @@ def _neighbor_mean(opinions, neighbors, dim: int) -> tuple[float, ...]:
     return tuple(float(s / k) for s in sums)
 
 
-def local_average(config: Configuration, view: CompatibilityView, x: int) -> np.ndarray:
-    """Coordinatewise mean of the compatible neighbors' opinions."""
-    if view.rates[x] < 1:
-        raise ValueError(f"vertex {x} has no compatible neighbors; the average is undefined")
-    return np.array(_neighbor_mean(config.opinions, view.neighbors[x], config.dim))
-
-
 def apply_update(config: Configuration, view: CompatibilityView, x: int, alpha: float) -> Configuration:
     """Replace opinion x with alpha * own + (1 - alpha) * local average."""
     if view.rates[x] < 1:
@@ -230,6 +218,8 @@ def gillespie_step(
 
     Direct method: dt ~ Exponential(total rate), then the vertex is chosen
     with probability rates[x] / total_rate. Consumes the stream in that order.
+    The scan always stops: for an integer total below 2**53,
+    random() * total < total holds exactly in float64.
     """
     total = view.total_rate
     if total == 0:
@@ -241,8 +231,6 @@ def gillespie_step(
         acc += r
         if acc > target:
             return dt, x
-    # float-edge guard; unreachable for integer rates
-    return dt, max(x for x, r in enumerate(view.rates) if r > 0)
 
 
 def stop_reached(
@@ -358,14 +346,10 @@ class TrialEngine:
         dt = rng.expovariate(total)
         target = rng.random() * total
         acc = 0
-        x = -1
-        for i, r in enumerate(self.rates):
+        for x, r in enumerate(self.rates):
             acc += r
-            if acc > target:
-                x = i
+            if acc > target:  # always reached; see gillespie_step
                 break
-        if x < 0:  # float-edge guard; unreachable for integer rates
-            x = max(i for i, r in enumerate(self.rates) if r > 0)
         old = self.opinions[x]
         dim = len(old)
         sums = [0.0] * dim
@@ -398,18 +382,17 @@ class TrialEngine:
         while self.banded_edges > 0 and self.events < cap:
             self.step()  # banded edges imply compatible edges, so never absorbed here
 
-    def continue_and_restop(self, extra_events: int, max_events: int | None = None) -> None:
+    def continue_and_restop(self, extra_events: int) -> None:
         """Run extra events past a stop, then on to the next stopping state.
 
         Used to probe stability of the stop-time classification; the event cap
         still applies as a safety net.
         """
-        cap = self.stopping.max_events if max_events is None else max_events
-        target = min(self.events + extra_events, cap)
+        target = min(self.events + extra_events, self.stopping.max_events)
         while self.events < target:
             if self.step() is None:
                 return
-        self.run_to_stop(max_events=cap)
+        self.run_to_stop()
 
     def configuration(self) -> Configuration:
         return Configuration.from_rows(self.opinions)

@@ -33,30 +33,24 @@ class SocialGraph:
             raise GraphValidationError("graph needs at least one vertex")
         if len(self.adjacency) != n:
             raise GraphValidationError("adjacency length does not match vertex count")
+        # hashed neighbor sets keep the symmetry check O(m), not O(sum of deg^2)
+        nbr_sets = [set(nbrs) for nbrs in self.adjacency]
         for x, nbrs in enumerate(self.adjacency):
-            if len(set(nbrs)) != len(nbrs) or tuple(sorted(nbrs)) != nbrs:
+            if len(nbr_sets[x]) != len(nbrs) or tuple(sorted(nbrs)) != nbrs:
                 raise GraphValidationError(f"adjacency of {x} must be sorted and duplicate-free")
             for y in nbrs:
                 if not 0 <= y < n:
                     raise GraphValidationError(f"neighbor {y} of {x} out of range")
                 if y == x:
                     raise GraphValidationError(f"self-loop at vertex {x}")
-                if x not in self.adjacency[y]:
+                if x not in nbr_sets[y]:
                     raise GraphValidationError(f"edge ({x}, {y}) is not symmetric")
         if not _is_connected(n, self.adjacency):
             raise GraphValidationError("graph is not connected")
 
     @classmethod
     def from_edges(cls, vertex_count: int, edges: Iterable[tuple[int, int]]) -> "SocialGraph":
-        nbrs: list[set[int]] = [set() for _ in range(vertex_count)]
-        for u, v in edges:
-            if u == v:
-                raise GraphValidationError(f"self-loop ({u}, {v})")
-            if not (0 <= u < vertex_count and 0 <= v < vertex_count):
-                raise GraphValidationError(f"edge ({u}, {v}) out of range for {vertex_count} vertices")
-            nbrs[u].add(v)
-            nbrs[v].add(u)
-        return cls(vertex_count, tuple(tuple(sorted(s)) for s in nbrs))
+        return cls(vertex_count, _adjacency(vertex_count, edges))
 
     def __eq__(self, other) -> bool:
         return (
@@ -78,6 +72,19 @@ class SocialGraph:
 
     def degree(self, x: int) -> int:
         return len(self.adjacency[x])
+
+
+def _adjacency(n: int, edges: Iterable[tuple[int, int]]) -> tuple[tuple[int, ...], ...]:
+    """Sorted, duplicate-free neighbor tuples from an edge list (duplicates merge)."""
+    nbrs: list[set[int]] = [set() for _ in range(n)]
+    for u, v in edges:
+        if u == v:
+            raise GraphValidationError(f"self-loop ({u}, {v})")
+        if not (0 <= u < n and 0 <= v < n):
+            raise GraphValidationError(f"edge ({u}, {v}) out of range for {n} vertices")
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    return tuple(tuple(sorted(s)) for s in nbrs)
 
 
 def _is_connected(n: int, adjacency) -> bool:
@@ -171,11 +178,7 @@ def erdos_renyi(n: int, p: float, rng: random.Random) -> SocialGraph:
         raise GraphValidationError(f"erdos_renyi needs 0 < p <= 1, got {p}")
     for _ in range(_ER_MAX_ATTEMPTS):
         edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
-        nbrs: list[set[int]] = [set() for _ in range(n)]
-        for u, v in edges:
-            nbrs[u].add(v)
-            nbrs[v].add(u)
-        adjacency = tuple(tuple(sorted(s)) for s in nbrs)
+        adjacency = _adjacency(n, edges)
         if _is_connected(n, adjacency):
             return SocialGraph(n, adjacency)
     raise GraphValidationError(
@@ -198,24 +201,3 @@ def generate(kind: str, rng: random.Random | None = None, **params) -> SocialGra
             raise ValueError("erdos_renyi needs a random stream")
         return erdos_renyi(params["n"], params["p"], rng)
     raise ValueError(f"unknown graph kind {kind!r}")
-
-
-def graph_distance(g: SocialGraph, x: int, y: int) -> int:
-    """Shortest-path length between two vertices (breadth-first search)."""
-    n = g.vertex_count
-    if not (0 <= x < n and 0 <= y < n):
-        raise ValueError(f"vertex ids must be in 0..{n - 1}, got {x}, {y}")
-    if x == y:
-        return 0
-    dist = [-1] * n
-    dist[x] = 0
-    queue = deque([x])
-    while queue:
-        u = queue.popleft()
-        for v in g.adjacency[u]:
-            if dist[v] < 0:
-                dist[v] = dist[u] + 1
-                if v == y:
-                    return dist[v]
-                queue.append(v)
-    raise GraphValidationError("vertices are not connected")  # unreachable on a valid graph

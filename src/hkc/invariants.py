@@ -108,7 +108,7 @@ def shrink_case(case: DriftCase, tol: float = DRIFT_TOLERANCE) -> DriftCase:
     return current
 
 
-def run_drift_check(cases: int, seed: int, tol: float = DRIFT_TOLERANCE) -> dict:
+def run_drift_check(cases: int, seed: int) -> dict:
     """Evaluate `cases` random batches; returns a summary with any shrunk failure."""
     if cases < 1:
         raise ValueError("cases must be >= 1")
@@ -121,13 +121,13 @@ def run_drift_check(cases: int, seed: int, tol: float = DRIFT_TOLERANCE) -> dict
             checked += 1
             if value > max_drift:
                 max_drift = value
-            if value > tol:
-                failure = shrink_case(case, tol)
+            if value > DRIFT_TOLERANCE:
+                failure = shrink_case(case)
                 return {
                     "cases": index + 1,
                     "points_checked": checked,
                     "max_drift": max_drift,
-                    "tolerance": tol,
+                    "tolerance": DRIFT_TOLERANCE,
                     "status": "fail",
                     "failure": failure.describe(),
                 }
@@ -135,7 +135,7 @@ def run_drift_check(cases: int, seed: int, tol: float = DRIFT_TOLERANCE) -> dict
         "cases": cases,
         "points_checked": checked,
         "max_drift": max_drift,
-        "tolerance": tol,
+        "tolerance": DRIFT_TOLERANCE,
         "status": "pass",
         "failure": None,
     }

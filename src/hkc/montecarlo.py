@@ -129,13 +129,14 @@ class MonteCarloReport:
         }
 
 
-def wilson_interval(successes: int, trials: int, z: float = WILSON_Z) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """95% Wilson score interval for a binomial proportion."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if not 0 <= successes <= trials:
         raise ValueError("successes must be in 0..trials")
     p = successes / trials
+    z = WILSON_Z
     z2 = z * z
     denom = 1.0 + z2 / trials
     center = (p + z2 / (2 * trials)) / denom
@@ -143,17 +144,11 @@ def wilson_interval(successes: int, trials: int, z: float = WILSON_Z) -> tuple[f
     return max(0.0, center - half), min(1.0, center + half)
 
 
-def run_single_trial(spec: ExperimentSpec, trial_index: int, record_samples: bool = False) -> TrialOutcome:
+def run_single_trial(spec: ExperimentSpec, trial_index: int) -> TrialOutcome:
     """The trial `trial_index` of the experiment, reproducible in isolation."""
     rng = seeding.trial_rng(spec.master_seed, trial_index)
     return run_trial(
-        spec.graph,
-        spec.space,
-        spec.init,
-        spec.params,
-        spec.stopping,
-        rng,
-        record_samples=record_samples,
+        spec.graph, spec.space, spec.init, spec.params, spec.stopping, rng, record_samples=False
     )
 
 
@@ -172,6 +167,18 @@ def trial_outcomes(spec: ExperimentSpec, parallelism: int = 1) -> list[TrialOutc
     with ProcessPoolExecutor(max_workers=parallelism) as pool:
         blocks = pool.map(_outcome_block, [spec] * len(bounds), *zip(*bounds))
         return [outcome for block in blocks for outcome in block]
+
+
+def consensus_bound(spec: ExperimentSpec) -> tuple[bool, float | None, float | None]:
+    """(applicable, E||X - center||, lower bound on P(consensus)); both None unless tau > rho."""
+    tau = spec.params.tau
+    rho = spec.space.radius
+    if not tau > rho:
+        return False, None, None
+    expected = expected_center_distance(
+        spec.init, spec.space, samples=BOUND_MC_SAMPLES, rng=seeding.bound_rng(spec.master_seed)
+    )
+    return True, expected, theoretical_bound(BoundInputs(expected_dist=expected, tau=tau, rho=rho))
 
 
 def reduce_outcomes(spec: ExperimentSpec, outcomes: list[TrialOutcome]) -> MonteCarloReport:
@@ -205,19 +212,8 @@ def reduce_outcomes(spec: ExperimentSpec, outcomes: list[TrialOutcome]) -> Monte
     else:
         p_hat = ci_low = ci_high = None
 
-    tau = spec.params.tau
-    rho = spec.space.radius
-    bound_applicable = tau > rho
-    if bound_applicable:
-        expected = expected_center_distance(
-            spec.init, spec.space, samples=BOUND_MC_SAMPLES, rng=seeding.bound_rng(spec.master_seed)
-        )
-        bound = theoretical_bound(BoundInputs(expected_dist=expected, tau=tau, rho=rho))
-    else:
-        expected = None
-        bound = None
-
-    event_a_applicable = tau > rho + spec.stopping.eps_prime
+    bound_applicable, expected, bound = consensus_bound(spec)
+    event_a_applicable = spec.params.tau > spec.space.radius + spec.stopping.eps_prime
     return MonteCarloReport(
         trials=trials,
         consensus_count=consensus_count,

@@ -10,6 +10,8 @@ import json
 import math
 import numbers
 
+INDENT = 2
+
 
 def format_float(x: float) -> str:
     if not math.isfinite(x):
@@ -17,16 +19,16 @@ def format_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def to_json(value, indent: int = 2) -> str:
+def to_json(value) -> str:
     """Deterministic JSON: insertion-ordered keys, 17-significant-digit floats."""
     out: list[str] = []
-    _emit(value, out, indent, 0)
+    _emit(value, out, 0)
     return "".join(out)
 
 
-def _emit(value, out: list[str], indent: int, level: int) -> None:
-    pad = " " * (indent * (level + 1))
-    close_pad = " " * (indent * level)
+def _emit(value, out: list[str], level: int) -> None:
+    pad = " " * (INDENT * (level + 1))
+    close_pad = " " * (INDENT * level)
     if value is None:
         out.append("null")
     elif isinstance(value, bool):
@@ -46,7 +48,7 @@ def _emit(value, out: list[str], indent: int, level: int) -> None:
             if not isinstance(key, str):
                 raise TypeError(f"JSON object keys must be strings, got {key!r}")
             out.append(f"{pad}{json.dumps(key)}: ")
-            _emit(item, out, indent, level + 1)
+            _emit(item, out, level + 1)
             out.append(",\n" if i < len(value) - 1 else "\n")
         out.append(close_pad + "}")
     elif isinstance(value, (list, tuple)):
@@ -56,7 +58,7 @@ def _emit(value, out: list[str], indent: int, level: int) -> None:
         out.append("[\n")
         for i, item in enumerate(value):
             out.append(pad)
-            _emit(item, out, indent, level + 1)
+            _emit(item, out, level + 1)
             out.append(",\n" if i < len(value) - 1 else "\n")
         out.append(close_pad + "]")
     else:

@@ -169,6 +169,10 @@ class OpinionSpace:
             raise ValueError(f"supported dimensions are 1..{MAX_DIM}, got {self.dim}")
         if self.shape.dim != self.dim or len(self.center) != self.dim:
             raise ValueError("space dimension, shape, and center are inconsistent")
+        # sampling and every distance stay finite iff the bounding-box diameter does
+        lo, hi = self.shape.bounding_box()
+        if not math.isfinite(_KERNELS[self.norm](hi, lo)):
+            raise ValueError(f"shape extent overflows float64 under the {self.norm.value} norm")
         if self.radius < 0:
             raise ValueError("radius must be nonnegative")
         if not self.shape.contains(self.center, self.norm):

@@ -9,7 +9,6 @@ from hkc.analysis import (
     check_event_a,
     classify_consensus,
     generator_drift,
-    limit_graph,
     theoretical_bound,
     total_disagreement,
 )
@@ -110,27 +109,6 @@ def test_generator_drift_matches_one_step_sampler():
         exact = generator_drift(config, g, tau, norm, c)
         assert abs(estimate - exact) <= 3 * se + 1e-12
     assert checked == 100
-
-
-def test_limit_graph_all_equal_is_full():
-    g = path(4)
-    lg = limit_graph(cfg(0.1, 0.1, 0.1, 0.1), g, 0.5, Norm.L1)
-    assert lg.edges == tuple(g.edges())
-    assert lg.components == ((0, 1, 2, 3),)
-
-
-def test_limit_graph_two_clusters():
-    g = path(4)
-    lg = limit_graph(cfg(0.0, 0.01, 0.9, 0.91), g, 0.5, Norm.L1)
-    assert lg.edges == ((0, 1), (2, 3))
-    assert lg.components == ((0, 1), (2, 3))
-
-
-def test_limit_graph_single_vertex():
-    g = path(1)
-    lg = limit_graph(cfg(0.3), g, 0.5, Norm.L1)
-    assert lg.edges == ()
-    assert lg.components == ((0,),)
 
 
 def _spec(n, eps_prime=0.2):

@@ -233,3 +233,38 @@ def test_missing_required_config_key(tmp_path, capsys):
     code, _, err = run_cli(capsys, "estimate", str(path))
     assert code == 2
     assert "missing required key" in err
+
+
+def test_unwritable_trace_path_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    trace = tmp_path / "missing-dir" / "t.csv"
+    code, out, err = run_cli(capsys, "simulate", cfg, "--trace", str(trace))
+    assert code == 2
+    assert out == ""
+    assert "--trace" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [
+        {"ball": {"center": [0.0], "radius": 1e308}},
+        {"box": {"lo": [-1e308], "hi": [1e308]}},
+        {"box": {"lo": [-1e200], "hi": [1e200]}},  # finite width, but its L2 square overflows
+    ],
+)
+def test_shape_overflowing_float64_exits_2(tmp_path, capsys, shape):
+    cfg = write_config(tmp_path, space={"dim": 1, "norm": "l2", "shape": shape})
+    code, out, err = run_cli(capsys, "estimate", cfg)
+    assert code == 2
+    assert out == ""
+    assert "space" in err and "overflows" in err
+    assert "Traceback" not in err
+
+
+def test_alpha_one_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path, alpha=1.0, max_events=2000, trials=3)
+    code, out, err = run_cli(capsys, "estimate", cfg)
+    assert code == 2
+    assert out == ""
+    assert "alpha" in err

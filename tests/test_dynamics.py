@@ -14,7 +14,6 @@ from hkc.dynamics import (
     compatibility,
     default_stopping,
     gillespie_step,
-    local_average,
     run_trial,
     stop_reached,
 )
@@ -35,6 +34,8 @@ def test_model_params_validation():
         ModelParams(tau=0.0)
     with pytest.raises(ValueError):
         ModelParams(tau=0.5, alpha=1.5)
+    with pytest.raises(ValueError, match=r"\[0, 1\)"):
+        ModelParams(tau=0.5, alpha=1.0)  # no update would ever move an opinion
 
 
 def test_configuration_validation():
@@ -80,22 +81,23 @@ def test_compatibility_symmetry_random():
         assert view.total_rate == sum(view.rates)
 
 
-def test_local_average_cases():
+def test_apply_update_alpha_zero_moves_to_neighbor_mean():
     g = path(3)
     config = cfg(0.0, 0.4, 1.0)
     view = compatibility(config, g, tau=0.5, norm=Norm.L1)
-    assert local_average(config, view, 0) == pytest.approx([0.4])
+    assert apply_update(config, view, 0, alpha=0.0).opinions[0] == pytest.approx([0.4])
     with pytest.raises(ValueError):
-        local_average(config, view, 2)  # no compatible neighbors
+        apply_update(config, view, 2, alpha=0.0)  # no compatible neighbors
 
     config2 = cfg(0.0, 0.5, 1.0)
     view2 = compatibility(config2, path(3), tau=0.5, norm=Norm.L1)
-    assert local_average(config2, view2, 1) == pytest.approx([0.5])  # midpoint of 0 and 1
+    midpoint = apply_update(config2, view2, 1, alpha=0.0).opinions[1]
+    assert midpoint == pytest.approx([0.5])  # midpoint of 0 and 1
 
     g3 = complete(4)
     config3 = Configuration.from_rows([(0.5, 0.5), (0.0, 0.0), (1.0, 0.0), (0.0, 1.0)])
     view3 = compatibility(config3, g3, tau=5.0, norm=Norm.L2)
-    assert local_average(config3, view3, 0) == pytest.approx([1 / 3, 1 / 3])
+    assert apply_update(config3, view3, 0, alpha=0.0).opinions[0] == pytest.approx([1 / 3, 1 / 3])
 
 
 def test_apply_update_full_stubbornness_is_identity():

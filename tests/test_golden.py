@@ -1,0 +1,74 @@
+"""Golden output bytes: sha256 of CLI stdout (and the trace file) on fixed configs.
+
+A refactor that claims to keep behaviour must keep these digests. A change
+that alters report bytes on purpose updates them and says why.
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+from hkc.cli import main
+
+PATH_1D = {
+    "graph": {"kind": "path", "n": 6},
+    "space": {"dim": 1, "norm": "l2", "shape": {"box": {"lo": [0.0], "hi": [1.0]}}},
+    "init": "uniform",
+    "tau": 0.8,
+    "trials": 40,
+    "seed": 3,
+}
+
+# rho = sqrt(0.5) < tau, so the bound applies and comes from the Monte Carlo path
+BOX_2D = {
+    "graph": {"kind": "cycle", "n": 5},
+    "space": {"dim": 2, "norm": "l2", "shape": {"box": {"lo": [0.0, 0.0], "hi": [1.0, 1.0]}}},
+    "init": "uniform",
+    "tau": 1.0,
+    "trials": 8,
+    "seed": 11,
+}
+
+CYCLE_TRACE = {
+    "graph": {"kind": "cycle", "n": 6},
+    "space": {"dim": 1, "norm": "l2", "shape": {"box": {"lo": [0.0], "hi": [1.0]}}},
+    "init": "uniform",
+    "tau": 0.8,
+    "trials": 1,
+    "seed": 5,
+}
+
+GOLDEN = {
+    "estimate_path_1d": "622afd0067d2a4de91c0513e487810cdb2e43b7e9b5c0c5f3afadf3696ce6c56",
+    "estimate_box_2d": "4eb4076556d4a83241e839281af379aa715b24febef040958eb443fc3f80adb8",
+    "bound_box_2d": "55e9d3dfacfcd600ffae7ecfefb20b99a9c51da3f92aec0185877617aeab18dc",
+    "simulate_cycle_stdout": "bb82c8f93c18035c240d9e477f7bc7b4d6e4892a184121dc3962b15601a78495",
+    "simulate_cycle_trace": "abf0844644fb4af68ed571d0e7ddeaee6e2be8c5187f5820a918a4c3aec8d0b7",
+}
+
+
+def _sha(data: str) -> str:
+    return hashlib.sha256(data.encode("utf-8")).hexdigest()
+
+
+def _stdout(capsys, tmp_path: Path, doc: dict, *argv: str) -> str:
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(doc), encoding="utf-8")
+    assert main([argv[0], str(cfg), *argv[1:]]) == 0
+    return capsys.readouterr().out
+
+
+def test_estimate_path_1d_bytes(tmp_path, capsys):
+    assert _sha(_stdout(capsys, tmp_path, PATH_1D, "estimate")) == GOLDEN["estimate_path_1d"]
+
+
+def test_estimate_and_bound_box_2d_bytes(tmp_path, capsys):
+    assert _sha(_stdout(capsys, tmp_path, BOX_2D, "estimate")) == GOLDEN["estimate_box_2d"]
+    assert _sha(_stdout(capsys, tmp_path, BOX_2D, "bound")) == GOLDEN["bound_box_2d"]
+
+
+def test_simulate_trace_cycle_bytes(tmp_path, capsys):
+    trace = tmp_path / "trace.csv"
+    out = _stdout(capsys, tmp_path, CYCLE_TRACE, "simulate", "--trace", str(trace))
+    assert _sha(out) == GOLDEN["simulate_cycle_stdout"]
+    assert hashlib.sha256(trace.read_bytes()).hexdigest() == GOLDEN["simulate_cycle_trace"]

@@ -10,7 +10,6 @@ from hkc.graph import (
     cycle,
     erdos_renyi,
     generate,
-    graph_distance,
     grid,
     parse_edge_list,
     path,
@@ -107,6 +106,21 @@ def test_construction_rejects_asymmetric_adjacency():
         SocialGraph(2, ((1,), ()))
 
 
+@pytest.mark.parametrize(
+    "adjacency, message",
+    [
+        (((1, 2), (0, 2), (1, 0)), "sorted and duplicate-free"),  # unsorted
+        (((1, 1), (0,), ()), "sorted and duplicate-free"),  # duplicate
+        (((3,), (0,), ()), "out of range"),
+        (((-1,), (0,), ()), "out of range"),
+        (((0, 1), (0,), ()), "self-loop"),
+    ],
+)
+def test_construction_rejects_malformed_adjacency(adjacency, message):
+    with pytest.raises(GraphValidationError, match=message):
+        SocialGraph(3, adjacency)
+
+
 def test_round_trip_idempotent_on_random_graphs():
     rng = random.Random(123)
     for _ in range(100):
@@ -127,35 +141,3 @@ def test_round_trip_idempotent_on_random_graphs():
         again = parse_edge_list(text)
         assert again == g
         assert to_edge_list_text(again) == text
-
-
-def test_graph_distance_identity():
-    g = complete(5)
-    assert graph_distance(g, 2, 2) == 0
-
-
-def test_graph_distance_path_ends():
-    assert graph_distance(path(5), 0, 4) == 4
-
-
-def test_graph_distance_complete_is_one():
-    g = complete(6)
-    assert all(graph_distance(g, x, y) == 1 for x in range(6) for y in range(6) if x != y)
-
-
-def test_graph_distance_invalid_id():
-    with pytest.raises(ValueError):
-        graph_distance(path(3), 0, 3)
-
-
-def test_graph_distance_triangle_inequality_and_bound():
-    rng = random.Random(77)
-    for _ in range(20):
-        g = erdos_renyi(rng.randint(3, 12), 0.4, rng)
-        n = g.vertex_count
-        d = [[graph_distance(g, x, y) for y in range(n)] for x in range(n)]
-        for x in range(n):
-            for y in range(n):
-                assert d[x][y] <= n - 1
-                for z in range(n):
-                    assert d[x][y] <= d[x][z] + d[z][y]
