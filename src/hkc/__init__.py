@@ -2,8 +2,6 @@
 bounded-confidence opinion averaging on finite connected graphs."""
 
 from .analysis import (
-    BoundInputs,
-    check_event_a,
     classify_consensus,
     generator_drift,
     theoretical_bound,
@@ -17,13 +15,14 @@ from .dynamics import (
     TrialEngine,
     TrialOutcome,
     apply_update,
+    check_event_a,
     compatibility,
     default_stopping,
     gillespie_step,
     run_trial,
     stop_reached,
 )
-from .graph import SocialGraph, generate, parse_edge_list, to_edge_list_text
+from .graph import SocialGraph, generate, parse_edge_list
 from .montecarlo import (
     ExperimentSpec,
     MonteCarloReport,
@@ -40,7 +39,6 @@ from .space import (
     PointMasses,
     UniformShape,
     center_and_radius,
-    distance,
     expected_center_distance,
     sample_initial,
 )

@@ -9,28 +9,11 @@ norm. That fact powers the `check-invariants` harness.
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
 from typing import Sequence
 
 from .dynamics import Configuration, StoppingSpec, compatibility, stop_reached, _neighbor_mean
-from .graph import SocialGraph
-from .space import Norm, OpinionSpace, distance_fn
-
-
-@dataclass(frozen=True)
-class BoundInputs:
-    """Inputs to the consensus-probability lower bound; defined only for tau > rho."""
-
-    expected_dist: float
-    tau: float
-    rho: float
-
-    def __post_init__(self):
-        if self.expected_dist < 0:
-            raise ValueError("expected_dist must be nonnegative")
-        if not self.tau > self.rho:
-            raise ValueError(f"bound requires tau > rho, got tau={self.tau}, rho={self.rho}")
+from .graph import SocialGraph, components
+from .space import Norm, distance_fn
 
 
 def total_disagreement(config: Configuration, c: Sequence[float], norm: Norm) -> float:
@@ -65,38 +48,15 @@ def generator_drift(
     return float(drift)
 
 
-def _components(n: int, edges: list[tuple[int, int]]) -> tuple[tuple[int, ...], ...]:
-    nbrs: list[list[int]] = [[] for _ in range(n)]
-    for u, v in edges:
-        nbrs[u].append(v)
-        nbrs[v].append(u)
-    seen = [False] * n
-    comps = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        seen[start] = True
-        comp = [start]
-        queue = deque([start])
-        while queue:
-            x = queue.popleft()
-            for y in nbrs[x]:
-                if not seen[y]:
-                    seen[y] = True
-                    comp.append(y)
-                    queue.append(y)
-        comps.append(tuple(sorted(comp)))
-    return tuple(comps)
-
-
 def agreement_components(
     config: Configuration, g: SocialGraph, eps: float, norm: Norm
 ) -> tuple[tuple[int, ...], ...]:
     """Components of the subgraph of edges with opinion distance strictly below eps."""
     kernel = distance_fn(norm)
     ops = config.opinions
-    kept = [(u, v) for u, v in g.edges() if kernel(ops[u], ops[v]) < eps]
-    return _components(g.vertex_count, kept)
+    return components(
+        [[y for y in nbrs if kernel(ops[x], ops[y]) < eps] for x, nbrs in enumerate(g.adjacency)]
+    )
 
 
 def classify_consensus(
@@ -109,6 +69,9 @@ def classify_consensus(
     opinion, so the state leads to consensus exactly when the near-agreement
     subgraph spans the whole vertex set. This is a stop-time proxy for the
     asymptotic event, reported as classification "T_eps_proxy".
+
+    Test oracle for `TrialEngine.outcome`, which decides the same thing from
+    its compatible-neighbor sets.
     """
     if not stop_reached(config, g, spec, tau, norm):
         raise ValueError("classification is only defined at a stopping configuration")
@@ -116,25 +79,13 @@ def classify_consensus(
     return len(comps) == 1
 
 
-def check_event_a(config: Configuration, space: OpinionSpace, tau: float, eps_prime: float) -> bool:
-    """Whether some opinion lies strictly within tau - radius - eps_prime of the center.
+def theoretical_bound(expected_dist: float, tau: float, rho: float) -> float:
+    """Lower bound on the consensus probability: 1 - E||X - center|| / (tau - rho), clamped to [0, 1].
 
-    At a stopping state this condition forces every other opinion into the
-    same near-agreement component, so it guarantees eventual consensus. Only
-    defined when tau exceeds radius + eps_prime.
+    Defined only for tau > rho.
     """
-    threshold = tau - space.radius - eps_prime
-    if not threshold > 0:
-        raise ValueError(
-            f"event requires tau > radius + eps_prime, got tau={tau}, "
-            f"radius={space.radius}, eps_prime={eps_prime}"
-        )
-    kernel = distance_fn(space.norm)
-    center = space.center
-    return any(kernel(row, center) < threshold for row in config.opinions)
-
-
-def theoretical_bound(inputs: BoundInputs) -> float:
-    """Lower bound on the consensus probability: 1 - E||X - center|| / (tau - rho), clamped to [0, 1]."""
-    raw = 1.0 - inputs.expected_dist / (inputs.tau - inputs.rho)
-    return min(1.0, max(0.0, raw))
+    if expected_dist < 0:
+        raise ValueError("expected_dist must be nonnegative")
+    if not tau > rho:
+        raise ValueError(f"bound requires tau > rho, got tau={tau}, rho={rho}")
+    return min(1.0, max(0.0, 1.0 - expected_dist / (tau - rho)))

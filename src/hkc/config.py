@@ -7,6 +7,7 @@ key with a dotted path so CLI users can fix configs quickly.
 from __future__ import annotations
 
 import json
+import math
 import numbers
 from pathlib import Path
 
@@ -43,7 +44,13 @@ def _check_keys(obj: dict, pointer: str, required: set[str], optional: set[str] 
 def _real(value, pointer: str) -> float:
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         _fail(pointer, f"expected a number, got {value!r}")
-    return float(value)
+    try:
+        x = float(value)
+    except OverflowError:  # an integer literal beyond float64
+        x = math.inf
+    if not math.isfinite(x):
+        _fail(pointer, f"expected a finite number, got {x!r}")
+    return x
 
 
 def _integer(value, pointer: str) -> int:

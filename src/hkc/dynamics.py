@@ -12,6 +12,11 @@ proportional to its own rate. A trial stops at the first time every edge's
 opinion distance falls strictly outside [eps, tau] (either near-agreement or
 frozen), or when an event cap is hit.
 
+At a stop every compatible edge (distance <= tau) is a near-agreement edge
+(distance < eps). Each near-agreement component contracts to one limit
+opinion while the other edges stay frozen, so a stopped trial reaches
+consensus exactly when its compatible-neighbor graph is connected.
+
 Trials are deterministic functions of their random stream: the stream is
 consumed in a fixed order (holding time, then vertex choice, per event).
 """
@@ -24,7 +29,7 @@ from typing import Callable
 
 import numpy as np
 
-from .graph import SocialGraph
+from .graph import SocialGraph, is_connected
 from .space import (
     InitialDistribution,
     Norm,
@@ -233,10 +238,36 @@ def gillespie_step(
             return dt, x
 
 
+def event_a_applicable(space: OpinionSpace, tau: float, eps_prime: float) -> bool:
+    """Whether the near-center trigger (event A) is defined for these parameters."""
+    return tau > space.radius + eps_prime
+
+
+def check_event_a(config: Configuration, space: OpinionSpace, tau: float, eps_prime: float) -> bool:
+    """Whether some opinion lies strictly within tau - radius - eps_prime of the center.
+
+    At a stopping state this condition forces every other opinion into the
+    same near-agreement component, so it guarantees eventual consensus. Only
+    defined when `event_a_applicable`.
+    """
+    if not event_a_applicable(space, tau, eps_prime):
+        raise ValueError(
+            f"event A is undefined: tau={tau} does not exceed radius + eps_prime "
+            f"(radius={space.radius}, eps_prime={eps_prime})"
+        )
+    threshold = tau - space.radius - eps_prime
+    kernel = distance_fn(space.norm)
+    center = space.center
+    return any(kernel(row, center) < threshold for row in config.opinions)
+
+
 def stop_reached(
     config: Configuration, g: SocialGraph, spec: StoppingSpec, tau: float, norm: Norm
 ) -> bool:
-    """True iff every edge's opinion distance is strictly outside [eps, tau]."""
+    """True iff every edge's opinion distance is strictly outside [eps, tau].
+
+    Test oracle for `TrialEngine.is_stopped`, which tracks the in-band edges.
+    """
     kernel = distance_fn(norm)
     ops = config.opinions
     eps = spec.eps
@@ -250,7 +281,7 @@ class TrialEngine:
     """Single-trial state machine with incremental edge bookkeeping.
 
     Owns its opinions, compatible-neighbor sets, per-vertex rates, and the
-    count of edges inside the stopping band [eps, tau]. After each update only
+    set of edges inside the stopping band [eps, tau]. After each update only
     the edges incident to the updated vertex are recomputed; equivalence with
     full recomputation is pinned by tests. Not thread-safe; one engine and one
     random stream per trial.
@@ -284,8 +315,7 @@ class TrialEngine:
         self.compat: list[set[int]] = [set() for _ in range(n)]
         self.rates: list[int] = [0] * n
         self.total_rate = 0
-        self.banded_edges = 0  # edges with distance in [eps, tau]
-        self._edge_dist: dict[tuple[int, int], float] = {}
+        self._banded: set[tuple[int, int]] = set()  # edges (u < v) with distance in [eps, tau]
         for u, v in g.edges():
             self._update_edge(u, v)
         self.time = 0.0
@@ -300,18 +330,14 @@ class TrialEngine:
 
     def _update_edge(self, a: int, b: int) -> None:
         key = (a, b) if a < b else (b, a)
-        d = self._kernel(self.opinions[key[0]], self.opinions[key[1]])
-        old = self._edge_dist.get(key)
-        self._edge_dist[key] = d
-        eps, tau = self._eps, self._tau
-        new_band = eps <= d <= tau
-        new_compat = d <= tau
-        old_band = old is not None and eps <= old <= tau
-        old_compat = old is not None and old <= tau
-        if new_band != old_band:
-            self.banded_edges += 1 if new_band else -1
-        if new_compat != old_compat:
-            u, v = key
+        u, v = key
+        d = self._kernel(self.opinions[u], self.opinions[v])
+        new_compat = d <= self._tau
+        if new_compat and d >= self._eps:
+            self._banded.add(key)
+        else:
+            self._banded.discard(key)
+        if new_compat != (v in self.compat[u]):
             if new_compat:
                 self.compat[u].add(v)
                 self.compat[v].add(u)
@@ -335,7 +361,7 @@ class TrialEngine:
         return total
 
     def is_stopped(self) -> bool:
-        return self.banded_edges == 0
+        return not self._banded
 
     def step(self) -> int | None:
         """Execute one event; returns the updated vertex, or None when absorbed."""
@@ -379,36 +405,27 @@ class TrialEngine:
     def run_to_stop(self, max_events: int | None = None) -> None:
         """Step until the stopping band empties or the event cap is hit."""
         cap = self.stopping.max_events if max_events is None else max_events
-        while self.banded_edges > 0 and self.events < cap:
+        while self._banded and self.events < cap:
             self.step()  # banded edges imply compatible edges, so never absorbed here
-
-    def continue_and_restop(self, extra_events: int) -> None:
-        """Run extra events past a stop, then on to the next stopping state.
-
-        Used to probe stability of the stop-time classification; the event cap
-        still applies as a safety net.
-        """
-        target = min(self.events + extra_events, self.stopping.max_events)
-        while self.events < target:
-            if self.step() is None:
-                return
-        self.run_to_stop()
 
     def configuration(self) -> Configuration:
         return Configuration.from_rows(self.opinions)
 
     def outcome(self) -> TrialOutcome:
-        """Freeze the current state into a TrialOutcome, classifying if stopped."""
-        from .analysis import check_event_a, classify_consensus  # deferred: analysis imports dynamics
+        """Freeze the current state into a TrialOutcome, classifying if stopped.
 
+        A stopped trial reaches consensus iff its compatible-neighbor graph is
+        connected; see the module docstring.
+        """
         stopped = self.is_stopped()
         final = self.configuration()
         consensus: bool | None = None
         event_a: bool | None = None
         if stopped:
-            consensus = classify_consensus(final, self.g, self.stopping, self._tau, self.space.norm)
-            if self._tau > self.space.radius + self.stopping.eps_prime:
-                event_a = check_event_a(final, self.space, self._tau, self.stopping.eps_prime)
+            consensus = is_connected(self.compat)
+            eps_prime = self.stopping.eps_prime
+            if event_a_applicable(self.space, self._tau, eps_prime):
+                event_a = check_event_a(final, self.space, self._tau, eps_prime)
         if self._record:
             samples = np.column_stack((self._sample_t, self._sample_x))
         else:

@@ -45,7 +45,7 @@ class SocialGraph:
                     raise GraphValidationError(f"self-loop at vertex {x}")
                 if x not in nbr_sets[y]:
                     raise GraphValidationError(f"edge ({x}, {y}) is not symmetric")
-        if not _is_connected(n, self.adjacency):
+        if not is_connected(self.adjacency):
             raise GraphValidationError("graph is not connected")
 
     @classmethod
@@ -70,9 +70,6 @@ class SocialGraph:
     def edge_count(self) -> int:
         return sum(len(nbrs) for nbrs in self.adjacency) // 2
 
-    def degree(self, x: int) -> int:
-        return len(self.adjacency[x])
-
 
 def _adjacency(n: int, edges: Iterable[tuple[int, int]]) -> tuple[tuple[int, ...], ...]:
     """Sorted, duplicate-free neighbor tuples from an edge list (duplicates merge)."""
@@ -87,19 +84,31 @@ def _adjacency(n: int, edges: Iterable[tuple[int, int]]) -> tuple[tuple[int, ...
     return tuple(tuple(sorted(s)) for s in nbrs)
 
 
-def _is_connected(n: int, adjacency) -> bool:
-    seen = bytearray(n)
-    seen[0] = 1
-    queue = deque([0])
-    count = 1
-    while queue:
-        x = queue.popleft()
-        for y in adjacency[x]:
-            if not seen[y]:
-                seen[y] = 1
-                count += 1
-                queue.append(y)
-    return count == n
+def components(adjacency) -> tuple[tuple[int, ...], ...]:
+    """Connected components, each sorted, ordered by smallest vertex.
+
+    `adjacency[x]` may be any iterable of the neighbors of x (tuples, sets).
+    """
+    seen = bytearray(len(adjacency))
+    comps = []
+    for start in range(len(adjacency)):
+        if seen[start]:
+            continue
+        seen[start] = 1
+        comp = [start]
+        queue = deque(comp)
+        while queue:
+            for y in adjacency[queue.popleft()]:
+                if not seen[y]:
+                    seen[y] = 1
+                    comp.append(y)
+                    queue.append(y)
+        comps.append(tuple(sorted(comp)))
+    return tuple(comps)
+
+
+def is_connected(adjacency) -> bool:
+    return len(components(adjacency)) == 1
 
 
 def parse_edge_list(text: str) -> SocialGraph:
@@ -131,11 +140,6 @@ def parse_edge_list(text: str) -> SocialGraph:
     if max_id < 0:
         raise GraphParseError("edge list contains no edges")
     return SocialGraph.from_edges(max_id + 1, edges)
-
-
-def to_edge_list_text(g: SocialGraph) -> str:
-    """Canonical edge-list text: one "u v" line per edge, u < v, ascending."""
-    return "".join(f"{u} {v}\n" for u, v in g.edges())
 
 
 def path(n: int) -> SocialGraph:
@@ -179,7 +183,7 @@ def erdos_renyi(n: int, p: float, rng: random.Random) -> SocialGraph:
     for _ in range(_ER_MAX_ATTEMPTS):
         edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
         adjacency = _adjacency(n, edges)
-        if _is_connected(n, adjacency):
+        if is_connected(adjacency):
             return SocialGraph(n, adjacency)
     raise GraphValidationError(
         f"no connected sample in {_ER_MAX_ATTEMPTS} attempts; increase p (n={n}, p={p})"

@@ -8,11 +8,12 @@ the report is a pure function of the experiment spec at any parallelism level.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
-from .analysis import BoundInputs, theoretical_bound
-from .dynamics import ModelParams, StoppingSpec, TrialOutcome, run_trial
+from .analysis import theoretical_bound
+from .dynamics import ModelParams, StoppingSpec, TrialOutcome, event_a_applicable, run_trial
 from .graph import SocialGraph
 from .space import (
     Ball,
@@ -157,14 +158,19 @@ def _outcome_block(spec: ExperimentSpec, lo: int, hi: int) -> list[TrialOutcome]
 
 
 def trial_outcomes(spec: ExperimentSpec, parallelism: int = 1) -> list[TrialOutcome]:
-    """All trial outcomes in trial order, computed with up to `parallelism` workers."""
+    """All trial outcomes in trial order, computed with up to `parallelism` workers.
+
+    The chunk bounds depend only on `parallelism` and the trial count; the
+    pool never starts more workers than there are chunks or CPUs.
+    """
     if parallelism < 1:
         raise ValueError("parallelism must be >= 1")
     if parallelism == 1 or spec.trials == 1:
         return _outcome_block(spec, 0, spec.trials)
     chunk = max(1, -(-spec.trials // (parallelism * 4)))
     bounds = [(lo, min(lo + chunk, spec.trials)) for lo in range(0, spec.trials, chunk)]
-    with ProcessPoolExecutor(max_workers=parallelism) as pool:
+    workers = min(parallelism, len(bounds), os.cpu_count() or 1)
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         blocks = pool.map(_outcome_block, [spec] * len(bounds), *zip(*bounds))
         return [outcome for block in blocks for outcome in block]
 
@@ -178,7 +184,7 @@ def consensus_bound(spec: ExperimentSpec) -> tuple[bool, float | None, float | N
     expected = expected_center_distance(
         spec.init, spec.space, samples=BOUND_MC_SAMPLES, rng=seeding.bound_rng(spec.master_seed)
     )
-    return True, expected, theoretical_bound(BoundInputs(expected_dist=expected, tau=tau, rho=rho))
+    return True, expected, theoretical_bound(expected, tau, rho)
 
 
 def reduce_outcomes(spec: ExperimentSpec, outcomes: list[TrialOutcome]) -> MonteCarloReport:
@@ -213,7 +219,7 @@ def reduce_outcomes(spec: ExperimentSpec, outcomes: list[TrialOutcome]) -> Monte
         p_hat = ci_low = ci_high = None
 
     bound_applicable, expected, bound = consensus_bound(spec)
-    event_a_applicable = spec.params.tau > spec.space.radius + spec.stopping.eps_prime
+    event_a_defined = event_a_applicable(spec.space, spec.params.tau, spec.stopping.eps_prime)
     return MonteCarloReport(
         trials=trials,
         consensus_count=consensus_count,
@@ -225,9 +231,9 @@ def reduce_outcomes(spec: ExperimentSpec, outcomes: list[TrialOutcome]) -> Monte
         bound=bound,
         bound_applicable=bound_applicable,
         expected_center_dist=expected,
-        event_a_applicable=event_a_applicable,
-        event_a_count=event_a_count if event_a_applicable else None,
-        event_a_and_consensus_count=event_a_and_consensus if event_a_applicable else None,
+        event_a_applicable=event_a_defined,
+        event_a_count=event_a_count if event_a_defined else None,
+        event_a_and_consensus_count=event_a_and_consensus if event_a_defined else None,
         mean_stop_time=(stop_time_sum / stopped_count) if stopped_count else None,
         mean_events=events_sum / trials,
         master_seed=spec.master_seed,

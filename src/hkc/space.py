@@ -66,13 +66,6 @@ def distance_fn(norm: Norm):
     return _KERNELS[norm]
 
 
-def distance(u: Sequence[float], v: Sequence[float], norm: Norm) -> float:
-    """Distance between two opinion vectors under the selected norm."""
-    if len(u) != len(v):
-        raise ValueError(f"dimension mismatch: {len(u)} vs {len(v)}")
-    return float(_KERNELS[norm](u, v))
-
-
 def _as_vector(coords, what: str) -> Vector:
     vec = tuple(float(c) for c in coords)
     if not vec:

@@ -16,7 +16,7 @@ from hkc.graph import complete, cycle, path
 from hkc.invariants import drift_case_batch
 from hkc.montecarlo import ExperimentSpec, reduce_outcomes, run_estimate, trial_outcomes
 from hkc.render import to_json
-from hkc.space import Ball, Box, Norm, OpinionSpace, UniformShape, distance, expected_center_distance
+from hkc.space import Ball, Box, Norm, OpinionSpace, UniformShape, distance_fn, expected_center_distance
 from hkc.seeding import trial_rng
 
 UNIT_INTERVAL = OpinionSpace.create(Box((0.0,), (1.0,)), Norm.L2)
@@ -185,6 +185,7 @@ def test_criterion_06_stopping_structure(bound_runs):
         eps = spec.stopping.eps
         tau = spec.params.tau
         norm = spec.space.norm
+        distance = distance_fn(norm)
         n = spec.graph.vertex_count
         for out in outcomes:
             if not out.stopped:
@@ -192,14 +193,14 @@ def test_criterion_06_stopping_structure(bound_runs):
             trials_seen += 1
             ops = out.final.opinions
             for u, v in spec.graph.edges():
-                d = distance(ops[u], ops[v], norm)
+                d = distance(ops[u], ops[v])
                 if eps <= d <= tau:
                     violations += 1
             for comp in agreement_components(out.final, spec.graph, eps, norm):
                 rows = [ops[x] for x in comp]
                 for i in range(len(rows)):
                     for j in range(i + 1, len(rows)):
-                        if distance(rows[i], rows[j], norm) >= eps * (n - 1):
+                        if distance(rows[i], rows[j]) >= eps * (n - 1):
                             violations += 1
     report_line(
         "C6 stopping structure",
@@ -245,7 +246,11 @@ def test_criterion_08_classification_stability():
             continue
         stopped_trials += 1
         before = engine.outcome().consensus
-        engine.continue_and_restop(extra_events=10 * engine.events)
+        # run 10x the events so far past the stop (within the cap), then to the next stop
+        cap = min(11 * engine.events, stopping.max_events)
+        while engine.events < cap and engine.step() is not None:
+            pass
+        engine.run_to_stop()
         assert engine.is_stopped()
         after = engine.outcome().consensus
         if before != after:

@@ -4,15 +4,13 @@ import numpy as np
 import pytest
 
 from hkc.analysis import (
-    BoundInputs,
     agreement_components,
-    check_event_a,
     classify_consensus,
     generator_drift,
     theoretical_bound,
     total_disagreement,
 )
-from hkc.dynamics import Configuration, StoppingSpec, apply_update, compatibility
+from hkc.dynamics import Configuration, StoppingSpec, apply_update, check_event_a, compatibility
 from hkc.graph import complete, path
 from hkc.invariants import drift_case_batch, run_drift_check
 from hkc.space import Ball, Norm, OpinionSpace
@@ -177,18 +175,20 @@ def test_event_a_undefined_when_tau_too_small():
 
 def test_theoretical_bound_unit_interval_values():
     # uniform on [0,1]: E = 1/4, rho = 1/2
-    assert theoretical_bound(BoundInputs(0.25, 1.0, 0.5)) == pytest.approx(0.5)
-    assert theoretical_bound(BoundInputs(0.25, 0.8, 0.5)) == pytest.approx(1 / 6)
-    assert theoretical_bound(BoundInputs(0.0, 0.6, 0.5)) == 1.0
+    assert theoretical_bound(0.25, 1.0, 0.5) == pytest.approx(0.5)
+    assert theoretical_bound(0.25, 0.8, 0.5) == pytest.approx(1 / 6)
+    assert theoretical_bound(0.0, 0.6, 0.5) == 1.0
 
 
 def test_theoretical_bound_clamps_to_zero():
-    assert theoretical_bound(BoundInputs(5.0, 1.0, 0.5)) == 0.0
+    assert theoretical_bound(5.0, 1.0, 0.5) == 0.0
 
 
 def test_theoretical_bound_requires_tau_above_rho():
-    with pytest.raises(ValueError):
-        BoundInputs(0.25, 0.5, 0.5)
+    with pytest.raises(ValueError, match="tau > rho"):
+        theoretical_bound(0.25, 0.5, 0.5)
+    with pytest.raises(ValueError, match="nonnegative"):
+        theoretical_bound(-0.25, 1.0, 0.5)
 
 
 def test_theoretical_bound_monotonicity_grid():
@@ -196,8 +196,8 @@ def test_theoretical_bound_monotonicity_grid():
     taus = np.linspace(0.55, 2.0, 30)
     exps = np.linspace(0.0, 1.0, 30)
     for e in exps:
-        values = [theoretical_bound(BoundInputs(e, t, rhos)) for t in taus]
+        values = [theoretical_bound(e, t, rhos) for t in taus]
         assert all(b >= a - 1e-15 for a, b in zip(values, values[1:]))  # nondecreasing in tau
     for t in taus:
-        values = [theoretical_bound(BoundInputs(e, t, rhos)) for e in exps]
+        values = [theoretical_bound(e, t, rhos) for e in exps]
         assert all(b <= a + 1e-15 for a, b in zip(values, values[1:]))  # nonincreasing in E

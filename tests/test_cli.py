@@ -268,3 +268,18 @@ def test_alpha_one_exits_2(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert "alpha" in err
+
+
+@pytest.mark.parametrize(
+    "literal", ["1e309", "Infinity", "NaN", pytest.param("1" + "0" * 400, id="integer-1e400")]
+)
+@pytest.mark.parametrize("command", ["estimate", "simulate", "bound"])
+def test_non_finite_number_exits_2(tmp_path, capsys, command, literal):
+    # json reads 1e309 and Infinity as inf; the run must not reach rendering
+    cfg = Path(write_config(tmp_path, tau="TAU", eps_prime=0.1))
+    cfg.write_text(cfg.read_text(encoding="utf-8").replace('"TAU"', literal), encoding="utf-8")
+    code, out, err = run_cli(capsys, command, str(cfg))
+    assert code == 2
+    assert out == ""
+    assert "tau: expected a finite number, got " in err
+    assert "Traceback" not in err

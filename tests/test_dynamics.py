@@ -11,13 +11,15 @@ from hkc.dynamics import (
     StoppingSpec,
     TrialEngine,
     apply_update,
+    check_event_a,
     compatibility,
     default_stopping,
+    event_a_applicable,
     gillespie_step,
     run_trial,
     stop_reached,
 )
-from hkc.analysis import total_disagreement
+from hkc.analysis import classify_consensus, total_disagreement
 from hkc.graph import complete, cycle, erdos_renyi, path
 from hkc.space import Ball, Box, Norm, OpinionSpace, UniformShape
 
@@ -269,12 +271,17 @@ def test_run_trial_cap_hit_is_undetermined():
 
 def test_engine_matches_pure_operations_step_by_step():
     # Replay the engine against compatibility/gillespie_step/apply_update with a
-    # cloned random stream: opinions must agree bitwise at every event.
+    # cloned random stream: opinions must agree bitwise at every event, and at
+    # every stopped state the engine's outcome must match the pure classifiers.
     rng_engine = random.Random(2718)
-    for trial in range(4):
+    consensus_seen = set()
+    event_a_seen = set()
+    for trial in range(6):
         g = erdos_renyi(random.Random(trial).randint(3, 8), 0.6, random.Random(trial + 50))
         space = OpinionSpace.create(Box((0.0, 0.0), (1.0, 1.0)), Norm.L1 if trial % 2 else Norm.L2)
-        params = ModelParams(tau=0.45, alpha=0.25 * trial)
+        # the last two trials have tau > radius + eps_prime, so event A is defined there
+        tau = 0.45 if trial < 4 else space.radius + 0.1
+        params = ModelParams(tau=tau, alpha=0.25 * (trial % 4))
         stopping = default_stopping(g, space, params, max_events=400)
         engine = TrialEngine(g, space, UniformShape(), params, stopping, rng_engine, record_samples=False)
         rng_pure = random.Random()
@@ -287,6 +294,15 @@ def test_engine_matches_pure_operations_step_by_step():
             assert engine.total_rate == view.total_rate
             assert tuple(tuple(sorted(s)) for s in engine.compat) == view.neighbors
             assert engine.is_stopped() == stop_reached(config, g, stopping, params.tau, space.norm)
+            if engine.is_stopped():
+                out = engine.outcome()
+                assert out.consensus == classify_consensus(config, g, stopping, params.tau, space.norm)
+                if event_a_applicable(space, params.tau, stopping.eps_prime):
+                    assert out.event_a == check_event_a(config, space, params.tau, stopping.eps_prime)
+                else:
+                    assert out.event_a is None
+                consensus_seen.add(out.consensus)
+                event_a_seen.add(out.event_a)
             assert engine.total_center_distance() == total_disagreement(
                 config, space.center, space.norm
             )
@@ -299,6 +315,8 @@ def test_engine_matches_pure_operations_step_by_step():
             assert moved == x
             config = apply_update(config, view, x, params.alpha)
             assert np.array_equal(config.opinions, np.array(engine.opinions))
+    assert consensus_seen == {True, False}
+    assert event_a_seen == {None, True, False}
 
 
 def _in_convex_hull(point, hull_points, tol=1e-9) -> bool:

@@ -4,6 +4,7 @@ import pytest
 from scipy.stats import binomtest
 
 from hkc.dynamics import ModelParams, default_stopping
+from hkc import montecarlo
 from hkc.graph import path
 from hkc.montecarlo import (
     ExperimentSpec,
@@ -93,6 +94,37 @@ def test_trial_outcomes_order_matches_single_runs():
         assert solo.events == outs[i].events
         assert solo.stop_time == outs[i].stop_time
         assert solo.consensus == outs[i].consensus
+
+
+@pytest.mark.parametrize(
+    "cpus, parallelism, workers",
+    [(64, 5000, 10), (2, 5000, 2), (64, 3, 3), (None, 4, 1)],
+)
+def test_pool_capped_by_chunks_and_cpus(monkeypatch, cpus, parallelism, workers):
+    # a fake pool records max_workers and maps in-process, so no process starts
+    started = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", InProcessPool)
+    spec = two_vertex_spec(tau=0.5, trials=10, seed=5)  # 10 one-trial chunks at parallelism >= 3
+    outs = trial_outcomes(spec, parallelism)
+    assert started == [workers]
+    assert [(o.events, o.stop_time, o.consensus) for o in outs] == [
+        (o.events, o.stop_time, o.consensus) for o in trial_outcomes(spec)
+    ]
 
 
 def test_wilson_coverage_over_repeated_experiments():

@@ -12,7 +12,7 @@ from hkc.space import (
     PointMasses,
     UniformShape,
     center_and_radius,
-    distance,
+    distance_fn,
     expected_center_distance,
     max_pairwise_distance,
     sample_initial,
@@ -31,42 +31,38 @@ def np_norm(diff: np.ndarray, norm: Norm) -> np.ndarray:
 
 def test_distance_identity_is_zero():
     for norm in Norm:
-        assert distance((0.3, 0.7), (0.3, 0.7), norm) == 0.0
+        assert distance_fn(norm)((0.3, 0.7), (0.3, 0.7)) == 0.0
 
 
 def test_distance_one_dimensional():
-    assert distance((0.0,), (1.0,), Norm.L1) == 1.0
+    assert distance_fn(Norm.L1)((0.0,), (1.0,)) == 1.0
 
 
 def test_distance_hand_values():
     u, v = (0.0, 0.0), (3.0, 4.0)
-    assert distance(u, v, Norm.L2) == 5.0
-    assert distance(u, v, Norm.L1) == 7.0
-    assert distance(u, v, Norm.LINF) == 4.0
-
-
-def test_distance_dimension_mismatch():
-    with pytest.raises(ValueError):
-        distance((0.0,), (1.0, 2.0), Norm.L2)
+    assert distance_fn(Norm.L2)(u, v) == 5.0
+    assert distance_fn(Norm.L1)(u, v) == 7.0
+    assert distance_fn(Norm.LINF)(u, v) == 4.0
 
 
 def test_norm_axioms_on_random_triples():
     # nonnegativity, symmetry, triangle inequality, absolute homogeneity
     rng = np.random.default_rng(2024)
     for norm in Norm:
+        dist = distance_fn(norm)
         for dim in (1, 2, 3):
             triples = rng.uniform(-5, 5, size=(10_000, 3, dim))
             for u, v, w in triples:
-                duv = distance(u, v, norm)
+                duv = dist(u, v)
                 assert duv >= 0.0
-                assert duv == distance(v, u, norm)
-                assert distance(u, w, norm) <= duv + distance(v, w, norm) + 1e-12
+                assert duv == dist(v, u)
+                assert dist(u, w) <= duv + dist(v, w) + 1e-12
             scales = rng.uniform(-3, 3, size=200)
             pairs = rng.uniform(-5, 5, size=(200, 2, dim))
             zero = np.zeros(dim)
             for s, (u, v) in zip(scales, pairs):
-                lhs = distance(s * (u - v), zero, norm)
-                rhs = abs(s) * distance(u, v, norm)
+                lhs = dist(s * (u - v), zero)
+                rhs = abs(s) * dist(u, v)
                 assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
 
@@ -76,7 +72,7 @@ def test_distance_zero_iff_equal():
         for _ in range(100):
             u = rng.uniform(-1, 1, size=3)
             v = u + rng.uniform(0.01, 1, size=3)
-            assert distance(u, v, norm) > 0.0
+            assert distance_fn(norm)(u, v) > 0.0
 
 
 def test_center_and_radius_ball_any_norm():
@@ -139,7 +135,7 @@ def test_opinion_space_membership_invariant():
             space = OpinionSpace.create(shape, norm)
             for _ in range(2000):
                 p = sample_initial(UniformShape(), space, rng)
-                assert distance(p, space.center, norm) <= space.radius + 1e-9
+                assert distance_fn(norm)(p, space.center) <= space.radius + 1e-9
 
 
 def test_opinion_space_rejects_unsupported_dimension():
