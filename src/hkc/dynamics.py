@@ -8,9 +8,13 @@ replaces the vertex opinion with
 
 Event scheduling is the exact direct method: the holding time is exponential
 at the total rate and the updating vertex is chosen with probability
-proportional to its own rate. A trial stops at the first time every edge's
-opinion distance falls strictly outside [eps, tau] (either near-agreement or
-frozen), or when an event cap is hit.
+proportional to its own rate. The engine finds that vertex with an O(log n)
+descent of a Fenwick tree over the integer rates, which picks the same vertex
+as the direct method's linear scan (`gillespie_step`) for every draw.
+
+A trial stops at the first time every edge's opinion distance falls strictly
+outside [eps, tau] (either near-agreement or frozen), or when an event cap is
+hit.
 
 At a stop every compatible edge (distance <= tau) is a near-agreement edge
 (distance < eps). Each near-agreement component contracts to one limit
@@ -224,7 +228,8 @@ def gillespie_step(
     Direct method: dt ~ Exponential(total rate), then the vertex is chosen
     with probability rates[x] / total_rate. Consumes the stream in that order.
     The scan always stops: for an integer total below 2**53,
-    random() * total < total holds exactly in float64.
+    random() * total < total holds exactly in float64. Test oracle for the
+    Fenwick descent in `TrialEngine.step`, which must pick the same vertex.
     """
     total = view.total_rate
     if total == 0:
@@ -283,8 +288,10 @@ class TrialEngine:
     Owns its opinions, compatible-neighbor sets, per-vertex rates, and the
     set of edges inside the stopping band [eps, tau]. After each update only
     the edges incident to the updated vertex are recomputed; equivalence with
-    full recomputation is pinned by tests. Not thread-safe; one engine and one
-    random stream per trial.
+    full recomputation is pinned by tests. The updating vertex is found by an
+    O(log n) descent of a Fenwick tree over the rates, kept beside `rates`;
+    it picks the same vertex as the direct-method scan of `gillespie_step`.
+    Not thread-safe; one engine and one random stream per trial.
     """
 
     def __init__(
@@ -318,6 +325,14 @@ class TrialEngine:
         self._banded: set[tuple[int, int]] = set()  # edges (u < v) with distance in [eps, tau]
         for u, v in g.edges():
             self._update_edge(u, v)
+        # Fenwick tree over rates, padded with zero rates to a power-of-two size
+        # so the descent needs no bounds check; built in O(n)
+        size = 1 << (n - 1).bit_length()
+        tree = [0] + self.rates + [0] * (size - n)
+        for i in range(1, size):
+            tree[i + (i & -i)] += tree[i]
+        self._tree = tree
+        self._size = size
         self.time = 0.0
         self.events = 0
         self._record = record_samples
@@ -328,7 +343,8 @@ class TrialEngine:
             self._sample_t.append(0.0)
             self._sample_x.append(self.total_center_distance())
 
-    def _update_edge(self, a: int, b: int) -> None:
+    def _update_edge(self, a: int, b: int) -> int:
+        """Recompute one edge; returns the change (+1, -1 or 0) in both endpoint rates."""
         key = (a, b) if a < b else (b, a)
         u, v = key
         d = self._kernel(self.opinions[u], self.opinions[v])
@@ -344,12 +360,23 @@ class TrialEngine:
                 self.rates[u] += 1
                 self.rates[v] += 1
                 self.total_rate += 2
-            else:
-                self.compat[u].discard(v)
-                self.compat[v].discard(u)
-                self.rates[u] -= 1
-                self.rates[v] -= 1
-                self.total_rate -= 2
+                return 1
+            self.compat[u].discard(v)
+            self.compat[v].discard(u)
+            self.rates[u] -= 1
+            self.rates[v] -= 1
+            self.total_rate -= 2
+            return -1
+        return 0
+
+    def _tree_add(self, x: int, delta: int) -> None:
+        """Add delta to vertex x's entry in the Fenwick tree."""
+        tree = self._tree
+        size = self._size
+        i = x + 1
+        while i <= size:
+            tree[i] += delta
+            i += i & -i
 
     def total_center_distance(self) -> float:
         """Sum over vertices of the opinion's distance to the space center."""
@@ -371,11 +398,19 @@ class TrialEngine:
         rng = self.rng
         dt = rng.expovariate(total)
         target = rng.random() * total
+        # x is the first vertex whose inclusive rate prefix sum exceeds target,
+        # as in gillespie_step's scan: the descent finds the longest prefix with
+        # sum <= target. Prefix sums are ints, and int/float comparison is exact.
+        tree = self._tree
+        x = 0
         acc = 0
-        for x, r in enumerate(self.rates):
-            acc += r
-            if acc > target:  # always reached; see gillespie_step
-                break
+        bit = self._size >> 1
+        while bit:
+            s = acc + tree[x + bit]
+            if s <= target:
+                x += bit
+                acc = s
+            bit >>= 1
         old = self.opinions[x]
         dim = len(old)
         sums = [0.0] * dim
@@ -389,8 +424,14 @@ class TrialEngine:
         a = self._alpha
         b = 1.0 - a
         self.opinions[x] = tuple(a * old[i] + b * (sums[i] / k) for i in range(dim))
+        dx = 0
         for y in self.g.adjacency[x]:
-            self._update_edge(x, y)
+            d = self._update_edge(x, y)
+            if d:
+                self._tree_add(y, d)
+                dx += d
+        if dx:
+            self._tree_add(x, dx)
         self.time += dt
         self.events += 1
         if self._record or self._on_event is not None:

@@ -273,8 +273,17 @@ def expected_center_distance(
 
 
 def max_pairwise_distance(rows: Sequence[Sequence[float]], norm: Norm) -> float:
-    """Largest opinion distance over all vertex pairs (diameter of the configuration)."""
+    """Largest opinion distance over all vertex pairs (diameter of the configuration).
+
+    In one dimension (any norm) and under Linf (any dimension) this is the
+    distance between the per-coordinate maxima and minima, found in O(n * dim).
+    Float subtraction is monotone, so that equals the pair scan bitwise. L1 and
+    L2 in two or more dimensions scan all pairs in O(n^2).
+    """
     kernel = _KERNELS[norm]
+    if len(rows) and (norm is Norm.LINF or len(rows[0]) == 1):
+        cols = tuple(zip(*rows))
+        return float(kernel(tuple(map(max, cols)), tuple(map(min, cols))))
     best = 0.0
     for i in range(len(rows)):
         ri = rows[i]

@@ -20,7 +20,7 @@ from hkc.dynamics import (
     stop_reached,
 )
 from hkc.analysis import classify_consensus, total_disagreement
-from hkc.graph import complete, cycle, erdos_renyi, path
+from hkc.graph import complete, cycle, erdos_renyi, grid, path
 from hkc.space import Ball, Box, Norm, OpinionSpace, UniformShape
 
 
@@ -317,6 +317,58 @@ def test_engine_matches_pure_operations_step_by_step():
             assert np.array_equal(config.opinions, np.array(engine.opinions))
     assert consensus_seen == {True, False}
     assert event_a_seen == {None, True, False}
+
+
+class _EighthsRandom(random.Random):
+    """random() returns multiples of 1/8 once `eighths` is set.
+
+    Total rates are even, so rng.random() * total_rate then often lands exactly
+    on an integer rate prefix sum, where a selection off by one in its
+    comparison would pick a different vertex.
+    """
+
+    eighths = False
+    last = 0.0
+
+    def random(self):
+        u = super().random()
+        if self.eighths:
+            u = math.floor(u * 8) / 8
+        self.last = u
+        return u
+
+
+def test_engine_selection_matches_scan_at_exact_prefix_boundaries():
+    # Replay the engine's vertex choice against gillespie_step's linear scan on
+    # graphs whose sizes are 1, 2 and non-powers of two, where targets often
+    # equal a prefix sum exactly and small tau leaves zero-rate vertices.
+    graphs = [path(1), path(2), cycle(37), grid(10, 10), complete(33), cycle(129)]
+    exact_targets = 0
+    zero_rate_seen = False
+    for gi, g in enumerate(graphs):
+        for tau in (0.15, 1.0):
+            params = ModelParams(tau=tau)
+            stopping = default_stopping(g, BOX01, params, max_events=200)
+            rng_engine = _EighthsRandom(1000 + gi)
+            engine = TrialEngine(g, BOX01, UniformShape(), params, stopping, rng_engine, record_samples=False)
+            rng_engine.eighths = True
+            rng_pure = _EighthsRandom()
+            rng_pure.setstate(rng_engine.getstate())
+            rng_pure.eighths = True
+            config = Configuration.from_rows(engine.opinions)
+            for _ in range(200):
+                view = compatibility(config, g, tau, BOX01.norm)
+                zero_rate_seen |= view.total_rate > 0 and 0 in view.rates
+                step = gillespie_step(config, view, params, rng_pure)
+                moved = engine.step()
+                if step is None:
+                    assert moved is None
+                    break
+                assert moved == step[1], (g.vertex_count, tau, engine.events)
+                exact_targets += (rng_engine.last * view.total_rate).is_integer()
+                config = apply_update(config, view, moved, params.alpha)
+    assert zero_rate_seen
+    assert exact_targets > 100
 
 
 def _in_convex_hull(point, hull_points, tol=1e-9) -> bool:

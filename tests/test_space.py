@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -229,6 +230,30 @@ def test_max_pairwise_distance():
     assert max_pairwise_distance(rows, Norm.L1) == 3.0
     assert max_pairwise_distance(rows, Norm.L2) == pytest.approx(math.sqrt(5))
     assert max_pairwise_distance([(0.5,)], Norm.L2) == 0.0
+
+
+def _pair_scan_diameter(rows, norm: Norm) -> float:
+    kernel = distance_fn(norm)
+    return max((kernel(a, b) for a, b in itertools.combinations(rows, 2)), default=0.0)
+
+
+def test_max_pairwise_distance_matches_pair_scan_bitwise():
+    # The per-coordinate extremes path (1-D, and Linf in any dimension) must
+    # equal the brute-force pair scan bit for bit, across magnitudes, large
+    # offsets that make subtraction round, and repeated rows.
+    rng = random.Random(20)
+    for _ in range(4000):
+        norm = rng.choice(list(Norm))
+        dim = rng.choice((1, 1, 2, 3))
+        n = rng.randint(1, 10)
+        scale = 10.0 ** rng.uniform(-300, 300)
+        base = rng.choice((0.0, 1e16, -1e16)) * rng.choice((1.0, min(scale, 1e290)))
+        rows = [tuple(base + scale * rng.uniform(-1, 1) for _ in range(dim)) for _ in range(n)]
+        if rng.random() < 0.3:
+            rows += rng.choices(rows, k=rng.randint(1, 3))
+            rng.shuffle(rows)
+        got = max_pairwise_distance(rows, norm)
+        assert got.hex() == _pair_scan_diameter(rows, norm).hex(), (norm, rows)
 
 
 def test_shape_validation():
