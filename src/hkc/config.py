@@ -9,12 +9,13 @@ from __future__ import annotations
 import json
 import math
 import numbers
+from contextlib import contextmanager
 from pathlib import Path
 
 from .dynamics import DEFAULT_MAX_EVENTS, ModelParams, default_stopping
-from .graph import SocialGraph, generate, parse_edge_list
+from .graph import KINDS, SocialGraph, generate, parse_edge_list
 from .montecarlo import ExperimentSpec
-from .space import Ball, Box, Norm, OpinionSpace, PointMasses, UniformShape
+from .space import Ball, Box, Norm, OpinionSpace, PointMasses, UniformShape, validate_distribution
 from . import seeding
 
 
@@ -24,6 +25,17 @@ class ConfigError(ValueError):
 
 def _fail(pointer: str, message: str):
     raise ConfigError(f"{pointer}: {message}")
+
+
+@contextmanager
+def _at(pointer: str):
+    """Re-raise a ValueError from the block as a ConfigError at pointer."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(f"{pointer}: {exc}") from exc
 
 
 def _expect_dict(value, pointer: str) -> dict:
@@ -88,34 +100,22 @@ def _build_graph(section: dict, master_seed: int) -> tuple[SocialGraph, dict]:
             text = Path(path).read_text(encoding="utf-8")
         except OSError as exc:
             raise ConfigError(f"graph.file: cannot read {path!r}: {exc}") from exc
-        try:
+        with _at("graph.file"):
             return parse_edge_list(text), {"file": path}
-        except ValueError as exc:
-            raise ConfigError(f"graph.file: {exc}") from exc
     if "kind" not in section:
         _fail("graph", "needs either 'kind' or 'file'")
     kind = section["kind"]
-    try:
-        if kind in ("path", "cycle", "complete"):
-            _check_keys(section, "graph", required={"kind", "n"})
-            n = _integer(section["n"], "graph.n")
-            return generate(kind, n=n), {"kind": kind, "n": n}
-        if kind == "grid":
-            _check_keys(section, "graph", required={"kind", "w", "h"})
-            w = _integer(section["w"], "graph.w")
-            h = _integer(section["h"], "graph.h")
-            return generate(kind, w=w, h=h), {"kind": kind, "w": w, "h": h}
-        if kind == "erdos_renyi":
-            _check_keys(section, "graph", required={"kind", "n", "p"})
-            n = _integer(section["n"], "graph.n")
-            p = _real(section["p"], "graph.p")
-            g = generate(kind, rng=seeding.graph_rng(master_seed), n=n, p=p)
-            return g, {"kind": kind, "n": n, "p": p}
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(f"graph: {exc}") from exc
-    _fail("graph.kind", f"unknown kind {kind!r}")
+    if not isinstance(kind, str) or kind not in KINDS:
+        _fail("graph.kind", f"unknown kind {kind!r}")
+    names = KINDS[kind][1]
+    _check_keys(section, "graph", required={"kind", *(name for name, _ in names)})
+    params = {
+        name: (_integer if typ is int else _real)(section[name], f"graph.{name}")
+        for name, typ in names
+    }
+    with _at("graph"):
+        g = generate(kind, rng=seeding.graph_rng(master_seed), **params)
+    return g, {"kind": kind, **params}
 
 
 def _build_space(section: dict) -> OpinionSpace:
@@ -125,33 +125,25 @@ def _build_space(section: dict) -> OpinionSpace:
     norm_name = section["norm"]
     if not isinstance(norm_name, str):
         _fail("space.norm", "expected 'l1', 'l2', or 'linf'")
-    try:
+    with _at("space.norm"):
         norm = Norm.from_str(norm_name)
-    except ValueError as exc:
-        raise ConfigError(f"space.norm: {exc}") from exc
     shape_obj = _expect_dict(section["shape"], "space.shape")
     if set(shape_obj) == {"ball"}:
         ball = _expect_dict(shape_obj["ball"], "space.shape.ball")
         _check_keys(ball, "space.shape.ball", required={"center", "radius"})
-        try:
+        with _at("space.shape.ball"):
             shape = Ball(_vector(ball["center"], "space.shape.ball.center"),
                          _real(ball["radius"], "space.shape.ball.radius"))
-        except ValueError as exc:
-            raise ConfigError(f"space.shape.ball: {exc}") from exc
     elif set(shape_obj) == {"box"}:
         box = _expect_dict(shape_obj["box"], "space.shape.box")
         _check_keys(box, "space.shape.box", required={"lo", "hi"})
-        try:
+        with _at("space.shape.box"):
             shape = Box(_vector(box["lo"], "space.shape.box.lo"),
                         _vector(box["hi"], "space.shape.box.hi"))
-        except ValueError as exc:
-            raise ConfigError(f"space.shape.box: {exc}") from exc
     else:
         _fail("space.shape", "expected exactly one of 'ball' or 'box'")
-    try:
+    with _at("space"):
         space = OpinionSpace.create(shape, norm)
-    except ValueError as exc:
-        raise ConfigError(f"space: {exc}") from exc
     if space.dim != dim:
         _fail("space.dim", f"declared {dim} but the shape has dimension {space.dim}")
     return space
@@ -175,10 +167,10 @@ def _build_init(section, space: OpinionSpace):
                 _real(atom["prob"], f"init.point_masses[{i}].prob"),
             )
         )
-    try:
-        return PointMasses(tuple(atoms))
-    except ValueError as exc:
-        raise ConfigError(f"init.point_masses: {exc}") from exc
+    with _at("init.point_masses"):
+        dist = PointMasses(tuple(atoms))
+        validate_distribution(dist, space)
+    return dist
 
 
 def build_experiment(raw: dict, seed_override: int | None = None) -> ExperimentSpec:
@@ -194,10 +186,8 @@ def build_experiment(raw: dict, seed_override: int | None = None) -> ExperimentS
         _fail("seed", f"expected a 64-bit nonnegative integer, got {seed}")
     tau = _real(raw["tau"], "tau")
     alpha = _real(raw.get("alpha", 0.0), "alpha")
-    try:
+    with _at("tau/alpha"):
         params = ModelParams(tau=tau, alpha=alpha)
-    except ValueError as exc:
-        raise ConfigError(f"tau/alpha: {exc}") from exc
     trials = _integer(raw["trials"], "trials")
     if trials < 1:
         _fail("trials", "must be >= 1")
@@ -210,11 +200,9 @@ def build_experiment(raw: dict, seed_override: int | None = None) -> ExperimentS
     eps_prime = None
     if "eps_prime" in raw:
         eps_prime = _real(raw["eps_prime"], "eps_prime")
-    try:
+    with _at("eps_prime"):
         stopping = default_stopping(graph, space, params, eps_prime=eps_prime, max_events=max_events)
-    except ValueError as exc:
-        raise ConfigError(f"eps_prime: {exc}") from exc
-    try:
+    with _at("config"):
         return ExperimentSpec(
             graph=graph,
             space=space,
@@ -225,5 +213,3 @@ def build_experiment(raw: dict, seed_override: int | None = None) -> ExperimentS
             master_seed=seed,
             graph_info=graph_info,
         )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc

@@ -133,8 +133,6 @@ class StoppingSpec:
             )
         if not self.eps_prime < params.tau / 2:
             raise ValueError(f"eps_prime must be < tau/2 = {params.tau / 2}, got {self.eps_prime}")
-        if not self.eps < params.tau:
-            raise ValueError("eps must be < tau")
 
 
 def default_stopping(
@@ -285,12 +283,13 @@ def stop_reached(
 class TrialEngine:
     """Single-trial state machine with incremental edge bookkeeping.
 
-    Owns its opinions, compatible-neighbor sets, per-vertex rates, and the
-    set of edges inside the stopping band [eps, tau]. After each update only
-    the edges incident to the updated vertex are recomputed; equivalence with
-    full recomputation is pinned by tests. The updating vertex is found by an
-    O(log n) descent of a Fenwick tree over the rates, kept beside `rates`;
-    it picks the same vertex as the direct-method scan of `gillespie_step`.
+    Owns its opinions, compatible-neighbor sets, and the set of edges inside
+    the stopping band [eps, tau]. A vertex's rate is `len(compat[x])`; a
+    Fenwick tree over the rates, whose root is the total rate, finds the
+    updating vertex by an O(log n) descent that picks the same vertex as the
+    direct-method scan of `gillespie_step`. After each update only the edges
+    incident to the updated vertex are recomputed; equivalence with full
+    recomputation is pinned by tests.
     Not thread-safe; one engine and one random stream per trial.
     """
 
@@ -320,15 +319,13 @@ class TrialEngine:
         n = g.vertex_count
         self.opinions: list[tuple[float, ...]] = [sample_initial(dist, space, rng) for _ in range(n)]
         self.compat: list[set[int]] = [set() for _ in range(n)]
-        self.rates: list[int] = [0] * n
-        self.total_rate = 0
         self._banded: set[tuple[int, int]] = set()  # edges (u < v) with distance in [eps, tau]
         for u, v in g.edges():
             self._update_edge(u, v)
-        # Fenwick tree over rates, padded with zero rates to a power-of-two size
-        # so the descent needs no bounds check; built in O(n)
+        # Fenwick tree over rates, zero-padded to a power-of-two size so the descent
+        # needs no bounds check and the root tree[size] is the total; built in O(n)
         size = 1 << (n - 1).bit_length()
-        tree = [0] + self.rates + [0] * (size - n)
+        tree = [0] + [len(c) for c in self.compat] + [0] * (size - n)
         for i in range(1, size):
             tree[i + (i & -i)] += tree[i]
         self._tree = tree
@@ -357,15 +354,9 @@ class TrialEngine:
             if new_compat:
                 self.compat[u].add(v)
                 self.compat[v].add(u)
-                self.rates[u] += 1
-                self.rates[v] += 1
-                self.total_rate += 2
                 return 1
             self.compat[u].discard(v)
             self.compat[v].discard(u)
-            self.rates[u] -= 1
-            self.rates[v] -= 1
-            self.total_rate -= 2
             return -1
         return 0
 
@@ -392,7 +383,8 @@ class TrialEngine:
 
     def step(self) -> int | None:
         """Execute one event; returns the updated vertex, or None when absorbed."""
-        total = self.total_rate
+        tree = self._tree
+        total = tree[self._size]
         if total == 0:
             return None
         rng = self.rng
@@ -401,7 +393,6 @@ class TrialEngine:
         # x is the first vertex whose inclusive rate prefix sum exceeds target,
         # as in gillespie_step's scan: the descent finds the longest prefix with
         # sum <= target. Prefix sums are ints, and int/float comparison is exact.
-        tree = self._tree
         x = 0
         acc = 0
         bit = self._size >> 1
@@ -420,7 +411,7 @@ class TrialEngine:
                 row = self.opinions[y]
                 for i in range(dim):
                     sums[i] += row[i]
-        k = self.rates[x]
+        k = len(cset)
         a = self._alpha
         b = 1.0 - a
         self.opinions[x] = tuple(a * old[i] + b * (sums[i] / k) for i in range(dim))

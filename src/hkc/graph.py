@@ -190,18 +190,25 @@ def erdos_renyi(n: int, p: float, rng: random.Random) -> SocialGraph:
     )
 
 
+# The generated graph kinds: constructor and its ordered, typed parameters.
+# erdos_renyi also takes the random stream, after its parameters.
+KINDS = {
+    "path": (path, (("n", int),)),
+    "cycle": (cycle, (("n", int),)),
+    "complete": (complete, (("n", int),)),
+    "grid": (grid, (("w", int), ("h", int))),
+    "erdos_renyi": (erdos_renyi, (("n", int), ("p", float))),
+}
+
+
 def generate(kind: str, rng: random.Random | None = None, **params) -> SocialGraph:
-    """Dispatch on kind: path(n), cycle(n), complete(n), grid(w, h), erdos_renyi(n, p)."""
-    if kind == "path":
-        return path(params["n"])
-    if kind == "cycle":
-        return cycle(params["n"])
-    if kind == "complete":
-        return complete(params["n"])
-    if kind == "grid":
-        return grid(params["w"], params["h"])
-    if kind == "erdos_renyi":
+    """Build a graph of one of the KINDS from its named parameters."""
+    if not isinstance(kind, str) or kind not in KINDS:
+        raise ValueError(f"unknown graph kind {kind!r}")
+    make, names = KINDS[kind]
+    args = [params[name] for name, _ in names]
+    if make is erdos_renyi:
         if rng is None:
             raise ValueError("erdos_renyi needs a random stream")
-        return erdos_renyi(params["n"], params["p"], rng)
-    raise ValueError(f"unknown graph kind {kind!r}")
+        args.append(rng)
+    return make(*args)

@@ -1,9 +1,17 @@
+import copy
 import json
+import os
+import random
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from hkc.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def write_config(tmp_path: Path, name="config.json", **overrides) -> str:
@@ -283,3 +291,136 @@ def test_non_finite_number_exits_2(tmp_path, capsys, command, literal):
     assert out == ""
     assert "tau: expected a finite number, got " in err
     assert "Traceback" not in err
+
+
+def test_python_dash_m_runs_the_cli(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-m", "hkc", "bound", cfg],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, out, _ = run_cli(capsys, "bound", cfg)
+    assert code == 0
+    assert proc.stdout == out
+
+
+@pytest.mark.parametrize(
+    "point, message",
+    [
+        ([0.2, 0.3], "init.point_masses: atom (0.2, 0.3) does not match space dimension 1"),
+        ([2.0], "init.point_masses: atom (2.0,) lies outside the opinion shape"),
+    ],
+)
+def test_bad_init_atom_names_point_masses(tmp_path, capsys, point, message):
+    init = {"point_masses": [{"point": [0.5], "prob": 0.5}, {"point": point, "prob": 0.5}]}
+    code, out, err = run_cli(capsys, "bound", write_config(tmp_path, init=init))
+    assert code == 2
+    assert out == ""
+    assert err == f"config error: {message}\n"
+
+
+@pytest.mark.parametrize("kind", ["torus", 3, [], {}, None])
+def test_unknown_graph_kind_exits_2(tmp_path, capsys, kind):
+    code, _, err = run_cli(capsys, "bound", write_config(tmp_path, graph={"kind": kind, "n": 4}))
+    assert code == 2
+    assert err == f"config error: graph.kind: unknown kind {kind!r}\n"
+
+
+FUZZ_BASES = [
+    {
+        "graph": {"kind": "path", "n": 4},
+        "space": {"dim": 1, "norm": "l2", "shape": {"box": {"lo": [0.0], "hi": [1.0]}}},
+        "init": {"point_masses": [{"point": [0.25], "prob": 0.5}, {"point": [0.75], "prob": 0.5}]},
+        "tau": 0.8,
+        "alpha": 0.25,
+        "eps_prime": 0.01,
+        "max_events": 1000,
+        "trials": 5,
+        "seed": 9,
+    },
+    {
+        "graph": {"kind": "path", "n": 4},
+        "space": {"dim": 1, "norm": "linf", "shape": {"ball": {"center": [0.5], "radius": 0.5}}},
+        "init": "uniform",
+        "tau": 0.8,
+        "trials": 5,
+        "seed": 9,
+    },
+]
+
+# never a large valid integer: it would be accepted, and n, w or h would allocate
+FUZZ_VALUES = ["x", True, False, None, [], {}, -1, 0, 0.5, [0.5], {"a": 1}]
+
+
+def _paths(node, prefix=()):
+    """Every key path and list index below node, parents before children."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, child in items:
+        yield prefix + (key,)
+        if isinstance(child, (dict, list)):
+            yield from _paths(child, prefix + (key,))
+
+
+def _node(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def _mutants(base, rng):
+    """(label, config) pairs: each value at each path, each key deleted, one
+    unknown key added to each object, then random pairs of substitutions
+    (the deeper path first, so a replaced parent cannot hide it)."""
+    paths = list(_paths(base))
+    for path in paths:
+        for value in FUZZ_VALUES:
+            doc = copy.deepcopy(base)
+            _node(doc, path[:-1])[path[-1]] = value
+            yield f"{path} = {value!r}", doc
+        if isinstance(path[-1], str):
+            doc = copy.deepcopy(base)
+            del _node(doc, path[:-1])[path[-1]]
+            yield f"del {path}", doc
+    for path in [()] + paths:
+        doc = copy.deepcopy(base)
+        target = _node(doc, path)
+        if isinstance(target, dict):
+            target["zz_unknown"] = 1
+            yield f"{path} + zz_unknown", doc
+    for _ in range(200):
+        doc = copy.deepcopy(base)
+        picks = rng.sample(paths, 2)
+        for path in sorted(picks, key=len, reverse=True):
+            _node(doc, path[:-1])[path[-1]] = rng.choice(FUZZ_VALUES)
+        yield f"random {picks}", doc
+
+
+POINTER = re.compile(r"[A-Za-z_][\w.\[\]/-]*")
+
+
+def test_config_fuzz_exits_0_or_2_with_one_pointer(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("HKC_SEED", raising=False)
+    rng = random.Random(20240605)
+    cfg = tmp_path / "fuzz.json"
+    rejected = 0
+    for base in FUZZ_BASES:
+        for label, doc in _mutants(base, rng):
+            cfg.write_text(json.dumps(doc), encoding="utf-8")
+            code, out, err = run_cli(capsys, "bound", str(cfg))
+            assert code in (0, 2), label
+            if code == 0:
+                assert json.loads(out)["tau"] == doc["tau"], label
+                continue
+            rejected += 1
+            assert out == "", label
+            assert "Traceback" not in err, label
+            lines = err.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("config error: "), (label, err)
+            head, _, rest = lines[0][len("config error: "):].partition(": ")
+            assert POINTER.fullmatch(head) and rest, (label, err)
+            # the message after the pointer does not start with a second pointer
+            nested = POINTER.match(rest)
+            assert not (nested and rest[nested.end():].startswith(": ")), (label, err)
+    assert rejected > 500

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -21,7 +22,7 @@ from hkc.dynamics import (
 )
 from hkc.analysis import classify_consensus, total_disagreement
 from hkc.graph import complete, cycle, erdos_renyi, grid, path
-from hkc.space import Ball, Box, Norm, OpinionSpace, UniformShape
+from hkc.space import Ball, Box, Norm, OpinionSpace, PointMasses, UniformShape
 
 
 BOX01 = OpinionSpace.create(Box((0.0,), (1.0,)), Norm.L2)
@@ -269,6 +270,15 @@ def test_run_trial_cap_hit_is_undetermined():
     assert out.events == 1
 
 
+def _fenwick_prefix(tree, i: int) -> int:
+    """Sum of the first i rates held by a Fenwick tree."""
+    total = 0
+    while i:
+        total += tree[i]
+        i -= i & -i
+    return total
+
+
 def test_engine_matches_pure_operations_step_by_step():
     # Replay the engine against compatibility/gillespie_step/apply_update with a
     # cloned random stream: opinions must agree bitwise at every event, and at
@@ -290,8 +300,11 @@ def test_engine_matches_pure_operations_step_by_step():
         for _ in range(400):
             view = compatibility(config, g, params.tau, space.norm)
             # engine bookkeeping must equal full recomputation
-            assert tuple(engine.rates) == view.rates
-            assert engine.total_rate == view.total_rate
+            assert tuple(len(s) for s in engine.compat) == view.rates
+            assert engine._tree[engine._size] == view.total_rate
+            assert [_fenwick_prefix(engine._tree, i) for i in range(1, len(view.rates) + 1)] == list(
+                itertools.accumulate(view.rates)
+            )
             assert tuple(tuple(sorted(s)) for s in engine.compat) == view.neighbors
             assert engine.is_stopped() == stop_reached(config, g, stopping, params.tau, space.norm)
             if engine.is_stopped():
@@ -424,14 +437,19 @@ def test_updates_stay_in_shrinking_convex_hull():
 
 
 def test_frozen_state_never_changes():
+    # Random(1) draws 0.134 and 0.847, so the two vertices of path(2) take
+    # atoms 0.5 apart, beyond tau = 0.1: the one edge is never compatible
     g = path(2)
     params = ModelParams(tau=0.1)
     stopping = default_stopping(g, BOX01, params, max_events=100)
-    engine = TrialEngine(g, BOX01, UniformShape(), params, stopping, random.Random(0))
-    if abs(engine.opinions[0][0] - engine.opinions[1][0]) > params.tau:
-        assert engine.total_rate == 0
-        assert engine.step() is None
-        assert engine.events == 0
+    atoms = PointMasses((((0.0,), 0.5), ((0.5,), 0.5)))
+    engine = TrialEngine(g, BOX01, atoms, params, stopping, random.Random(1))
+    assert engine.opinions == [(0.0,), (0.5,)]
+    assert engine._tree[engine._size] == 0
+    assert engine.is_stopped()
+    assert engine.step() is None
+    assert engine.events == 0
+    assert engine.opinions == [(0.0,), (0.5,)]
 
 
 def test_run_trial_ball_shape_two_dim():
