@@ -8,7 +8,6 @@ from .analysis import (
     total_disagreement,
 )
 from .dynamics import (
-    CompatibilityView,
     Configuration,
     ModelParams,
     StoppingSpec,
@@ -19,7 +18,6 @@ from .dynamics import (
     compatibility,
     default_stopping,
     gillespie_step,
-    run_trial,
     stop_reached,
 )
 from .graph import SocialGraph, generate, parse_edge_list
@@ -38,7 +36,6 @@ from .space import (
     OpinionSpace,
     PointMasses,
     UniformShape,
-    center_and_radius,
     expected_center_distance,
     sample_initial,
 )

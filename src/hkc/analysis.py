@@ -39,12 +39,11 @@ def generator_drift(
     kernel = distance_fn(norm)
     ops = config.opinions
     drift = 0.0
-    for x in range(g.vertex_count):
-        k = view.rates[x]
-        if k == 0:
+    for x, nbrs in enumerate(view):
+        if not nbrs:
             continue
-        mean = _neighbor_mean(ops, view.neighbors[x], config.dim)
-        drift += k * (kernel(mean, c) - kernel(ops[x], c))
+        mean = _neighbor_mean(ops, nbrs, config.dim)
+        drift += len(nbrs) * (kernel(mean, c) - kernel(ops[x], c))
     return float(drift)
 
 

@@ -11,12 +11,10 @@ import os
 import sys
 
 from .config import ConfigError, build_experiment, load_config
-from .dynamics import run_trial
 from .invariants import run_drift_check
-from .montecarlo import consensus_bound, run_estimate
+from .montecarlo import consensus_bound, run_estimate, run_single_trial
 from .render import TRACE_HEADER, to_json, trace_row
 from .space import max_pairwise_distance
-from . import seeding
 
 
 def _seed_override() -> int | None:
@@ -24,9 +22,12 @@ def _seed_override() -> int | None:
     if value is None:
         return None
     try:
-        return int(value)
+        seed = int(value)
     except ValueError:
-        raise ConfigError(f"HKC_SEED must be an integer, got {value!r}") from None
+        raise ConfigError(f"HKC_SEED: expected an integer, got {value!r}") from None
+    if not 0 <= seed < 2**64:
+        raise ConfigError(f"HKC_SEED: expected a 64-bit nonnegative integer, got {seed}")
+    return seed
 
 
 def cmd_simulate(args) -> int:
@@ -47,11 +48,7 @@ def cmd_simulate(args) -> int:
                     + "\n"
                 )
 
-        rng = seeding.trial_rng(spec.master_seed, 0)
-        outcome = run_trial(
-            spec.graph, spec.space, spec.init, spec.params, spec.stopping, rng,
-            record_samples=False, on_event=on_event,
-        )
+        outcome = run_single_trial(spec, 0, on_event)
     finally:
         if trace_fh is not None:
             trace_fh.close()

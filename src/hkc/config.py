@@ -143,7 +143,7 @@ def _build_space(section: dict) -> OpinionSpace:
     else:
         _fail("space.shape", "expected exactly one of 'ball' or 'box'")
     with _at("space"):
-        space = OpinionSpace.create(shape, norm)
+        space = OpinionSpace(shape, norm)
     if space.dim != dim:
         _fail("space.dim", f"declared {dim} but the shape has dimension {space.dim}")
     return space
@@ -181,13 +181,18 @@ def build_experiment(raw: dict, seed_override: int | None = None) -> ExperimentS
         required={"graph", "space", "init", "tau", "trials", "seed"},
         optional={"alpha", "eps_prime", "max_events"},
     )
-    seed = _integer(raw["seed"], "seed") if seed_override is None else seed_override
-    if not 0 <= seed < 2**64:
-        _fail("seed", f"expected a 64-bit nonnegative integer, got {seed}")
+    seed = seed_override
+    if seed is None:
+        seed = _integer(raw["seed"], "seed")
+        if not 0 <= seed < 2**64:
+            _fail("seed", f"expected a 64-bit nonnegative integer, got {seed}")
     tau = _real(raw["tau"], "tau")
-    alpha = _real(raw.get("alpha", 0.0), "alpha")
-    with _at("tau/alpha"):
-        params = ModelParams(tau=tau, alpha=alpha)
+    with _at("tau"):
+        params = ModelParams(tau=tau)
+    if "alpha" in raw:
+        alpha = _real(raw["alpha"], "alpha")
+        with _at("alpha"):
+            params = ModelParams(tau=tau, alpha=alpha)
     trials = _integer(raw["trials"], "trials")
     if trials < 1:
         _fail("trials", "must be >= 1")

@@ -48,6 +48,9 @@ DEFAULT_MAX_EVENTS = 10**7
 # on_event callback: (event index, time, updated vertex, center distance total, opinions)
 EventCallback = Callable[[int, float, int, float, list[tuple[float, ...]]], None]
 
+# sorted compatible neighbors of each vertex; vertex x updates at rate len(view[x])
+CompatibilityView = tuple[tuple[int, ...], ...]
+
 
 @dataclass(frozen=True)
 class ModelParams:
@@ -90,18 +93,6 @@ class Configuration:
     @property
     def dim(self) -> int:
         return self.opinions.shape[1]
-
-
-@dataclass(frozen=True)
-class CompatibilityView:
-    """Per-vertex compatible neighbors, update rates, and their total.
-
-    Symmetric by construction: y in neighbors[x] iff x in neighbors[y].
-    """
-
-    neighbors: tuple[tuple[int, ...], ...]
-    rates: tuple[int, ...]
-    total_rate: int
 
 
 @dataclass(frozen=True)
@@ -176,7 +167,10 @@ class TrialOutcome:
 
 
 def compatibility(config: Configuration, g: SocialGraph, tau: float, norm: Norm) -> CompatibilityView:
-    """Compatible-neighbor sets: graph neighbors within opinion distance tau (closed)."""
+    """Compatible-neighbor sets: graph neighbors within opinion distance tau (closed).
+
+    Symmetric by construction: y in view[x] iff x in view[y].
+    """
     if config.n_vertices != g.vertex_count:
         raise ValueError("configuration does not match the graph")
     kernel = distance_fn(norm)
@@ -186,9 +180,7 @@ def compatibility(config: Configuration, g: SocialGraph, tau: float, norm: Norm)
         if kernel(ops[u], ops[v]) <= tau:
             nbrs[u].append(v)
             nbrs[v].append(u)
-    neighbors = tuple(tuple(sorted(ns)) for ns in nbrs)
-    rates = tuple(len(ns) for ns in neighbors)
-    return CompatibilityView(neighbors=neighbors, rates=rates, total_rate=sum(rates))
+    return tuple(tuple(sorted(ns)) for ns in nbrs)
 
 
 def _neighbor_mean(opinions, neighbors, dim: int) -> tuple[float, ...]:
@@ -205,9 +197,9 @@ def _neighbor_mean(opinions, neighbors, dim: int) -> tuple[float, ...]:
 
 def apply_update(config: Configuration, view: CompatibilityView, x: int, alpha: float) -> Configuration:
     """Replace opinion x with alpha * own + (1 - alpha) * local average."""
-    if view.rates[x] < 1:
+    if not view[x]:
         raise ValueError(f"vertex {x} has no compatible neighbors; it cannot update")
-    mean = _neighbor_mean(config.opinions, view.neighbors[x], config.dim)
+    mean = _neighbor_mean(config.opinions, view[x], config.dim)
     old = config.opinions[x]
     b = 1.0 - alpha
     new_rows = np.array(config.opinions, copy=True)
@@ -224,19 +216,19 @@ def gillespie_step(
     """Sample the next event: (holding time, updating vertex), or None if absorbed.
 
     Direct method: dt ~ Exponential(total rate), then the vertex is chosen
-    with probability rates[x] / total_rate. Consumes the stream in that order.
+    with probability len(view[x]) / total rate. Consumes the stream in that order.
     The scan always stops: for an integer total below 2**53,
     random() * total < total holds exactly in float64. Test oracle for the
     Fenwick descent in `TrialEngine.step`, which must pick the same vertex.
     """
-    total = view.total_rate
+    total = sum(map(len, view))
     if total == 0:
         return None
     dt = rng.expovariate(total)
     target = rng.random() * total
     acc = 0
-    for x, r in enumerate(view.rates):
-        acc += r
+    for x, nbrs in enumerate(view):
+        acc += len(nbrs)
         if acc > target:
             return dt, x
 
@@ -301,7 +293,7 @@ class TrialEngine:
         params: ModelParams,
         stopping: StoppingSpec,
         rng: random.Random,
-        record_samples: bool = True,
+        record_samples: bool = False,
         on_event: EventCallback | None = None,
     ):
         stopping.validate_for(g, params)
@@ -472,21 +464,3 @@ class TrialEngine:
             final=final,
             x_samples=samples,
         )
-
-
-def run_trial(
-    g: SocialGraph,
-    space: OpinionSpace,
-    dist: InitialDistribution,
-    params: ModelParams,
-    stopping: StoppingSpec,
-    rng: random.Random,
-    record_samples: bool = True,
-    on_event: EventCallback | None = None,
-) -> TrialOutcome:
-    """Run one trial to its stopping time (or event cap) and classify it."""
-    engine = TrialEngine(
-        g, space, dist, params, stopping, rng, record_samples=record_samples, on_event=on_event
-    )
-    engine.run_to_stop()
-    return engine.outcome()

@@ -10,10 +10,17 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .analysis import theoretical_bound
-from .dynamics import ModelParams, StoppingSpec, TrialOutcome, event_a_applicable, run_trial
+from .dynamics import (
+    EventCallback,
+    ModelParams,
+    StoppingSpec,
+    TrialEngine,
+    TrialOutcome,
+    event_a_applicable,
+)
 from .graph import SocialGraph
 from .space import (
     Ball,
@@ -89,6 +96,8 @@ class ExperimentSpec:
 
 @dataclass(frozen=True)
 class MonteCarloReport:
+    """The estimation report; its fields are the JSON keys, in output order."""
+
     trials: int
     consensus_count: int
     undetermined_count: int
@@ -98,36 +107,18 @@ class MonteCarloReport:
     ci_high: float | None
     bound: float | None
     bound_applicable: bool
-    expected_center_dist: float | None
-    event_a_applicable: bool
-    event_a_count: int | None
-    event_a_and_consensus_count: int | None
+    expected_center_distance: float | None
+    event_A_applicable: bool
+    event_A_count: int | None
+    event_A_and_consensus_count: int | None
     mean_stop_time: float | None
     mean_events: float
-    master_seed: int
+    classification: str = field(default="T_eps_proxy", init=False)
+    seed: int
     params: dict
 
     def to_json_dict(self) -> dict:
-        return {
-            "trials": self.trials,
-            "consensus_count": self.consensus_count,
-            "undetermined_count": self.undetermined_count,
-            "undetermined_warning": self.undetermined_warning,
-            "p_hat": self.p_hat,
-            "ci_low": self.ci_low,
-            "ci_high": self.ci_high,
-            "bound": self.bound,
-            "bound_applicable": self.bound_applicable,
-            "expected_center_distance": self.expected_center_dist,
-            "event_A_applicable": self.event_a_applicable,
-            "event_A_count": self.event_a_count,
-            "event_A_and_consensus_count": self.event_a_and_consensus_count,
-            "mean_stop_time": self.mean_stop_time,
-            "mean_events": self.mean_events,
-            "classification": "T_eps_proxy",
-            "seed": self.master_seed,
-            "params": self.params,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
@@ -145,12 +136,16 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     return max(0.0, center - half), min(1.0, center + half)
 
 
-def run_single_trial(spec: ExperimentSpec, trial_index: int) -> TrialOutcome:
-    """The trial `trial_index` of the experiment, reproducible in isolation."""
+def run_single_trial(
+    spec: ExperimentSpec, trial_index: int, on_event: EventCallback | None = None
+) -> TrialOutcome:
+    """Trial `trial_index` of the experiment, reproducible in isolation; `on_event` sees each event."""
     rng = seeding.trial_rng(spec.master_seed, trial_index)
-    return run_trial(
-        spec.graph, spec.space, spec.init, spec.params, spec.stopping, rng, record_samples=False
+    engine = TrialEngine(
+        spec.graph, spec.space, spec.init, spec.params, spec.stopping, rng, on_event=on_event
     )
+    engine.run_to_stop()
+    return engine.outcome()
 
 
 def _outcome_block(spec: ExperimentSpec, lo: int, hi: int) -> list[TrialOutcome]:
@@ -230,13 +225,13 @@ def reduce_outcomes(spec: ExperimentSpec, outcomes: list[TrialOutcome]) -> Monte
         ci_high=ci_high,
         bound=bound,
         bound_applicable=bound_applicable,
-        expected_center_dist=expected,
-        event_a_applicable=event_a_defined,
-        event_a_count=event_a_count if event_a_defined else None,
-        event_a_and_consensus_count=event_a_and_consensus if event_a_defined else None,
+        expected_center_distance=expected,
+        event_A_applicable=event_a_defined,
+        event_A_count=event_a_count if event_a_defined else None,
+        event_A_and_consensus_count=event_a_and_consensus if event_a_defined else None,
         mean_stop_time=(stop_time_sum / stopped_count) if stopped_count else None,
         mean_events=events_sum / trials,
-        master_seed=spec.master_seed,
+        seed=spec.master_seed,
         params=spec.describe(),
     )
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Sequence, Union
 
@@ -132,49 +132,45 @@ class Box:
 ConvexShape = Union[Ball, Box]
 
 
-def center_and_radius(shape: ConvexShape, norm: Norm) -> tuple[Vector, float]:
-    """Tightest enclosing-ball center and radius of the shape under the norm.
-
-    For a ball this is its own center and radius regardless of the norm. For a
-    box it is the midpoint, with radius the norm of the half-width vector (the
-    farthest points of a box from its midpoint are its corners).
-    """
-    if isinstance(shape, Ball):
-        return shape.center, shape.radius
-    mid = tuple((a + b) / 2.0 for a, b in zip(shape.lo, shape.hi))
-    half = tuple((b - a) / 2.0 for a, b in zip(shape.lo, shape.hi))
-    zero = (0.0,) * len(half)
-    return mid, float(_KERNELS[norm](half, zero))
-
-
 @dataclass(frozen=True)
 class OpinionSpace:
-    """Conviction space: a convex shape with a norm, plus its enclosing center/radius."""
+    """Conviction space: a convex shape with a norm.
 
-    dim: int
-    norm: Norm
+    `center` and `radius` are derived: the tightest enclosing ball of the
+    shape under the norm. A ball is its own enclosing ball under any norm. A
+    box has its midpoint as center and the norm of its half-width vector as
+    radius (the farthest points of a box from its midpoint are its corners).
+    """
+
     shape: ConvexShape
-    center: Vector
-    radius: float
+    norm: Norm
+    center: Vector = field(init=False)
+    radius: float = field(init=False)
 
     def __post_init__(self):
         if not 1 <= self.dim <= MAX_DIM:
             raise ValueError(f"supported dimensions are 1..{MAX_DIM}, got {self.dim}")
-        if self.shape.dim != self.dim or len(self.center) != self.dim:
-            raise ValueError("space dimension, shape, and center are inconsistent")
+        shape = self.shape
+        kernel = _KERNELS[self.norm]
         # sampling and every distance stay finite iff the bounding-box diameter does
-        lo, hi = self.shape.bounding_box()
-        if not math.isfinite(_KERNELS[self.norm](hi, lo)):
+        lo, hi = shape.bounding_box()
+        if not math.isfinite(kernel(hi, lo)):
             raise ValueError(f"shape extent overflows float64 under the {self.norm.value} norm")
-        if self.radius < 0:
-            raise ValueError("radius must be nonnegative")
-        if not self.shape.contains(self.center, self.norm):
+        if isinstance(shape, Ball):
+            center, radius = shape.center, shape.radius
+        else:
+            center = tuple((a + b) / 2.0 for a, b in zip(lo, hi))
+            half = tuple((b - a) / 2.0 for a, b in zip(lo, hi))
+            radius = float(kernel(half, (0.0,) * len(half)))
+        # a box midpoint overflows when lo + hi does, even if hi - lo is finite
+        if not shape.contains(center, self.norm):
             raise ValueError("center must lie inside the shape")
+        object.__setattr__(self, "center", center)
+        object.__setattr__(self, "radius", radius)
 
-    @classmethod
-    def create(cls, shape: ConvexShape, norm: Norm) -> "OpinionSpace":
-        center, radius = center_and_radius(shape, norm)
-        return cls(dim=len(center), norm=norm, shape=shape, center=center, radius=radius)
+    @property
+    def dim(self) -> int:
+        return self.shape.dim
 
 
 @dataclass(frozen=True)

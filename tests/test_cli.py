@@ -140,10 +140,17 @@ def test_env_seed_override(tmp_path, capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "estimate", cfg)
     assert code == 0
     assert json.loads(out)["seed"] == 777
-    monkeypatch.setenv("HKC_SEED", "not-a-number")
-    code, _, err = run_cli(capsys, "estimate", cfg)
+
+
+@pytest.mark.parametrize("value", ["not-a-number", "-1", str(2**64)])
+def test_bad_env_seed_names_hkc_seed(tmp_path, capsys, monkeypatch, value):
+    # the config's own seed is fine; the error must blame the variable
+    cfg = write_config(tmp_path, trials=10)
+    monkeypatch.setenv("HKC_SEED", value)
+    code, out, err = run_cli(capsys, "estimate", cfg)
     assert code == 2
-    assert "HKC_SEED" in err
+    assert out == ""
+    assert err.startswith("config error: HKC_SEED: ") and value in err
 
 
 def test_graph_from_edge_list_file(tmp_path, capsys):
@@ -268,6 +275,17 @@ def test_shape_overflowing_float64_exits_2(tmp_path, capsys, shape):
     assert out == ""
     assert "space" in err and "overflows" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("norm", ["l1", "linf"])
+def test_box_midpoint_overflow_exits_2(tmp_path, capsys, norm):
+    # hi - lo is finite under these norms, but lo + hi overflows, so the midpoint is inf
+    shape = {"box": {"lo": [1e308], "hi": [1.7e308]}}
+    cfg = write_config(tmp_path, space={"dim": 1, "norm": norm, "shape": shape})
+    code, out, err = run_cli(capsys, "bound", cfg)
+    assert code == 2
+    assert out == ""
+    assert err == "config error: space: center must lie inside the shape\n"
 
 
 def test_alpha_one_exits_2(tmp_path, capsys):
@@ -398,6 +416,8 @@ def _mutants(base, rng):
 
 
 POINTER = re.compile(r"[A-Za-z_][\w.\[\]/-]*")
+# mutants whose rejection must name exactly this key
+EXPECTED_POINTER = {"('tau',) = 0": "tau", "('tau',) = -1": "tau", "('alpha',) = -1": "alpha"}
 
 
 def test_config_fuzz_exits_0_or_2_with_one_pointer(tmp_path, capsys, monkeypatch):
@@ -405,6 +425,7 @@ def test_config_fuzz_exits_0_or_2_with_one_pointer(tmp_path, capsys, monkeypatch
     rng = random.Random(20240605)
     cfg = tmp_path / "fuzz.json"
     rejected = 0
+    pinned = set()
     for base in FUZZ_BASES:
         for label, doc in _mutants(base, rng):
             cfg.write_text(json.dumps(doc), encoding="utf-8")
@@ -420,7 +441,11 @@ def test_config_fuzz_exits_0_or_2_with_one_pointer(tmp_path, capsys, monkeypatch
             assert len(lines) == 1 and lines[0].startswith("config error: "), (label, err)
             head, _, rest = lines[0][len("config error: "):].partition(": ")
             assert POINTER.fullmatch(head) and rest, (label, err)
+            if label in EXPECTED_POINTER:
+                assert head == EXPECTED_POINTER[label], (label, err)
+                pinned.add(label)
             # the message after the pointer does not start with a second pointer
             nested = POINTER.match(rest)
             assert not (nested and rest[nested.end():].startswith(": ")), (label, err)
     assert rejected > 500
+    assert pinned == set(EXPECTED_POINTER)

@@ -17,7 +17,6 @@ from hkc.dynamics import (
     default_stopping,
     event_a_applicable,
     gillespie_step,
-    run_trial,
     stop_reached,
 )
 from hkc.analysis import classify_consensus, total_disagreement
@@ -25,7 +24,14 @@ from hkc.graph import complete, cycle, erdos_renyi, grid, path
 from hkc.space import Ball, Box, Norm, OpinionSpace, PointMasses, UniformShape
 
 
-BOX01 = OpinionSpace.create(Box((0.0,), (1.0,)), Norm.L2)
+BOX01 = OpinionSpace(Box((0.0,), (1.0,)), Norm.L2)
+
+
+def _run_trial(g, space, dist, params, stopping, rng):
+    """One trial to its stop or cap, with (time, total center distance) samples recorded."""
+    engine = TrialEngine(g, space, dist, params, stopping, rng, record_samples=True)
+    engine.run_to_stop()
+    return engine.outcome()
 
 
 def cfg(*rows):
@@ -53,22 +59,22 @@ def test_configuration_validation():
 def test_compatibility_path3_hand_case():
     g = path(3)
     view = compatibility(cfg(0.0, 0.4, 1.0), g, tau=0.5, norm=Norm.L1)
-    assert view.neighbors == ((1,), (0,), ())
-    assert view.rates == (1, 1, 0)
-    assert view.total_rate == 2
+    assert view == ((1,), (0,), ())
+    assert [len(nbrs) for nbrs in view] == [1, 1, 0]
+    assert sum(map(len, view)) == 2
 
 
 def test_compatibility_all_equal_gives_full_adjacency():
     g = cycle(5)
     view = compatibility(cfg(*([0.3] * 5)), g, tau=0.1, norm=Norm.L2)
-    assert view.neighbors == g.adjacency
-    assert view.total_rate == 2 * g.edge_count
+    assert view == g.adjacency
+    assert sum(map(len, view)) == 2 * g.edge_count
 
 
 def test_compatibility_closed_at_tau():
     g = path(2)
     view = compatibility(cfg(0.0, 0.5), g, tau=0.5, norm=Norm.L1)
-    assert view.neighbors == ((1,), (0,))
+    assert view == ((1,), (0,))
 
 
 def test_compatibility_symmetry_random():
@@ -77,11 +83,9 @@ def test_compatibility_symmetry_random():
         g = erdos_renyi(rng.randint(2, 12), 0.5, rng)
         config = cfg(*(rng.random() for _ in range(g.vertex_count)))
         view = compatibility(config, g, tau=rng.uniform(0.05, 1.0), norm=Norm.L2)
-        for x, nbrs in enumerate(view.neighbors):
-            assert view.rates[x] == len(nbrs)
+        for x, nbrs in enumerate(view):
             for y in nbrs:
-                assert x in view.neighbors[y]
-        assert view.total_rate == sum(view.rates)
+                assert x in view[y]
 
 
 def test_apply_update_alpha_zero_moves_to_neighbor_mean():
@@ -142,7 +146,7 @@ def test_gillespie_step_absorbed():
     g = path(2)
     config = cfg(0.0, 1.0)
     view = compatibility(config, g, tau=0.2, norm=Norm.L1)
-    assert view.total_rate == 0
+    assert sum(map(len, view)) == 0
     assert gillespie_step(config, view, ModelParams(tau=0.2), random.Random(1)) is None
 
 
@@ -213,7 +217,7 @@ def test_run_trial_compatible_pair_merges_in_one_event():
     stopping = default_stopping(g, BOX01, params)
     # seed chosen so the initial pair is compatible and not yet stopped
     rng = random.Random(42)
-    out = run_trial(g, BOX01, UniformShape(), params, stopping, rng)
+    out = _run_trial(g, BOX01, UniformShape(), params, stopping, rng)
     assert out.stopped and out.events == 1
     assert out.consensus is True
     assert out.final.opinions[0, 0] == out.final.opinions[1, 0]
@@ -226,7 +230,7 @@ def test_run_trial_frozen_pair_absorbs_immediately():
     rng = random.Random(0)
     a, b = rng.uniform(0, 1), rng.uniform(0, 1)
     assert abs(a - b) > 0.05  # seed sanity
-    out = run_trial(g, BOX01, UniformShape(), params, stopping, random.Random(0))
+    out = _run_trial(g, BOX01, UniformShape(), params, stopping, random.Random(0))
     assert out.stopped and out.events == 0
     assert out.stop_time == 0.0
     assert out.consensus is False
@@ -239,7 +243,7 @@ def test_run_trial_samples_agree_with_disagreement_functional():
     g = cycle(5)
     params = ModelParams(tau=0.9)
     stopping = default_stopping(g, BOX01, params)
-    out = run_trial(g, BOX01, UniformShape(), params, stopping, random.Random(13))
+    out = _run_trial(g, BOX01, UniformShape(), params, stopping, random.Random(13))
     assert out.x_samples.shape == (out.events + 1, 2)
     # the recorded final sample equals a fresh evaluation on the final state
     assert out.x_samples[-1, 1] == total_disagreement(out.final, BOX01.center, BOX01.norm)
@@ -251,8 +255,8 @@ def test_run_trial_deterministic_given_seed():
     g = cycle(5)
     params = ModelParams(tau=0.6)
     stopping = default_stopping(g, BOX01, params)
-    a = run_trial(g, BOX01, UniformShape(), params, stopping, random.Random(77))
-    b = run_trial(g, BOX01, UniformShape(), params, stopping, random.Random(77))
+    a = _run_trial(g, BOX01, UniformShape(), params, stopping, random.Random(77))
+    b = _run_trial(g, BOX01, UniformShape(), params, stopping, random.Random(77))
     assert a.stopped == b.stopped and a.events == b.events
     assert a.stop_time == b.stop_time
     assert a.consensus == b.consensus and a.event_a == b.event_a
@@ -264,7 +268,7 @@ def test_run_trial_cap_hit_is_undetermined():
     g = path(4)
     params = ModelParams(tau=1.5)
     stopping = default_stopping(g, BOX01, params, max_events=1)
-    out = run_trial(g, BOX01, UniformShape(), params, stopping, random.Random(5))
+    out = _run_trial(g, BOX01, UniformShape(), params, stopping, random.Random(5))
     assert not out.stopped
     assert out.consensus is None and out.event_a is None
     assert out.events == 1
@@ -288,24 +292,25 @@ def test_engine_matches_pure_operations_step_by_step():
     event_a_seen = set()
     for trial in range(6):
         g = erdos_renyi(random.Random(trial).randint(3, 8), 0.6, random.Random(trial + 50))
-        space = OpinionSpace.create(Box((0.0, 0.0), (1.0, 1.0)), Norm.L1 if trial % 2 else Norm.L2)
+        space = OpinionSpace(Box((0.0, 0.0), (1.0, 1.0)), Norm.L1 if trial % 2 else Norm.L2)
         # the last two trials have tau > radius + eps_prime, so event A is defined there
         tau = 0.45 if trial < 4 else space.radius + 0.1
         params = ModelParams(tau=tau, alpha=0.25 * (trial % 4))
         stopping = default_stopping(g, space, params, max_events=400)
-        engine = TrialEngine(g, space, UniformShape(), params, stopping, rng_engine, record_samples=False)
+        engine = TrialEngine(g, space, UniformShape(), params, stopping, rng_engine)
         rng_pure = random.Random()
         rng_pure.setstate(rng_engine.getstate())
         config = Configuration.from_rows(engine.opinions)
         for _ in range(400):
             view = compatibility(config, g, params.tau, space.norm)
             # engine bookkeeping must equal full recomputation
-            assert tuple(len(s) for s in engine.compat) == view.rates
-            assert engine._tree[engine._size] == view.total_rate
-            assert [_fenwick_prefix(engine._tree, i) for i in range(1, len(view.rates) + 1)] == list(
-                itertools.accumulate(view.rates)
+            rates = [len(nbrs) for nbrs in view]
+            assert [len(s) for s in engine.compat] == rates
+            assert engine._tree[engine._size] == sum(rates)
+            assert [_fenwick_prefix(engine._tree, i) for i in range(1, len(rates) + 1)] == list(
+                itertools.accumulate(rates)
             )
-            assert tuple(tuple(sorted(s)) for s in engine.compat) == view.neighbors
+            assert tuple(tuple(sorted(s)) for s in engine.compat) == view
             assert engine.is_stopped() == stop_reached(config, g, stopping, params.tau, space.norm)
             if engine.is_stopped():
                 out = engine.outcome()
@@ -335,7 +340,7 @@ def test_engine_matches_pure_operations_step_by_step():
 class _EighthsRandom(random.Random):
     """random() returns multiples of 1/8 once `eighths` is set.
 
-    Total rates are even, so rng.random() * total_rate then often lands exactly
+    Total rates are even, so rng.random() * total then often lands exactly
     on an integer rate prefix sum, where a selection off by one in its
     comparison would pick a different vertex.
     """
@@ -363,7 +368,7 @@ def test_engine_selection_matches_scan_at_exact_prefix_boundaries():
             params = ModelParams(tau=tau)
             stopping = default_stopping(g, BOX01, params, max_events=200)
             rng_engine = _EighthsRandom(1000 + gi)
-            engine = TrialEngine(g, BOX01, UniformShape(), params, stopping, rng_engine, record_samples=False)
+            engine = TrialEngine(g, BOX01, UniformShape(), params, stopping, rng_engine)
             rng_engine.eighths = True
             rng_pure = _EighthsRandom()
             rng_pure.setstate(rng_engine.getstate())
@@ -371,14 +376,15 @@ def test_engine_selection_matches_scan_at_exact_prefix_boundaries():
             config = Configuration.from_rows(engine.opinions)
             for _ in range(200):
                 view = compatibility(config, g, tau, BOX01.norm)
-                zero_rate_seen |= view.total_rate > 0 and 0 in view.rates
+                total = sum(map(len, view))
+                zero_rate_seen |= total > 0 and () in view
                 step = gillespie_step(config, view, params, rng_pure)
                 moved = engine.step()
                 if step is None:
                     assert moved is None
                     break
                 assert moved == step[1], (g.vertex_count, tau, engine.events)
-                exact_targets += (rng_engine.last * view.total_rate).is_integer()
+                exact_targets += (rng_engine.last * total).is_integer()
                 config = apply_update(config, view, moved, params.alpha)
     assert zero_rate_seen
     assert exact_targets > 100
@@ -417,13 +423,12 @@ def test_updates_stay_in_shrinking_convex_hull():
     for trial in range(12):
         dim = 1 + trial % 3
         shape = Box((0.0,) * dim, (1.0,) * dim)
-        space = OpinionSpace.create(shape, Norm.L2)
+        space = OpinionSpace(shape, Norm.L2)
         g = erdos_renyi(rng.randint(3, 7), 0.7, rng)
         params = ModelParams(tau=0.8, alpha=0.2 if trial % 2 else 0.0)
         stopping = default_stopping(g, space, params, max_events=40)
         engine = TrialEngine(
-            g, space, UniformShape(), params, stopping, random.Random(1000 + trial),
-            record_samples=False,
+            g, space, UniformShape(), params, stopping, random.Random(1000 + trial)
         )
         initial = [tuple(op) for op in engine.opinions]
         for _ in range(40):
@@ -453,11 +458,11 @@ def test_frozen_state_never_changes():
 
 
 def test_run_trial_ball_shape_two_dim():
-    space = OpinionSpace.create(Ball((0.0, 0.0), 1.0), Norm.L2)
+    space = OpinionSpace(Ball((0.0, 0.0), 1.0), Norm.L2)
     g = complete(4)
     params = ModelParams(tau=2.0)
     stopping = default_stopping(g, space, params)
-    out = run_trial(g, space, UniformShape(), params, stopping, random.Random(8))
+    out = _run_trial(g, space, UniformShape(), params, stopping, random.Random(8))
     assert out.stopped
     assert out.consensus is True  # tau = diameter: everyone always compatible
     assert out.event_a is True  # some opinion ends near the center

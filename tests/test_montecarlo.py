@@ -19,7 +19,7 @@ from hkc.space import Box, Norm, OpinionSpace, UniformShape
 
 def two_vertex_spec(tau=0.5, trials=2000, seed=0, max_events=None, alpha=0.0):
     g = path(2)
-    space = OpinionSpace.create(Box((0.0,), (1.0,)), Norm.L2)
+    space = OpinionSpace(Box((0.0,), (1.0,)), Norm.L2)
     params = ModelParams(tau=tau, alpha=alpha)
     kwargs = {} if max_events is None else {"max_events": max_events}
     stopping = default_stopping(g, space, params, **kwargs)
@@ -142,7 +142,7 @@ def test_undetermined_trials_flagged_and_excluded():
     # a long path with tau covering the whole interval needs many events; a
     # 1-event cap leaves most trials undetermined
     g = path(6)
-    space = OpinionSpace.create(Box((0.0,), (1.0,)), Norm.L2)
+    space = OpinionSpace(Box((0.0,), (1.0,)), Norm.L2)
     params = ModelParams(tau=1.5)
     stopping = default_stopping(g, space, params, max_events=1)
     spec = ExperimentSpec(
@@ -171,8 +171,8 @@ def test_report_consistency_invariants():
     assert report.ci_low <= report.p_hat <= report.ci_high
     assert report.p_hat == report.consensus_count / (report.trials - report.undetermined_count)
     assert report.bound == pytest.approx(1 / 6, abs=1e-12)  # (4 tau - 3) / (4 tau - 2) at 0.8
-    assert report.event_a_applicable is True
-    assert 0 <= report.event_a_and_consensus_count <= report.event_a_count
+    assert report.event_A_applicable is True
+    assert 0 <= report.event_A_and_consensus_count <= report.event_A_count
     assert report.mean_events <= 2.0  # two-vertex trials stop within one event
     d = report.to_json_dict()
     assert d["classification"] == "T_eps_proxy"

@@ -12,7 +12,6 @@ from hkc.space import (
     OpinionSpace,
     PointMasses,
     UniformShape,
-    center_and_radius,
     distance_fn,
     expected_center_distance,
     max_pairwise_distance,
@@ -79,17 +78,17 @@ def test_distance_zero_iff_equal():
 def test_center_and_radius_ball_any_norm():
     ball = Ball((0.5,), 0.5)
     for norm in Norm:
-        assert center_and_radius(ball, norm) == ((0.5,), 0.5)
+        space = OpinionSpace(ball, norm)
+        assert (space.center, space.radius) == ((0.5,), 0.5)
 
 
 def test_center_and_radius_box_hand_values():
-    c, r = center_and_radius(Box((0.0,), (1.0,)), Norm.L1)
-    assert c == (0.5,) and r == 0.5
-    c, r = center_and_radius(Box((0.0, 0.0), (1.0, 1.0)), Norm.L2)
-    assert c == (0.5, 0.5)
-    assert r == pytest.approx(math.sqrt(2) / 2, abs=1e-15)
-    c, r = center_and_radius(Box((0.0, 0.0), (1.0, 1.0)), Norm.LINF)
-    assert r == 0.5
+    space = OpinionSpace(Box((0.0,), (1.0,)), Norm.L1)
+    assert space.center == (0.5,) and space.radius == 0.5
+    space = OpinionSpace(Box((0.0, 0.0), (1.0, 1.0)), Norm.L2)
+    assert space.center == (0.5, 0.5)
+    assert space.radius == pytest.approx(math.sqrt(2) / 2, abs=1e-15)
+    assert OpinionSpace(Box((0.0, 0.0), (1.0, 1.0)), Norm.LINF).radius == 0.5
 
 
 @pytest.mark.parametrize("norm", list(Norm))
@@ -108,7 +107,8 @@ def test_center_radius_against_supremum_oracle(shape, norm):
     # Oracle: the farthest point of the shape from the returned center must sit
     # at the returned radius. Boxes use a corner-including grid (sup attained
     # at corners); balls use rejection samples (radial deficit is O(1/N)).
-    center, radius = center_and_radius(shape, norm)
+    space = OpinionSpace(shape, norm)
+    center, radius = space.center, space.radius
     rng = np.random.default_rng(99)
     if isinstance(shape, Box):
         axes = [np.linspace(a, b, 21) for a, b in zip(shape.lo, shape.hi)]
@@ -133,7 +133,7 @@ def test_opinion_space_membership_invariant():
     rng = random.Random(11)
     for shape in (Box((0.0, 0.0), (1.0, 3.0)), Ball((0.5, 0.5), 0.5)):
         for norm in Norm:
-            space = OpinionSpace.create(shape, norm)
+            space = OpinionSpace(shape, norm)
             for _ in range(2000):
                 p = sample_initial(UniformShape(), space, rng)
                 assert distance_fn(norm)(p, space.center) <= space.radius + 1e-9
@@ -141,18 +141,18 @@ def test_opinion_space_membership_invariant():
 
 def test_opinion_space_rejects_unsupported_dimension():
     with pytest.raises(ValueError):
-        OpinionSpace.create(Ball((0.0,) * 9, 1.0), Norm.L2)
+        OpinionSpace(Ball((0.0,) * 9, 1.0), Norm.L2)
 
 
 def test_sample_point_mass_is_constant():
-    space = OpinionSpace.create(Box((0.0,), (1.0,)), Norm.L2)
+    space = OpinionSpace(Box((0.0,), (1.0,)), Norm.L2)
     dist = PointMasses((((0.25,), 1.0),))
     rng = random.Random(3)
     assert all(sample_initial(dist, space, rng) == (0.25,) for _ in range(50))
 
 
 def test_sample_uniform_box_mean():
-    space = OpinionSpace.create(Box((0.0,), (1.0,)), Norm.L2)
+    space = OpinionSpace(Box((0.0,), (1.0,)), Norm.L2)
     rng = random.Random(17)
     total = 0.0
     n = 100_000
@@ -162,7 +162,7 @@ def test_sample_uniform_box_mean():
 
 
 def test_sample_uniform_ball_membership():
-    space = OpinionSpace.create(Ball((0.0, 0.0), 1.0), Norm.L2)
+    space = OpinionSpace(Ball((0.0, 0.0), 1.0), Norm.L2)
     rng = random.Random(23)
     for _ in range(100_000):
         p = sample_initial(UniformShape(), space, rng)
@@ -171,7 +171,7 @@ def test_sample_uniform_ball_membership():
 
 def test_sample_uniform_ball_is_uniform():
     # radial CDF of a uniform dim-2 ball is (s/r)^2; check the median shell
-    space = OpinionSpace.create(Ball((0.0, 0.0), 1.0), Norm.L2)
+    space = OpinionSpace(Ball((0.0, 0.0), 1.0), Norm.L2)
     rng = random.Random(29)
     inside = sum(
         math.hypot(*sample_initial(UniformShape(), space, rng)) <= math.sqrt(0.5)
@@ -185,38 +185,38 @@ def test_point_mass_validation():
         PointMasses((((0.5,), 0.6), ((0.2,), 0.5)))  # sums to 1.1
     with pytest.raises(ValueError):
         PointMasses((((0.5,), -0.2), ((0.2,), 1.2)))
-    space = OpinionSpace.create(Box((0.0,), (1.0,)), Norm.L2)
+    space = OpinionSpace(Box((0.0,), (1.0,)), Norm.L2)
     with pytest.raises(ValueError):
         validate_distribution(PointMasses((((2.0,), 1.0),)), space)
 
 
 def test_expected_center_distance_uniform_ball_closed_form():
     for n, r, want in [(1, 0.5, 0.25), (2, 1.0, 2.0 / 3.0)]:
-        space = OpinionSpace.create(Ball((0.0,) * n, r), Norm.L2)
+        space = OpinionSpace(Ball((0.0,) * n, r), Norm.L2)
         assert expected_center_distance(UniformShape(), space) == pytest.approx(want, abs=1e-15)
 
 
 def test_expected_center_distance_point_mass_at_center():
-    space = OpinionSpace.create(Box((0.0,), (1.0,)), Norm.L2)
+    space = OpinionSpace(Box((0.0,), (1.0,)), Norm.L2)
     dist = PointMasses((((0.5,), 1.0),))
     assert expected_center_distance(dist, space) == 0.0
 
 
 def test_expected_center_distance_point_masses_exact():
-    space = OpinionSpace.create(Box((0.0,), (1.0,)), Norm.L1)
+    space = OpinionSpace(Box((0.0,), (1.0,)), Norm.L1)
     dist = PointMasses((((0.0,), 0.5), ((1.0,), 0.5)))
     assert expected_center_distance(dist, space) == pytest.approx(0.5, abs=1e-15)
 
 
 def test_expected_center_distance_uniform_interval_is_exact():
     # a 1-D box is an interval (a ball), so no sampling: E|U - 1/2| = 1/4
-    space = OpinionSpace.create(Box((0.0,), (1.0,)), Norm.L2)
+    space = OpinionSpace(Box((0.0,), (1.0,)), Norm.L2)
     assert expected_center_distance(UniformShape(), space) == 0.25
 
 
 def test_expected_center_distance_uniform_box_monte_carlo():
     # L1 oracle for the unit square: E||X - c||_1 = 1/4 + 1/4 = 1/2
-    space = OpinionSpace.create(Box((0.0, 0.0), (1.0, 1.0)), Norm.L1)
+    space = OpinionSpace(Box((0.0, 0.0), (1.0, 1.0)), Norm.L1)
     got = expected_center_distance(UniformShape(), space, samples=200_000, rng=random.Random(31))
     assert got == pytest.approx(0.5, rel=0.01)
     with pytest.raises(ValueError):
