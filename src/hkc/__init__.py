@@ -1,24 +1,9 @@
 """Event-driven simulator and Monte Carlo verification harness for
 bounded-confidence opinion averaging on finite connected graphs."""
 
-from .analysis import (
-    classify_consensus,
-    generator_drift,
-    theoretical_bound,
-    total_disagreement,
-)
+from .analysis import generator_drift, theoretical_bound
 from .dynamics import (
-    Configuration,
-    ModelParams,
-    StoppingSpec,
-    TrialEngine,
-    TrialOutcome,
-    apply_update,
-    check_event_a,
-    compatibility,
-    default_stopping,
-    gillespie_step,
-    stop_reached,
+    Configuration, ModelParams, StoppingSpec, TrialEngine, TrialOutcome, default_stopping,
 )
 from .graph import SocialGraph, generate, parse_edge_list
 from .montecarlo import (

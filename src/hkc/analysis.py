@@ -11,55 +11,57 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .dynamics import Configuration, StoppingSpec, compatibility, stop_reached, _neighbor_mean
+from .dynamics import Rows, StoppingSpec, compatibility, stop_reached, _neighbor_mean
 from .graph import SocialGraph, components
 from .space import Norm, distance_fn
 
 
-def total_disagreement(config: Configuration, c: Sequence[float], norm: Norm) -> float:
-    """Sum over vertices of the opinion distance to the reference point c."""
+def total_disagreement(opinions: Rows, c: Sequence[float], norm: Norm) -> float:
+    """Sum over vertices of the opinion distance to the reference point c.
+
+    Test oracle for `TrialEngine.total_center_distance` when c is the center.
+    """
     kernel = distance_fn(norm)
-    if len(c) != config.dim:
-        raise ValueError(f"reference point has dimension {len(c)}, expected {config.dim}")
+    if len(c) != len(opinions[0]):
+        raise ValueError(f"reference point has dimension {len(c)}, expected {len(opinions[0])}")
     total = 0.0
-    for row in config.opinions:
+    for row in opinions:
         total += kernel(row, c)
     return float(total)
 
 
 def generator_drift(
-    config: Configuration, g: SocialGraph, tau: float, norm: Norm, c: Sequence[float]
+    opinions: Rows, g: SocialGraph, tau: float, norm: Norm, c: Sequence[float]
 ) -> float:
     """Exact expected rate of change of the total disagreement with c.
 
     Sum over vertices with at least one compatible neighbor of
     rate * (||local mean - c|| - ||own - c||). Always <= 0 up to rounding.
     """
-    view = compatibility(config, g, tau, norm)
+    view = compatibility(opinions, g, tau, norm)
     kernel = distance_fn(norm)
-    ops = config.opinions
     drift = 0.0
     for x, nbrs in enumerate(view):
         if not nbrs:
             continue
-        mean = _neighbor_mean(ops, nbrs, config.dim)
-        drift += len(nbrs) * (kernel(mean, c) - kernel(ops[x], c))
+        mean = _neighbor_mean(opinions, nbrs, len(opinions[x]))
+        drift += len(nbrs) * (kernel(mean, c) - kernel(opinions[x], c))
     return float(drift)
 
 
 def agreement_components(
-    config: Configuration, g: SocialGraph, eps: float, norm: Norm
+    opinions: Rows, g: SocialGraph, eps: float, norm: Norm
 ) -> tuple[tuple[int, ...], ...]:
     """Components of the subgraph of edges with opinion distance strictly below eps."""
     kernel = distance_fn(norm)
-    ops = config.opinions
+    ops = opinions
     return components(
         [[y for y in nbrs if kernel(ops[x], ops[y]) < eps] for x, nbrs in enumerate(g.adjacency)]
     )
 
 
 def classify_consensus(
-    config: Configuration, g: SocialGraph, spec: StoppingSpec, tau: float, norm: Norm
+    opinions: Rows, g: SocialGraph, spec: StoppingSpec, tau: float, norm: Norm
 ) -> bool:
     """Classify a stopped configuration: does it lead to global agreement?
 
@@ -72,9 +74,9 @@ def classify_consensus(
     Test oracle for `TrialEngine.outcome`, which decides the same thing from
     its compatible-neighbor sets.
     """
-    if not stop_reached(config, g, spec, tau, norm):
+    if not stop_reached(opinions, g, spec, tau, norm):
         raise ValueError("classification is only defined at a stopping configuration")
-    comps = agreement_components(config, g, spec.eps, norm)
+    comps = agreement_components(opinions, g, spec.eps, norm)
     return len(comps) == 1
 
 

@@ -59,7 +59,7 @@ def cmd_simulate(args) -> int:
         "consensus": outcome.consensus,
         "event_A": outcome.event_a,
         "classification": "T_eps_proxy",
-        "final": [list(row) for row in outcome.final.opinions.tolist()],
+        "final": outcome.final.opinions.tolist(),
         "seed": spec.master_seed,
         "trial_index": 0,
         "params": spec.describe(),

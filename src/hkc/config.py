@@ -77,14 +77,24 @@ def _vector(value, pointer: str) -> tuple[float, ...]:
     return tuple(_real(v, f"{pointer}[{i}]") for i, v in enumerate(value))
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """json object hook that rejects a key repeated within one object."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"duplicate key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def load_config(path: str) -> dict:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
     try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+        raw = json.loads(text, object_pairs_hook=_unique_keys)
+    except ValueError as exc:  # a JSONDecodeError or a duplicate key
         raise ConfigError(f"config {path!r} is not valid JSON: {exc}") from exc
     return _expect_dict(raw, "config")
 
@@ -98,7 +108,7 @@ def _build_graph(section: dict, master_seed: int) -> tuple[SocialGraph, dict]:
             _fail("graph.file", "expected a file path string")
         try:
             text = Path(path).read_text(encoding="utf-8")
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"graph.file: cannot read {path!r}: {exc}") from exc
         with _at("graph.file"):
             return parse_edge_list(text), {"file": path}

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -44,6 +44,9 @@ from .space import (
 )
 
 DEFAULT_MAX_EVENTS = 10**7
+
+# a configuration: one opinion vector per vertex, as the engine stores it
+Rows = Sequence[tuple[float, ...]]
 
 # on_event callback: (event index, time, updated vertex, center distance total, opinions)
 EventCallback = Callable[[int, float, int, float, list[tuple[float, ...]]], None]
@@ -69,7 +72,7 @@ class ModelParams:
 
 @dataclass(frozen=True, eq=False)
 class Configuration:
-    """Per-vertex opinion vectors as a read-only (vertices, dim) float array."""
+    """A trial's final opinions as a read-only (vertices, dim) float array."""
 
     opinions: np.ndarray
 
@@ -81,18 +84,6 @@ class Configuration:
             raise ValueError("opinions must be finite")
         arr.setflags(write=False)
         object.__setattr__(self, "opinions", arr)
-
-    @classmethod
-    def from_rows(cls, rows) -> "Configuration":
-        return cls(np.array([tuple(r) for r in rows], dtype=np.float64))
-
-    @property
-    def n_vertices(self) -> int:
-        return self.opinions.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.opinions.shape[1]
 
 
 @dataclass(frozen=True)
@@ -154,7 +145,8 @@ class TrialOutcome:
 
     consensus and event_a are None (undetermined) when the trial hit its
     event cap before stopping. x_samples holds (time, total center distance)
-    rows, one per event plus the initial state, when sample recording is on.
+    pairs, one for the initial state and one after each event, when sample
+    recording is on, and is empty otherwise.
     """
 
     stopped: bool
@@ -163,21 +155,21 @@ class TrialOutcome:
     consensus: bool | None
     event_a: bool | None
     final: Configuration
-    x_samples: np.ndarray
+    x_samples: tuple[tuple[float, float], ...]
 
 
-def compatibility(config: Configuration, g: SocialGraph, tau: float, norm: Norm) -> CompatibilityView:
+def compatibility(opinions: Rows, g: SocialGraph, tau: float, norm: Norm) -> CompatibilityView:
     """Compatible-neighbor sets: graph neighbors within opinion distance tau (closed).
 
-    Symmetric by construction: y in view[x] iff x in view[y].
+    Symmetric by construction: y in view[x] iff x in view[y]. Test oracle for
+    the engine's incrementally kept `compat` sets.
     """
-    if config.n_vertices != g.vertex_count:
+    if len(opinions) != g.vertex_count:
         raise ValueError("configuration does not match the graph")
     kernel = distance_fn(norm)
-    ops = config.opinions
     nbrs: list[list[int]] = [[] for _ in range(g.vertex_count)]
     for u, v in g.edges():
-        if kernel(ops[u], ops[v]) <= tau:
+        if kernel(opinions[u], opinions[v]) <= tau:
             nbrs[u].append(v)
             nbrs[v].append(u)
     return tuple(tuple(sorted(ns)) for ns in nbrs)
@@ -192,27 +184,26 @@ def _neighbor_mean(opinions, neighbors, dim: int) -> tuple[float, ...]:
         for i in range(dim):
             sums[i] += row[i]
     k = len(neighbors)
-    return tuple(float(s / k) for s in sums)
+    return tuple(s / k for s in sums)
 
 
-def apply_update(config: Configuration, view: CompatibilityView, x: int, alpha: float) -> Configuration:
-    """Replace opinion x with alpha * own + (1 - alpha) * local average."""
+def apply_update(
+    opinions: Rows, view: CompatibilityView, x: int, alpha: float
+) -> tuple[tuple[float, ...], ...]:
+    """The rows after opinion x is replaced by alpha * own + (1 - alpha) * local average.
+
+    Test oracle for the update in `TrialEngine.step`, which must agree bitwise.
+    """
     if not view[x]:
         raise ValueError(f"vertex {x} has no compatible neighbors; it cannot update")
-    mean = _neighbor_mean(config.opinions, view[x], config.dim)
-    old = config.opinions[x]
+    old = opinions[x]
+    mean = _neighbor_mean(opinions, view[x], len(old))
     b = 1.0 - alpha
-    new_rows = np.array(config.opinions, copy=True)
-    new_rows[x] = [alpha * old[i] + b * mean[i] for i in range(config.dim)]
-    return Configuration(new_rows)
+    new = tuple(alpha * old[i] + b * mean[i] for i in range(len(old)))
+    return (*opinions[:x], new, *opinions[x + 1:])
 
 
-def gillespie_step(
-    config: Configuration,
-    view: CompatibilityView,
-    params: ModelParams,
-    rng: random.Random,
-) -> tuple[float, int] | None:
+def gillespie_step(view: CompatibilityView, rng: random.Random) -> tuple[float, int] | None:
     """Sample the next event: (holding time, updating vertex), or None if absorbed.
 
     Direct method: dt ~ Exponential(total rate), then the vertex is chosen
@@ -238,7 +229,7 @@ def event_a_applicable(space: OpinionSpace, tau: float, eps_prime: float) -> boo
     return tau > space.radius + eps_prime
 
 
-def check_event_a(config: Configuration, space: OpinionSpace, tau: float, eps_prime: float) -> bool:
+def check_event_a(opinions: Rows, space: OpinionSpace, tau: float, eps_prime: float) -> bool:
     """Whether some opinion lies strictly within tau - radius - eps_prime of the center.
 
     At a stopping state this condition forces every other opinion into the
@@ -253,21 +244,18 @@ def check_event_a(config: Configuration, space: OpinionSpace, tau: float, eps_pr
     threshold = tau - space.radius - eps_prime
     kernel = distance_fn(space.norm)
     center = space.center
-    return any(kernel(row, center) < threshold for row in config.opinions)
+    return any(kernel(row, center) < threshold for row in opinions)
 
 
-def stop_reached(
-    config: Configuration, g: SocialGraph, spec: StoppingSpec, tau: float, norm: Norm
-) -> bool:
+def stop_reached(opinions: Rows, g: SocialGraph, spec: StoppingSpec, tau: float, norm: Norm) -> bool:
     """True iff every edge's opinion distance is strictly outside [eps, tau].
 
     Test oracle for `TrialEngine.is_stopped`, which tracks the in-band edges.
     """
     kernel = distance_fn(norm)
-    ops = config.opinions
     eps = spec.eps
     for u, v in g.edges():
-        if eps <= kernel(ops[u], ops[v]) <= tau:
+        if eps <= kernel(opinions[u], opinions[v]) <= tau:
             return False
     return True
 
@@ -300,7 +288,6 @@ class TrialEngine:
         validate_distribution(dist, space)
         self.g = g
         self.space = space
-        self.params = params
         self.stopping = stopping
         self.rng = rng
         self._kernel = distance_fn(space.norm)
@@ -324,13 +311,9 @@ class TrialEngine:
         self._size = size
         self.time = 0.0
         self.events = 0
-        self._record = record_samples
         self._on_event = on_event
-        self._sample_t: list[float] = []
-        self._sample_x: list[float] = []
-        if record_samples:
-            self._sample_t.append(0.0)
-            self._sample_x.append(self.total_center_distance())
+        # (time, total center distance) pairs, from the initial state on
+        self._samples = [(0.0, self.total_center_distance())] if record_samples else None
 
     def _update_edge(self, a: int, b: int) -> int:
         """Recompute one edge; returns the change (+1, -1 or 0) in both endpoint rates."""
@@ -417,11 +400,10 @@ class TrialEngine:
             self._tree_add(x, dx)
         self.time += dt
         self.events += 1
-        if self._record or self._on_event is not None:
+        if self._samples is not None or self._on_event is not None:
             xc = self.total_center_distance()
-            if self._record:
-                self._sample_t.append(self.time)
-                self._sample_x.append(xc)
+            if self._samples is not None:
+                self._samples.append((self.time, xc))
             if self._on_event is not None:
                 self._on_event(self.events, self.time, x, xc, self.opinions)
         return x
@@ -432,9 +414,6 @@ class TrialEngine:
         while self._banded and self.events < cap:
             self.step()  # banded edges imply compatible edges, so never absorbed here
 
-    def configuration(self) -> Configuration:
-        return Configuration.from_rows(self.opinions)
-
     def outcome(self) -> TrialOutcome:
         """Freeze the current state into a TrialOutcome, classifying if stopped.
 
@@ -442,25 +421,19 @@ class TrialEngine:
         connected; see the module docstring.
         """
         stopped = self.is_stopped()
-        final = self.configuration()
         consensus: bool | None = None
         event_a: bool | None = None
         if stopped:
             consensus = is_connected(self.compat)
             eps_prime = self.stopping.eps_prime
             if event_a_applicable(self.space, self._tau, eps_prime):
-                event_a = check_event_a(final, self.space, self._tau, eps_prime)
-        if self._record:
-            samples = np.column_stack((self._sample_t, self._sample_x))
-        else:
-            samples = np.empty((0, 2))
-        samples.setflags(write=False)
+                event_a = check_event_a(self.opinions, self.space, self._tau, eps_prime)
         return TrialOutcome(
             stopped=stopped,
             stop_time=self.time,
             events=self.events,
             consensus=consensus,
             event_a=event_a,
-            final=final,
-            x_samples=samples,
+            final=Configuration(self.opinions),
+            x_samples=tuple(self._samples or ()),
         )

@@ -115,11 +115,10 @@ def parse_edge_list(text: str) -> SocialGraph:
     """Parse "u v" edge lines into a graph.
 
     Blank lines and lines starting with '#' are ignored; duplicate edges are
-    deduplicated; vertex ids must densely cover 0..max (a gap leaves an
-    isolated vertex, which fails the connectivity check).
+    deduplicated; vertex ids must densely cover 0..max, which is checked
+    before any graph of max + 1 vertices is built.
     """
     edges: set[tuple[int, int]] = set()
-    max_id = -1
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -136,10 +135,13 @@ def parse_edge_list(text: str) -> SocialGraph:
         if u == v:
             raise GraphParseError(f"line {lineno}: self-loop on vertex {u}")
         edges.add((min(u, v), max(u, v)))
-        max_id = max(max_id, u, v)
-    if max_id < 0:
+    if not edges:
         raise GraphParseError("edge list contains no edges")
-    return SocialGraph.from_edges(max_id + 1, edges)
+    ids = sorted({x for edge in edges for x in edge})
+    if ids[-1] != len(ids) - 1:
+        missing = next(i for i, x in enumerate(ids) if i != x)
+        raise GraphParseError(f"vertex ids must cover 0..{ids[-1]}, but {missing} is missing")
+    return SocialGraph.from_edges(len(ids), edges)
 
 
 def path(n: int) -> SocialGraph:

@@ -12,7 +12,6 @@ import random
 from dataclasses import dataclass
 
 from .analysis import generator_drift
-from .dynamics import Configuration
 from .graph import SocialGraph
 from .space import Norm
 
@@ -22,19 +21,19 @@ DRIFT_TOLERANCE = 1e-9
 @dataclass
 class DriftCase:
     graph: SocialGraph
-    config: Configuration
+    opinions: tuple[tuple[float, ...], ...]
     tau: float
     norm: Norm
     c: tuple[float, ...]
 
     def drift(self) -> float:
-        return generator_drift(self.config, self.graph, self.tau, self.norm, self.c)
+        return generator_drift(self.opinions, self.graph, self.tau, self.norm, self.c)
 
     def describe(self) -> dict:
         return {
             "vertices": self.graph.vertex_count,
             "edges": list(self.graph.edges()),
-            "opinions": self.config.opinions.tolist(),
+            "opinions": [list(row) for row in self.opinions],
             "tau": self.tau,
             "norm": self.norm.value,
             "c": list(self.c),
@@ -68,8 +67,7 @@ def drift_case_batch(rng: random.Random, max_vertices: int = 20) -> list[DriftCa
     dim = rng.choice((1, 2, 3))
     lo = tuple(rng.uniform(-2.0, 0.0) for _ in range(dim))
     hi = tuple(a + rng.uniform(0.2, 3.0) for a in lo)
-    rows = [tuple(rng.uniform(a, b) for a, b in zip(lo, hi)) for _ in range(g.vertex_count)]
-    config = Configuration.from_rows(rows)
+    rows = tuple(tuple(rng.uniform(a, b) for a, b in zip(lo, hi)) for _ in range(g.vertex_count))
     span = max(b - a for a, b in zip(lo, hi))
     tau = rng.uniform(0.05 * span, 2.0 * span)
     norm = rng.choice((Norm.L1, Norm.L2, Norm.LINF))
@@ -77,7 +75,7 @@ def drift_case_batch(rng: random.Random, max_vertices: int = 20) -> list[DriftCa
     width = tuple(b - a for a, b in zip(lo, hi))
     for _ in range(10):
         points.append(tuple(rng.uniform(a - w, b + w) for a, b, w in zip(lo, hi, width)))
-    return [DriftCase(g, config, tau, norm, c) for c in points]
+    return [DriftCase(g, rows, tau, norm, c) for c in points]
 
 
 def shrink_case(case: DriftCase, tol: float = DRIFT_TOLERANCE) -> DriftCase:
@@ -99,8 +97,8 @@ def shrink_case(case: DriftCase, tol: float = DRIFT_TOLERANCE) -> DriftCase:
                 sub = SocialGraph.from_edges(n - 1, edges)
             except ValueError:
                 continue
-            config = Configuration(current.config.opinions[keep])
-            candidate = DriftCase(sub, config, current.tau, current.norm, current.c)
+            rows = current.opinions[:drop] + current.opinions[drop + 1:]
+            candidate = DriftCase(sub, rows, current.tau, current.norm, current.c)
             if candidate.drift() > tol:
                 current = candidate
                 changed = True

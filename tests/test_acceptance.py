@@ -115,7 +115,7 @@ def test_criterion_04_drift_matches_sampler():
     worst_sigma = 0.0
     while checked < 100:
         case = drift_case_batch(rng, max_vertices=10)[0]
-        config, g, tau, norm, c = case.config, case.graph, case.tau, case.norm, case.c
+        config, g, tau, norm, c = case.opinions, case.graph, case.tau, case.norm, case.c
         view = compatibility(config, g, tau, norm)
         total = sum(map(len, view))
         if total == 0:
@@ -197,7 +197,7 @@ def test_criterion_06_stopping_structure(bound_runs):
                 d = distance(ops[u], ops[v])
                 if eps <= d <= tau:
                     violations += 1
-            for comp in agreement_components(out.final, spec.graph, eps, norm):
+            for comp in agreement_components(ops, spec.graph, eps, norm):
                 rows = [ops[x] for x in comp]
                 for i in range(len(rows)):
                     for j in range(i + 1, len(rows)):

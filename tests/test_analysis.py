@@ -10,14 +10,14 @@ from hkc.analysis import (
     theoretical_bound,
     total_disagreement,
 )
-from hkc.dynamics import Configuration, StoppingSpec, apply_update, check_event_a, compatibility
+from hkc.dynamics import StoppingSpec, apply_update, check_event_a, compatibility
 from hkc.graph import complete, path
 from hkc.invariants import drift_case_batch, run_drift_check
 from hkc.space import Ball, Norm, OpinionSpace
 
 
 def cfg(*rows):
-    return Configuration.from_rows([r if isinstance(r, tuple) else (r,) for r in rows])
+    return tuple(r if isinstance(r, tuple) else (r,) for r in rows)
 
 
 def test_total_disagreement_zero_at_common_point():
@@ -66,7 +66,7 @@ def test_shrink_mechanics_preserve_validity():
     case = drift_case_batch(random.Random(42), max_vertices=12)[0]
     shrunk = shrink_case(case, tol=float("-inf"))
     assert shrunk.graph.vertex_count == 1
-    assert shrunk.config.n_vertices == 1
+    assert len(shrunk.opinions) == 1
     assert shrunk.drift() == 0.0
     desc = shrunk.describe()
     assert desc["vertices"] == 1 and desc["edges"] == []
@@ -83,7 +83,7 @@ def test_generator_drift_matches_one_step_sampler():
             break
         cases = drift_case_batch(rng, max_vertices=8)
         case = cases[0]
-        config, g, tau, norm = case.config, case.graph, case.tau, case.norm
+        config, g, tau, norm = case.opinions, case.graph, case.tau, case.norm
         c = case.c
         view = compatibility(config, g, tau, norm)
         total = sum(map(len, view))

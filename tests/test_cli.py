@@ -173,6 +173,46 @@ def test_graph_file_with_self_loop_exits_2(tmp_path, capsys):
     assert "self-loop" in err
 
 
+def test_non_utf8_config_exits_2(tmp_path, capsys):
+    bad = tmp_path / "utf16.json"
+    bad.write_bytes(b"\xff\xfe" + json.dumps({"tau": 0.8}).encode("utf-16-le"))
+    code, out, err = run_cli(capsys, "bound", str(bad))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"config error: cannot read config {str(bad)!r}: ")
+    assert err.count("\n") == 1
+
+
+def test_non_utf8_graph_file_exits_2(tmp_path, capsys):
+    edges = tmp_path / "edges.txt"
+    edges.write_bytes(b"0 1\n1 2\xff\n")
+    cfg = write_config(tmp_path, graph={"file": str(edges)})
+    code, out, err = run_cli(capsys, "bound", cfg)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"config error: graph.file: cannot read {str(edges)!r}: ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "old, new, key",
+    [
+        ('"seed": 12}', '"seed": 12, "tau": 0.9}', "tau"),  # bound would run with tau 0.9
+        ('"n": 2}', '"n": 2, "n": 3}', "n"),  # inside graph
+    ],
+    ids=["top", "graph"],
+)
+def test_duplicate_config_key_exits_2(tmp_path, capsys, old, new, key):
+    cfg = Path(write_config(tmp_path))
+    text = cfg.read_text(encoding="utf-8")
+    assert text.count(old) == 1
+    cfg.write_text(text.replace(old, new), encoding="utf-8")
+    code, out, err = run_cli(capsys, "bound", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert err == f"config error: config {str(cfg)!r} is not valid JSON: duplicate key {key!r}\n"
+
+
 def test_point_masses_config(tmp_path, capsys):
     cfg = write_config(
         tmp_path,

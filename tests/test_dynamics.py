@@ -35,7 +35,7 @@ def _run_trial(g, space, dist, params, stopping, rng):
 
 
 def cfg(*rows):
-    return Configuration.from_rows([r if isinstance(r, tuple) else (r,) for r in rows])
+    return tuple(r if isinstance(r, tuple) else (r,) for r in rows)
 
 
 def test_model_params_validation():
@@ -50,8 +50,8 @@ def test_model_params_validation():
 def test_configuration_validation():
     with pytest.raises(ValueError):
         Configuration(np.array([[float("inf")]]))
-    c = cfg(0.1, 0.9)
-    assert c.n_vertices == 2 and c.dim == 1
+    c = Configuration(cfg(0.1, 0.9))
+    assert c.opinions.shape == (2, 1)
     with pytest.raises(ValueError):
         c.opinions[0, 0] = 5.0  # read-only
 
@@ -92,19 +92,19 @@ def test_apply_update_alpha_zero_moves_to_neighbor_mean():
     g = path(3)
     config = cfg(0.0, 0.4, 1.0)
     view = compatibility(config, g, tau=0.5, norm=Norm.L1)
-    assert apply_update(config, view, 0, alpha=0.0).opinions[0] == pytest.approx([0.4])
+    assert apply_update(config, view, 0, alpha=0.0)[0] == pytest.approx([0.4])
     with pytest.raises(ValueError):
         apply_update(config, view, 2, alpha=0.0)  # no compatible neighbors
 
     config2 = cfg(0.0, 0.5, 1.0)
     view2 = compatibility(config2, path(3), tau=0.5, norm=Norm.L1)
-    midpoint = apply_update(config2, view2, 1, alpha=0.0).opinions[1]
+    midpoint = apply_update(config2, view2, 1, alpha=0.0)[1]
     assert midpoint == pytest.approx([0.5])  # midpoint of 0 and 1
 
     g3 = complete(4)
-    config3 = Configuration.from_rows([(0.5, 0.5), (0.0, 0.0), (1.0, 0.0), (0.0, 1.0)])
+    config3 = ((0.5, 0.5), (0.0, 0.0), (1.0, 0.0), (0.0, 1.0))
     view3 = compatibility(config3, g3, tau=5.0, norm=Norm.L2)
-    assert apply_update(config3, view3, 0, alpha=0.0).opinions[0] == pytest.approx([1 / 3, 1 / 3])
+    assert apply_update(config3, view3, 0, alpha=0.0)[0] == pytest.approx([1 / 3, 1 / 3])
 
 
 def test_apply_update_full_stubbornness_is_identity():
@@ -112,7 +112,7 @@ def test_apply_update_full_stubbornness_is_identity():
     config = cfg(0.0, 0.4)
     view = compatibility(config, g, tau=1.0, norm=Norm.L1)
     out = apply_update(config, view, 0, alpha=1.0)
-    assert np.array_equal(out.opinions, config.opinions)
+    assert out == config
 
 
 def test_apply_update_single_neighbor_jump():
@@ -120,8 +120,7 @@ def test_apply_update_single_neighbor_jump():
     config = cfg(0.0, 0.5)
     view = compatibility(config, g, tau=0.5, norm=Norm.L1)
     out = apply_update(config, view, 0, alpha=0.0)
-    assert out.opinions[0, 0] == 0.5
-    assert out.opinions[1, 0] == 0.5
+    assert out == ((0.5,), (0.5,))
 
 
 def test_apply_update_half_stubbornness():
@@ -129,7 +128,7 @@ def test_apply_update_half_stubbornness():
     config = cfg(0.0, 0.5)
     view = compatibility(config, g, tau=0.5, norm=Norm.L1)
     out = apply_update(config, view, 0, alpha=0.5)
-    assert out.opinions[0, 0] == 0.25
+    assert out[0] == (0.25,)
 
 
 def test_apply_update_changes_only_target():
@@ -139,7 +138,7 @@ def test_apply_update_changes_only_target():
     view = compatibility(config, g, tau=2.0, norm=Norm.L2)
     out = apply_update(config, view, 2, alpha=0.3)
     for x in (0, 1, 3):
-        assert out.opinions[x, 0] == config.opinions[x, 0]
+        assert out[x] == config[x]
 
 
 def test_gillespie_step_absorbed():
@@ -147,19 +146,18 @@ def test_gillespie_step_absorbed():
     config = cfg(0.0, 1.0)
     view = compatibility(config, g, tau=0.2, norm=Norm.L1)
     assert sum(map(len, view)) == 0
-    assert gillespie_step(config, view, ModelParams(tau=0.2), random.Random(1)) is None
+    assert gillespie_step(view, random.Random(1)) is None
 
 
 def test_gillespie_step_vertex_frequencies():
     g = path(3)
     config = cfg(0.0, 0.4, 1.0)
     view = compatibility(config, g, tau=0.5, norm=Norm.L1)
-    params = ModelParams(tau=0.5)
     rng = random.Random(2)
     counts = [0, 0, 0]
     n = 100_000
     for _ in range(n):
-        _, x = gillespie_step(config, view, params, rng)
+        _, x = gillespie_step(view, rng)
         counts[x] += 1
     assert abs(counts[0] / n - 0.5) < 0.01
     assert abs(counts[1] / n - 0.5) < 0.01
@@ -170,12 +168,11 @@ def test_gillespie_step_holding_time_mean():
     g = path(3)
     config = cfg(0.0, 0.4, 1.0)
     view = compatibility(config, g, tau=0.5, norm=Norm.L1)  # total rate 2
-    params = ModelParams(tau=0.5)
     rng = random.Random(3)
     n = 100_000
     total = 0.0
     for _ in range(n):
-        dt, _ = gillespie_step(config, view, params, rng)
+        dt, _ = gillespie_step(view, rng)
         total += dt
     assert abs(total / n - 0.5) < 0.01  # 2% of 1/R = 0.5
 
@@ -244,11 +241,13 @@ def test_run_trial_samples_agree_with_disagreement_functional():
     params = ModelParams(tau=0.9)
     stopping = default_stopping(g, BOX01, params)
     out = _run_trial(g, BOX01, UniformShape(), params, stopping, random.Random(13))
-    assert out.x_samples.shape == (out.events + 1, 2)
+    assert len(out.x_samples) == out.events + 1
     # the recorded final sample equals a fresh evaluation on the final state
-    assert out.x_samples[-1, 1] == total_disagreement(out.final, BOX01.center, BOX01.norm)
-    assert out.x_samples[0, 0] == 0.0
-    assert np.all(np.diff(out.x_samples[:, 0]) > 0)  # strictly increasing event times
+    final = out.final.opinions.tolist()
+    assert out.x_samples[-1][1] == total_disagreement(final, BOX01.center, BOX01.norm)
+    times = [t for t, _ in out.x_samples]
+    assert times[0] == 0.0
+    assert all(a < b for a, b in zip(times, times[1:]))  # strictly increasing event times
 
 
 def test_run_trial_deterministic_given_seed():
@@ -261,7 +260,7 @@ def test_run_trial_deterministic_given_seed():
     assert a.stop_time == b.stop_time
     assert a.consensus == b.consensus and a.event_a == b.event_a
     assert np.array_equal(a.final.opinions, b.final.opinions)
-    assert np.array_equal(a.x_samples, b.x_samples)
+    assert a.x_samples == b.x_samples
 
 
 def test_run_trial_cap_hit_is_undetermined():
@@ -300,7 +299,7 @@ def test_engine_matches_pure_operations_step_by_step():
         engine = TrialEngine(g, space, UniformShape(), params, stopping, rng_engine)
         rng_pure = random.Random()
         rng_pure.setstate(rng_engine.getstate())
-        config = Configuration.from_rows(engine.opinions)
+        config = tuple(engine.opinions)
         for _ in range(400):
             view = compatibility(config, g, params.tau, space.norm)
             # engine bookkeeping must equal full recomputation
@@ -324,7 +323,7 @@ def test_engine_matches_pure_operations_step_by_step():
             assert engine.total_center_distance() == total_disagreement(
                 config, space.center, space.norm
             )
-            step = gillespie_step(config, view, params, rng_pure)
+            step = gillespie_step(view, rng_pure)
             moved = engine.step()
             if step is None:
                 assert moved is None
@@ -332,7 +331,7 @@ def test_engine_matches_pure_operations_step_by_step():
             _, x = step
             assert moved == x
             config = apply_update(config, view, x, params.alpha)
-            assert np.array_equal(config.opinions, np.array(engine.opinions))
+            assert config == tuple(engine.opinions)
     assert consensus_seen == {True, False}
     assert event_a_seen == {None, True, False}
 
@@ -373,12 +372,12 @@ def test_engine_selection_matches_scan_at_exact_prefix_boundaries():
             rng_pure = _EighthsRandom()
             rng_pure.setstate(rng_engine.getstate())
             rng_pure.eighths = True
-            config = Configuration.from_rows(engine.opinions)
+            config = tuple(engine.opinions)
             for _ in range(200):
                 view = compatibility(config, g, tau, BOX01.norm)
                 total = sum(map(len, view))
                 zero_rate_seen |= total > 0 and () in view
-                step = gillespie_step(config, view, params, rng_pure)
+                step = gillespie_step(view, rng_pure)
                 moved = engine.step()
                 if step is None:
                     assert moved is None
@@ -468,5 +467,5 @@ def test_run_trial_ball_shape_two_dim():
     assert out.event_a is True  # some opinion ends near the center
     # x_samples: initial row + one per event, nonincreasing is not guaranteed
     # per-path, but the final total must be finite and recorded
-    assert out.x_samples.shape == (out.events + 1, 2)
-    assert math.isfinite(out.x_samples[-1, 1])
+    assert len(out.x_samples) == out.events + 1
+    assert math.isfinite(out.x_samples[-1][1])

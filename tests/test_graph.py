@@ -40,9 +40,13 @@ def test_parse_rejects_non_integer():
 
 
 def test_parse_rejects_gapped_ids():
-    # vertex 2 never appears -> isolated -> disconnected
-    with pytest.raises(GraphValidationError):
+    # ids must cover 0..max: the smallest missing id is named before a graph is built
+    with pytest.raises(GraphParseError, match=r"^vertex ids must cover 0\.\.3, but 2 is missing$"):
         parse_edge_list("0 1\n1 3\n3 0")
+    with pytest.raises(GraphParseError, match=r"^vertex ids must cover 0\.\.5, but 2 is missing$"):
+        parse_edge_list("0 1\n1 5\n")
+    with pytest.raises(GraphParseError, match=r"^vertex ids must cover 0\.\.2, but 0 is missing$"):
+        parse_edge_list("1 2\n")
 
 
 def test_parse_ignores_comments_blank_lines_and_crlf():
