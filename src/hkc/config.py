@@ -132,11 +132,11 @@ def _build_space(section: dict) -> OpinionSpace:
     section = _expect_dict(section, "space")
     _check_keys(section, "space", required={"dim", "norm", "shape"})
     dim = _integer(section["dim"], "space.dim")
-    norm_name = section["norm"]
-    if not isinstance(norm_name, str):
-        _fail("space.norm", "expected 'l1', 'l2', or 'linf'")
-    with _at("space.norm"):
-        norm = Norm.from_str(norm_name)
+    name = section["norm"]
+    names = [member.value for member in Norm]
+    if not isinstance(name, str) or name.lower() not in names:
+        _fail("space.norm", f"unknown norm {name!r}; expected one of {', '.join(names)}")
+    norm = Norm(name.lower())
     shape_obj = _expect_dict(section["shape"], "space.shape")
     if set(shape_obj) == {"ball"}:
         ball = _expect_dict(shape_obj["ball"], "space.shape.ball")
@@ -191,11 +191,10 @@ def build_experiment(raw: dict, seed_override: int | None = None) -> ExperimentS
         required={"graph", "space", "init", "tau", "trials", "seed"},
         optional={"alpha", "eps_prime", "max_events"},
     )
-    seed = seed_override
-    if seed is None:
-        seed = _integer(raw["seed"], "seed")
-        if not 0 <= seed < 2**64:
-            _fail("seed", f"expected a 64-bit nonnegative integer, got {seed}")
+    origin = "seed" if seed_override is None else "HKC_SEED"
+    seed = _integer(raw["seed"], "seed") if seed_override is None else seed_override
+    if not 0 <= seed < 2**64:
+        _fail(origin, f"expected a 64-bit nonnegative integer, got {seed}")
     tau = _real(raw["tau"], "tau")
     with _at("tau"):
         params = ModelParams(tau=tau)

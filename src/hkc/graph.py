@@ -12,6 +12,9 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 _ER_MAX_ATTEMPTS = 10**4
+MAX_VERTICES = 100_000
+# complete and erdos_renyi enumerate all n(n-1)/2 vertex pairs
+MAX_PAIRS = 2_000_000
 
 
 class GraphParseError(ValueError):
@@ -22,7 +25,7 @@ class GraphValidationError(ValueError):
     """Structurally invalid graph (disconnected, bad ids, ...)."""
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class SocialGraph:
     vertex_count: int
     adjacency: tuple[tuple[int, ...], ...]
@@ -51,13 +54,6 @@ class SocialGraph:
     @classmethod
     def from_edges(cls, vertex_count: int, edges: Iterable[tuple[int, int]]) -> "SocialGraph":
         return cls(vertex_count, _adjacency(vertex_count, edges))
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, SocialGraph)
-            and self.vertex_count == other.vertex_count
-            and self.adjacency == other.adjacency
-        )
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Edges as (u, v) with u < v, in ascending order."""
@@ -204,10 +200,17 @@ KINDS = {
 
 
 def generate(kind: str, rng: random.Random | None = None, **params) -> SocialGraph:
-    """Build a graph of one of the KINDS from its named parameters."""
+    """Build a graph of one of the KINDS from its named parameters, within the size limits."""
     if not isinstance(kind, str) or kind not in KINDS:
         raise ValueError(f"unknown graph kind {kind!r}")
     make, names = KINDS[kind]
+    # a grid with both sides negative goes on to grid's own check of w and h
+    n = max(params["w"], 0) * params["h"] if make is grid else params["n"]
+    if n > MAX_VERTICES:
+        raise GraphValidationError(f"{kind} has {n} vertices, over the limit of {MAX_VERTICES}")
+    pairs = n * (n - 1) // 2
+    if make in (complete, erdos_renyi) and pairs > MAX_PAIRS:
+        raise GraphValidationError(f"{kind} has {pairs} vertex pairs, over the limit of {MAX_PAIRS}")
     args = [params[name] for name, _ in names]
     if make is erdos_renyi:
         if rng is None:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import product
 
 from .analysis import generator_drift
 from .graph import SocialGraph
@@ -53,13 +54,6 @@ def random_connected_graph(rng: random.Random, max_vertices: int = 20) -> Social
     return SocialGraph.from_edges(n, edges)
 
 
-def _box_corners(lo: tuple[float, ...], hi: tuple[float, ...]) -> list[tuple[float, ...]]:
-    corners = [()]
-    for a, b in zip(lo, hi):
-        corners = [c + (v,) for c in corners for v in (a, b)]
-    return corners
-
-
 def drift_case_batch(rng: random.Random, max_vertices: int = 20) -> list[DriftCase]:
     """One random (graph, configuration, tau, norm) with reference points at the
     corners of the opinions' bounding box plus 10 random points around it."""
@@ -71,7 +65,7 @@ def drift_case_batch(rng: random.Random, max_vertices: int = 20) -> list[DriftCa
     span = max(b - a for a, b in zip(lo, hi))
     tau = rng.uniform(0.05 * span, 2.0 * span)
     norm = rng.choice((Norm.L1, Norm.L2, Norm.LINF))
-    points = _box_corners(lo, hi)
+    points = list(product(*zip(lo, hi)))
     width = tuple(b - a for a, b in zip(lo, hi))
     for _ in range(10):
         points.append(tuple(rng.uniform(a - w, b + w) for a, b, w in zip(lo, hi, width)))
@@ -113,27 +107,22 @@ def run_drift_check(cases: int, seed: int) -> dict:
     rng = random.Random(seed)
     max_drift = float("-inf")
     checked = 0
-    for index in range(cases):
+    index = 0
+    failure = None
+    while failure is None and index < cases:
+        index += 1
         for case in drift_case_batch(rng):
             value = case.drift()
             checked += 1
-            if value > max_drift:
-                max_drift = value
+            max_drift = max(max_drift, value)
             if value > DRIFT_TOLERANCE:
-                failure = shrink_case(case)
-                return {
-                    "cases": index + 1,
-                    "points_checked": checked,
-                    "max_drift": max_drift,
-                    "tolerance": DRIFT_TOLERANCE,
-                    "status": "fail",
-                    "failure": failure.describe(),
-                }
+                failure = shrink_case(case).describe()
+                break
     return {
-        "cases": cases,
+        "cases": index,
         "points_checked": checked,
         "max_drift": max_drift,
         "tolerance": DRIFT_TOLERANCE,
-        "status": "pass",
-        "failure": None,
+        "status": "pass" if failure is None else "fail",
+        "failure": failure,
     }

@@ -11,6 +11,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
+from itertools import repeat
 
 from .analysis import theoretical_bound
 from .dynamics import (
@@ -148,10 +149,6 @@ def run_single_trial(
     return engine.outcome()
 
 
-def _outcome_block(spec: ExperimentSpec, lo: int, hi: int) -> list[TrialOutcome]:
-    return [run_single_trial(spec, i) for i in range(lo, hi)]
-
-
 def trial_outcomes(spec: ExperimentSpec, parallelism: int = 1) -> list[TrialOutcome]:
     """All trial outcomes in trial order, computed with up to `parallelism` workers.
 
@@ -161,13 +158,11 @@ def trial_outcomes(spec: ExperimentSpec, parallelism: int = 1) -> list[TrialOutc
     if parallelism < 1:
         raise ValueError("parallelism must be >= 1")
     if parallelism == 1 or spec.trials == 1:
-        return _outcome_block(spec, 0, spec.trials)
+        return [run_single_trial(spec, i) for i in range(spec.trials)]
     chunk = max(1, -(-spec.trials // (parallelism * 4)))
-    bounds = [(lo, min(lo + chunk, spec.trials)) for lo in range(0, spec.trials, chunk)]
-    workers = min(parallelism, len(bounds), os.cpu_count() or 1)
+    workers = min(parallelism, -(-spec.trials // chunk), os.cpu_count() or 1)
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        blocks = pool.map(_outcome_block, [spec] * len(bounds), *zip(*bounds))
-        return [outcome for block in blocks for outcome in block]
+        return list(pool.map(run_single_trial, repeat(spec), range(spec.trials), chunksize=chunk))
 
 
 def consensus_bound(spec: ExperimentSpec) -> tuple[bool, float | None, float | None]:
@@ -190,14 +185,12 @@ def reduce_outcomes(spec: ExperimentSpec, outcomes: list[TrialOutcome]) -> Monte
     event_a_count = 0
     event_a_and_consensus = 0
     stop_time_sum = 0.0
-    stopped_count = 0
     events_sum = 0
     for out in outcomes:
         events_sum += out.events
         if not out.stopped:
             undetermined += 1
             continue
-        stopped_count += 1
         stop_time_sum += out.stop_time
         if out.consensus:
             consensus_count += 1
@@ -229,7 +222,7 @@ def reduce_outcomes(spec: ExperimentSpec, outcomes: list[TrialOutcome]) -> Monte
         event_A_applicable=event_a_defined,
         event_A_count=event_a_count if event_a_defined else None,
         event_A_and_consensus_count=event_a_and_consensus if event_a_defined else None,
-        mean_stop_time=(stop_time_sum / stopped_count) if stopped_count else None,
+        mean_stop_time=(stop_time_sum / determined) if determined else None,
         mean_events=events_sum / trials,
         seed=spec.master_seed,
         params=spec.describe(),

@@ -26,13 +26,6 @@ class Norm(Enum):
     L2 = "l2"
     LINF = "linf"
 
-    @classmethod
-    def from_str(cls, name: str) -> "Norm":
-        try:
-            return cls(name.lower())
-        except ValueError:
-            raise ValueError(f"unknown norm {name!r}; expected one of l1, l2, linf") from None
-
 
 def _dist_l1(u, v) -> float:
     s = 0.0

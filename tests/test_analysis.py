@@ -58,6 +58,19 @@ def test_generator_drift_nonpositive_on_random_cases():
     assert report["max_drift"] <= 1e-9
 
 
+def test_drift_check_reports_a_violation(monkeypatch):
+    # every point violates a tolerance of -inf, so the first one fails the run
+    from hkc import invariants
+
+    monkeypatch.setattr(invariants, "DRIFT_TOLERANCE", float("-inf"))
+    report = run_drift_check(cases=5, seed=3)
+    first = drift_case_batch(random.Random(3))[0]
+    assert report["status"] == "fail"
+    assert report["cases"] == 1
+    assert report["points_checked"] == 1
+    assert report["failure"] == invariants.shrink_case(first).describe()
+
+
 def test_shrink_mechanics_preserve_validity():
     # with an impossible tolerance every case "violates", so the shrinker must
     # walk all the way down to a single vertex through valid connected graphs

@@ -96,6 +96,22 @@ def test_bad_nested_key_pointer(tmp_path, capsys):
     assert "space.norm" in err
 
 
+@pytest.mark.parametrize("norm", [5, "l3"])
+def test_unknown_norm_message(tmp_path, capsys, norm):
+    space = {"dim": 1, "norm": norm, "shape": {"box": {"lo": [0.0], "hi": [1.0]}}}
+    code, out, err = run_cli(capsys, "bound", write_config(tmp_path, space=space))
+    assert code == 2
+    assert out == ""
+    assert err == f"config error: space.norm: unknown norm {norm!r}; expected one of l1, l2, linf\n"
+
+
+def test_norm_name_is_case_insensitive(tmp_path, capsys):
+    space = {"dim": 1, "norm": "L2", "shape": {"box": {"lo": [0.0], "hi": [1.0]}}}
+    code, out, _ = run_cli(capsys, "bound", write_config(tmp_path, space=space))
+    assert code == 0
+    assert json.loads(out)["rho"] == 0.5
+
+
 def test_estimate_reports_bound_one_sixth(tmp_path, capsys):
     cfg = write_config(tmp_path, trials=100)
     code, out, _ = run_cli(capsys, "estimate", cfg)
@@ -384,6 +400,17 @@ def test_unknown_graph_kind_exits_2(tmp_path, capsys, kind):
     code, _, err = run_cli(capsys, "bound", write_config(tmp_path, graph={"kind": kind, "n": 4}))
     assert code == 2
     assert err == f"config error: graph.kind: unknown kind {kind!r}\n"
+
+
+@pytest.mark.parametrize(
+    "graph", [{"kind": "path", "n": 100_001}, {"kind": "complete", "n": 20_000}]
+)
+def test_graph_over_size_limit_exits_2(tmp_path, capsys, graph):
+    # checked from the parameters: neither graph is built
+    code, out, err = run_cli(capsys, "bound", write_config(tmp_path, graph=graph))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("config error: graph: ") and "over the limit" in err
 
 
 FUZZ_BASES = [

@@ -44,6 +44,7 @@ GOLDEN = {
     "bound_box_2d": "55e9d3dfacfcd600ffae7ecfefb20b99a9c51da3f92aec0185877617aeab18dc",
     "simulate_cycle_stdout": "bb82c8f93c18035c240d9e477f7bc7b4d6e4892a184121dc3962b15601a78495",
     "simulate_cycle_trace": "abf0844644fb4af68ed571d0e7ddeaee6e2be8c5187f5820a918a4c3aec8d0b7",
+    "check_invariants_200_3": "98f703914ced18fa0509771cce852b09ff97d7317616e734d16752924ab9663d",
 }
 
 
@@ -72,3 +73,8 @@ def test_simulate_trace_cycle_bytes(tmp_path, capsys):
     out = _stdout(capsys, tmp_path, CYCLE_TRACE, "simulate", "--trace", str(trace))
     assert _sha(out) == GOLDEN["simulate_cycle_stdout"]
     assert hashlib.sha256(trace.read_bytes()).hexdigest() == GOLDEN["simulate_cycle_trace"]
+
+
+def test_check_invariants_bytes(capsys):
+    assert main(["check-invariants", "--cases", "200", "--seed", "3"]) == 0
+    assert _sha(capsys.readouterr().out) == GOLDEN["check_invariants_200_3"]

@@ -104,6 +104,12 @@ def test_generate_dispatch():
         generate("torus", n=3)
 
 
+def test_grid_sides_are_checked_before_its_size():
+    # (-400) * (-400) is over the vertex limit, but the sides are the fault
+    with pytest.raises(GraphValidationError, match="grid needs"):
+        generate("grid", w=-400, h=-400)
+
+
 def test_construction_rejects_asymmetric_adjacency():
     with pytest.raises(GraphValidationError):
         SocialGraph(2, ((1,), ()))

@@ -114,7 +114,7 @@ def test_pool_capped_by_chunks_and_cpus(monkeypatch, cpus, parallelism, workers)
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, *iterables):
+        def map(self, fn, *iterables, chunksize=1):
             return map(fn, *iterables)
 
     monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: cpus)
