@@ -10,7 +10,9 @@ Event scheduling is the exact direct method: the holding time is exponential
 at the total rate and the updating vertex is chosen with probability
 proportional to its own rate. The engine finds that vertex with an O(log n)
 descent of a Fenwick tree over the integer rates, which picks the same vertex
-as the direct method's linear scan (`gillespie_step`) for every draw.
+as the direct method's linear scan (`gillespie_step`) for every draw. Edge
+state lives in one table aligned with the adjacency lists, with a mirror index
+into the other endpoint's list and a count of in-band edges (`TrialEngine`).
 
 A trial stops at the first time every edge's opinion distance falls strictly
 outside [eps, tau] (either near-agreement or frozen), or when an event cap is
@@ -162,7 +164,7 @@ def compatibility(opinions: Rows, g: SocialGraph, tau: float, norm: Norm) -> Com
     """Compatible-neighbor sets: graph neighbors within opinion distance tau (closed).
 
     Symmetric by construction: y in view[x] iff x in view[y]. Test oracle for
-    the engine's incrementally kept `compat` sets.
+    the engine's `compat`, read from its incrementally kept edge-state table.
     """
     if len(opinions) != g.vertex_count:
         raise ValueError("configuration does not match the graph")
@@ -242,7 +244,7 @@ def check_event_a(opinions: Rows, space: OpinionSpace, tau: float, eps_prime: fl
             f"(radius={space.radius}, eps_prime={eps_prime})"
         )
     threshold = tau - space.radius - eps_prime
-    kernel = distance_fn(space.norm)
+    kernel = distance_fn(space.norm, space.dim)
     center = space.center
     return any(kernel(row, center) < threshold for row in opinions)
 
@@ -250,7 +252,7 @@ def check_event_a(opinions: Rows, space: OpinionSpace, tau: float, eps_prime: fl
 def stop_reached(opinions: Rows, g: SocialGraph, spec: StoppingSpec, tau: float, norm: Norm) -> bool:
     """True iff every edge's opinion distance is strictly outside [eps, tau].
 
-    Test oracle for `TrialEngine.is_stopped`, which tracks the in-band edges.
+    Test oracle for `TrialEngine.is_stopped`, which counts the in-band edges.
     """
     kernel = distance_fn(norm)
     eps = spec.eps
@@ -263,14 +265,14 @@ def stop_reached(opinions: Rows, g: SocialGraph, spec: StoppingSpec, tau: float,
 class TrialEngine:
     """Single-trial state machine with incremental edge bookkeeping.
 
-    Owns its opinions, compatible-neighbor sets, and the set of edges inside
-    the stopping band [eps, tau]. A vertex's rate is `len(compat[x])`; a
-    Fenwick tree over the rates, whose root is the total rate, finds the
-    updating vertex by an O(log n) descent that picks the same vertex as the
-    direct-method scan of `gillespie_step`. After each update only the edges
-    incident to the updated vertex are recomputed; equivalence with full
-    recomputation is pinned by tests.
-    Not thread-safe; one engine and one random stream per trial.
+    `_state[x][j]` classifies the edge from x to `adjacency[x][j]` as 0
+    (incompatible, distance > tau), 1 (near, distance < eps) or 2 (banded,
+    in [eps, tau]); `_rev[x][j]` is x's position in that neighbor's list, so
+    the mirror entry updates in O(1), and the trial is stopped when
+    `_banded_count` is zero. A vertex's rate, its number of nonzero entries,
+    sits in a Fenwick tree whose root is the total rate. After an update only
+    the edges at the updated vertex are recomputed; tests pin equivalence with
+    full recomputation. Not thread-safe; one engine and one stream per trial.
     """
 
     def __init__(
@@ -290,21 +292,30 @@ class TrialEngine:
         self.space = space
         self.stopping = stopping
         self.rng = rng
-        self._kernel = distance_fn(space.norm)
+        self._kernel = distance_fn(space.norm, space.dim)
         self._tau = params.tau
         self._alpha = params.alpha
         self._eps = stopping.eps
         self._center = space.center
         n = g.vertex_count
         self.opinions: list[tuple[float, ...]] = [sample_initial(dist, space, rng) for _ in range(n)]
-        self.compat: list[set[int]] = [set() for _ in range(n)]
-        self._banded: set[tuple[int, int]] = set()  # edges (u < v) with distance in [eps, tau]
-        for u, v in g.edges():
-            self._update_edge(u, v)
+        # adjacency lists are sorted, so each rev[y] fills in adjacency[y]'s order
+        rev: list[list[int]] = [[] for _ in range(n)]
+        for nbrs in g.adjacency:
+            for j, y in enumerate(nbrs):
+                rev[y].append(j)
+        state = [[0] * len(nbrs) for nbrs in g.adjacency]
+        for x, nbrs in enumerate(g.adjacency):
+            for j, y in enumerate(nbrs):
+                if y > x:
+                    state[x][j] = state[y][rev[x][j]] = self._edge_state(x, y)
+        self._state = state
+        self._rev = rev
+        self._banded_count = sum(row.count(2) for row in state) // 2
         # Fenwick tree over rates, zero-padded to a power-of-two size so the descent
         # needs no bounds check and the root tree[size] is the total; built in O(n)
         size = 1 << (n - 1).bit_length()
-        tree = [0] + [len(c) for c in self.compat] + [0] * (size - n)
+        tree = [0] + [len(row) - row.count(0) for row in state] + [0] * (size - n)
         for i in range(1, size):
             tree[i + (i & -i)] += tree[i]
         self._tree = tree
@@ -315,25 +326,17 @@ class TrialEngine:
         # (time, total center distance) pairs, from the initial state on
         self._samples = [(0.0, self.total_center_distance())] if record_samples else None
 
-    def _update_edge(self, a: int, b: int) -> int:
-        """Recompute one edge; returns the change (+1, -1 or 0) in both endpoint rates."""
-        key = (a, b) if a < b else (b, a)
-        u, v = key
+    def _edge_state(self, u: int, v: int) -> int:
+        """0, 1 or 2 for the edge u-v from its distance; `step` inlines the same rule."""
         d = self._kernel(self.opinions[u], self.opinions[v])
-        new_compat = d <= self._tau
-        if new_compat and d >= self._eps:
-            self._banded.add(key)
-        else:
-            self._banded.discard(key)
-        if new_compat != (v in self.compat[u]):
-            if new_compat:
-                self.compat[u].add(v)
-                self.compat[v].add(u)
-                return 1
-            self.compat[u].discard(v)
-            self.compat[v].discard(u)
-            return -1
-        return 0
+        return 0 if d > self._tau else 1 if d < self._eps else 2
+
+    @property
+    def compat(self) -> CompatibilityView:
+        """Sorted compatible neighbors of each vertex, read from the edge-state table."""
+        return tuple(
+            tuple(y for y, s in zip(nbrs, row) if s) for nbrs, row in zip(self.g.adjacency, self._state)
+        )
 
     def _tree_add(self, x: int, delta: int) -> None:
         """Add delta to vertex x's entry in the Fenwick tree."""
@@ -354,7 +357,7 @@ class TrialEngine:
         return total
 
     def is_stopped(self) -> bool:
-        return not self._banded
+        return not self._banded_count
 
     def step(self) -> int | None:
         """Execute one event; returns the updated vertex, or None when absorbed."""
@@ -377,25 +380,40 @@ class TrialEngine:
                 x += bit
                 acc = s
             bit >>= 1
-        old = self.opinions[x]
+        opinions = self.opinions
+        nbrs = self.g.adjacency[x]
+        row = self._state[x]
+        old = opinions[x]
         dim = len(old)
+        # neighbor mean in ascending neighbor order, as in apply_update
         sums = [0.0] * dim
-        cset = self.compat[x]
-        for y in self.g.adjacency[x]:
-            if y in cset:
-                row = self.opinions[y]
+        k = 0
+        for y, s in zip(nbrs, row):
+            if s:
+                k += 1
+                other = opinions[y]
                 for i in range(dim):
-                    sums[i] += row[i]
-        k = len(cset)
+                    sums[i] += other[i]
         a = self._alpha
         b = 1.0 - a
-        self.opinions[x] = tuple(a * old[i] + b * (sums[i] / k) for i in range(dim))
+        new = opinions[x] = tuple(a * old[i] + b * (sums[i] / k) for i in range(dim))
+        kernel = self._kernel
+        tau = self._tau
+        eps = self._eps
+        state = self._state
+        rev = self._rev[x]
         dx = 0
-        for y in self.g.adjacency[x]:
-            d = self._update_edge(x, y)
-            if d:
-                self._tree_add(y, d)
-                dx += d
+        for j, y in enumerate(nbrs):
+            d = kernel(new, opinions[y])
+            s = 0 if d > tau else 1 if d < eps else 2
+            was = row[j]
+            if s != was:
+                row[j] = state[y][rev[j]] = s
+                self._banded_count += (s == 2) - (was == 2)
+                if not (s and was):  # compatibility flipped
+                    delta = 1 if s else -1
+                    self._tree_add(y, delta)
+                    dx += delta
         if dx:
             self._tree_add(x, dx)
         self.time += dt
@@ -411,7 +429,7 @@ class TrialEngine:
     def run_to_stop(self, max_events: int | None = None) -> None:
         """Step until the stopping band empties or the event cap is hit."""
         cap = self.stopping.max_events if max_events is None else max_events
-        while self._banded and self.events < cap:
+        while self._banded_count and self.events < cap:
             self.step()  # banded edges imply compatible edges, so never absorbed here
 
     def outcome(self) -> TrialOutcome:

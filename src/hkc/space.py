@@ -54,9 +54,46 @@ def _dist_linf(u, v) -> float:
 _KERNELS = {Norm.L1: _dist_l1, Norm.L2: _dist_l2, Norm.LINF: _dist_linf}
 
 
-def distance_fn(norm: Norm):
-    """Unchecked scalar distance kernel for hot loops (works on tuples or array rows)."""
-    return _KERNELS[norm]
+def _dist_abs_1(u, v) -> float:
+    return abs(u[0] - v[0])
+
+
+def _dist_l2_1(u, v) -> float:
+    d = u[0] - v[0]
+    return math.sqrt(d * d)
+
+
+def _dist_l1_2(u, v) -> float:
+    return abs(u[0] - v[0]) + abs(u[1] - v[1])
+
+
+def _dist_l2_2(u, v) -> float:
+    d0 = u[0] - v[0]
+    d1 = u[1] - v[1]
+    return math.sqrt(d0 * d0 + d1 * d1)
+
+
+def _dist_linf_2(u, v) -> float:
+    return max(abs(u[0] - v[0]), abs(u[1] - v[1]))
+
+
+# Straight-line kernels for dims 1 and 2: the loop kernels without their leading
+# 0.0 (the start of the sum or of the running max). Dropping it is exact because
+# every term is >= +0.0, so each returns the loop kernel's bits.
+_UNROLLED = {
+    (Norm.L1, 1): _dist_abs_1, (Norm.L2, 1): _dist_l2_1, (Norm.LINF, 1): _dist_abs_1,
+    (Norm.L1, 2): _dist_l1_2, (Norm.L2, 2): _dist_l2_2, (Norm.LINF, 2): _dist_linf_2,
+}
+
+
+def distance_fn(norm: Norm, dim: int | None = None):
+    """Unchecked scalar distance kernel for hot loops (works on tuples or array rows).
+
+    With `dim`, the kernel may assume vectors of exactly that length; for any
+    `dim` it returns bitwise the same value as the loop kernel, which is the
+    definition and is what `dim=None` gives.
+    """
+    return _UNROLLED.get((norm, dim), _KERNELS[norm])
 
 
 def _as_vector(coords, what: str) -> Vector:
@@ -144,7 +181,7 @@ class OpinionSpace:
         if not 1 <= self.dim <= MAX_DIM:
             raise ValueError(f"supported dimensions are 1..{MAX_DIM}, got {self.dim}")
         shape = self.shape
-        kernel = _KERNELS[self.norm]
+        kernel = distance_fn(self.norm, self.dim)
         # sampling and every distance stay finite iff the bounding-box diameter does
         lo, hi = shape.bounding_box()
         if not math.isfinite(kernel(hi, lo)):
@@ -254,10 +291,15 @@ def expected_center_distance(
         raise ValueError("samples must be >= 1 for the Monte Carlo path")
     if rng is None:
         raise ValueError("uniform-box expected distance needs a random stream")
-    kernel = _KERNELS[space.norm]
+    kernel = distance_fn(space.norm, space.dim)
+    center = space.center
+    # sample_initial's draw fused into the loop: random.uniform(a, b) is
+    # a + (b - a) * random(), so this is the same stream and the same bits
+    box = tuple((a, b - a) for a, b in zip(space.shape.lo, space.shape.hi))
+    rand = rng.random
     total = 0.0
     for _ in range(samples):
-        total += kernel(sample_initial(dist, space, rng), space.center)
+        total += kernel(tuple([a + w * rand() for a, w in box]), center)
     return total / samples
 
 
@@ -269,7 +311,7 @@ def max_pairwise_distance(rows: Sequence[Sequence[float]], norm: Norm) -> float:
     Float subtraction is monotone, so that equals the pair scan bitwise. L1 and
     L2 in two or more dimensions scan all pairs in O(n^2).
     """
-    kernel = _KERNELS[norm]
+    kernel = distance_fn(norm, len(rows[0]) if len(rows) else None)
     if len(rows) and (norm is Norm.LINF or len(rows[0]) == 1):
         cols = tuple(zip(*rows))
         return float(kernel(tuple(map(max, cols)), tuple(map(min, cols))))

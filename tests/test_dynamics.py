@@ -336,6 +336,54 @@ def test_engine_matches_pure_operations_step_by_step():
     assert event_a_seen == {None, True, False}
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("norm", list(Norm))
+def test_engine_matches_pure_operations_every_norm_and_dim(norm, dim):
+    # The engine runs the straight-line kernel of its space (dims 1 and 2) and
+    # the oracles the loop kernel; every event must agree bit for bit, and the
+    # trials must end in both stop outcomes.
+    space = OpinionSpace(Box((0.0,) * dim, (1.0,) * dim), norm)
+    rng_engine = random.Random(1000 * dim + len(norm.value))
+    consensus_seen = set()
+    for trial in range(8):
+        g = erdos_renyi(rng_engine.randint(3, 8), 0.5, random.Random(trial))
+        params = ModelParams(tau=space.radius * (0.5, 1.5)[trial % 2], alpha=(0.0, 0.5)[trial // 2 % 2])
+        stopping = default_stopping(g, space, params, max_events=2000)
+        engine = TrialEngine(g, space, UniformShape(), params, stopping, rng_engine)
+        rng_pure = random.Random()
+        rng_pure.setstate(rng_engine.getstate())
+        config = tuple(engine.opinions)
+        while True:
+            view = compatibility(config, g, params.tau, space.norm)
+            assert engine.compat == view
+            assert engine.is_stopped() == stop_reached(config, g, stopping, params.tau, space.norm)
+            if engine.is_stopped() or engine.events == stopping.max_events:
+                break
+            _, x = gillespie_step(view, rng_pure)
+            assert engine.step() == x
+            config = apply_update(config, view, x, params.alpha)
+            assert repr(tuple(engine.opinions)) == repr(config)
+        assert engine.is_stopped(), "trial hit its event cap"
+        consensus_seen.add(engine.outcome().consensus)
+    assert consensus_seen == {True, False}
+
+
+def test_engine_edges_closed_at_tau_after_updates():
+    # dyadic atoms keep every update exact, so recomputed edges land on tau
+    g = path(5)
+    dist = PointMasses((((0.0,), 0.25), ((0.5,), 0.5), ((1.0,), 0.25)))
+    params = ModelParams(tau=0.5)
+    on_tau = 0
+    for seed in range(20):
+        engine = TrialEngine(g, BOX01, dist, params, default_stopping(g, BOX01, params, max_events=50),
+                             random.Random(seed))
+        while engine.events < 50 and engine.step() is not None:
+            config = tuple(engine.opinions)
+            assert engine.compat == compatibility(config, g, params.tau, Norm.L2)
+            on_tau += sum(abs(config[u][0] - config[v][0]) == 0.5 for u, v in g.edges())
+    assert on_tau > 0
+
+
 class _EighthsRandom(random.Random):
     """random() returns multiples of 1/8 once `eighths` is set.
 

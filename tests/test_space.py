@@ -1,11 +1,13 @@
 import itertools
 import math
 import random
+from array import array
 
 import numpy as np
 import pytest
 
 from hkc.space import (
+    _KERNELS,
     Ball,
     Box,
     Norm,
@@ -73,6 +75,28 @@ def test_distance_zero_iff_equal():
             u = rng.uniform(-1, 1, size=3)
             v = u + rng.uniform(0.01, 1, size=3)
             assert distance_fn(norm)(u, v) > 0.0
+
+
+def _kernel_pairs(rng: random.Random, dim: int, count: int) -> list:
+    # signed zeros, values whose square underflows (< 1e-154), values whose
+    # square overflows to inf, and random magnitudes across the float range
+    special = (0.0, -0.0, 1e-160, -1e-160, 5e-324, -5e-324, 1e-154, 1e200, -1e200, 1.0, -1.0)
+    pool = list(special) * 40 + [rng.uniform(-1, 1) * 10.0 ** rng.randint(-320, 300) for _ in range(1000)]
+    return [(tuple(rng.choices(pool, k=dim)), tuple(rng.choices(pool, k=dim))) for _ in range(count)]
+
+
+def test_unrolled_kernels_equal_loop_kernels_bitwise():
+    rng = random.Random(77)
+    for dim in (1, 2):
+        us, vs = zip(*_kernel_pairs(rng, dim, 100_000))
+        for norm in Norm:
+            fast, loop = distance_fn(norm, dim), _KERNELS[norm]
+            assert fast is not loop
+            # the float64 bytes, so that -0.0 and 0.0 would differ
+            assert array("d", map(fast, us, vs)).tobytes() == array("d", map(loop, us, vs)).tobytes()
+    for norm in Norm:
+        assert distance_fn(norm, 3) is _KERNELS[norm]
+        assert distance_fn(norm) is _KERNELS[norm]
 
 
 def test_center_and_radius_ball_any_norm():
@@ -223,6 +247,20 @@ def test_expected_center_distance_uniform_box_monte_carlo():
         expected_center_distance(UniformShape(), space, samples=0, rng=random.Random(1))
     with pytest.raises(ValueError):
         expected_center_distance(UniformShape(), space, samples=10, rng=None)
+
+
+def test_expected_center_distance_box_equals_sampling_loop_bitwise():
+    # the fused draw must consume the stream as sample_initial does and sum the
+    # same kernel values in the same order
+    boxes = [Box((-1.5, 0.25), (2.0, 0.75)), Box((-3.0, 0.1, 10.0), (-0.5, 0.4, 17.5))]
+    for shape, norm in itertools.product(boxes, Norm):
+        space = OpinionSpace(shape, norm)
+        rng = random.Random(11)
+        total = 0.0
+        for _ in range(5000):
+            total += _KERNELS[norm](sample_initial(UniformShape(), space, rng), space.center)
+        got = expected_center_distance(UniformShape(), space, samples=5000, rng=random.Random(11))
+        assert got == total / 5000, (shape, norm)
 
 
 def test_max_pairwise_distance():
