@@ -30,23 +30,23 @@ def _seed_override() -> int | None:
 
 def cmd_simulate(args) -> int:
     spec = build_experiment(load_config(args.config), seed_override=_seed_override())
+    # the trace file is the only I/O before the summary, so an OSError is its open, write or close
     try:
-        trace = open(args.trace, "w", encoding="utf-8", newline="\n") if args.trace else nullcontext()
+        with open(args.trace, "w", encoding="utf-8", newline="\n") if args.trace else nullcontext() as trace:
+            on_event = None
+            if args.trace:
+                trace.write(TRACE_HEADER + "\n")
+                norm = spec.space.norm
+
+                def on_event(event, time, vertex, x_center, opinions):
+                    trace.write(
+                        trace_row(event, time, vertex, x_center, max_pairwise_distance(opinions, norm))
+                        + "\n"
+                    )
+
+            outcome = run_single_trial(spec, 0, on_event)
     except OSError as exc:
         raise ConfigError(f"--trace: cannot write {args.trace!r}: {exc}") from exc
-    with trace:
-        on_event = None
-        if args.trace:
-            trace.write(TRACE_HEADER + "\n")
-            norm = spec.space.norm
-
-            def on_event(event, time, vertex, x_center, opinions):
-                trace.write(
-                    trace_row(event, time, vertex, x_center, max_pairwise_distance(opinions, norm))
-                    + "\n"
-                )
-
-        outcome = run_single_trial(spec, 0, on_event)
     summary = {
         "stopped": outcome.stopped,
         "stop_time": outcome.stop_time,

@@ -214,7 +214,7 @@ def build_experiment(raw: dict, seed_override: int | None = None) -> ExperimentS
     eps_prime = None
     if "eps_prime" in raw:
         eps_prime = _real(raw["eps_prime"], "eps_prime")
-    with _at("eps_prime"):
+    with _at("tau" if eps_prime is None else "eps_prime"):  # the input that set eps
         stopping = default_stopping(graph, space, params, eps_prime=eps_prime, max_events=max_events)
     with _at("config"):
         return ExperimentSpec(

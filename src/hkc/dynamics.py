@@ -13,6 +13,9 @@ descent of a Fenwick tree over the integer rates, which picks the same vertex
 as the direct method's linear scan (`gillespie_step`) for every draw. Edge
 state lives in one table aligned with the adjacency lists, with a mirror index
 into the other endpoint's list and a count of in-band edges (`TrialEngine`).
+One event loop runs every event, with the engine's state in local variables;
+in one dimension it tests an edge by |u - v| against cut points that give
+exactly the kernel's comparisons with tau and eps (`cut_points`).
 
 A trial stops at the first time every edge's opinion distance falls strictly
 outside [eps, tau] (either near-agreement or frozen), or when an event cap is
@@ -29,8 +32,11 @@ consumed in a fixed order (holding time, then vertex choice, per event).
 
 from __future__ import annotations
 
+import math
 import random
+import struct
 from dataclasses import dataclass
+from itertools import compress
 from typing import Callable, Sequence
 
 import numpy as np
@@ -46,6 +52,9 @@ from .space import (
 )
 
 DEFAULT_MAX_EVENTS = 10**7
+# averaging need not bring two opinions closer than a few float spacings, so an eps
+# this many ulps of the largest coordinate or below may never let a trial stop
+MIN_EPS_ULPS = 64
 
 # a configuration: one opinion vector per vertex, as the engine stores it
 Rows = Sequence[tuple[float, ...]]
@@ -131,13 +140,23 @@ def default_stopping(
     Default eps_prime = min(0.01 * (tau - radius), tau / 4) when tau exceeds
     the space radius, else tau / 4: keeps eps_prime in (0, tau/2) and keeps
     tau - radius - eps_prime positive whenever the consensus bound applies.
+    Rejects an eps of at most MIN_EPS_ULPS ulps of the shape's largest coordinate.
     """
     tau = params.tau
-    if eps_prime is None:
+    rule = eps_prime is None
+    if rule:
         slack = tau - space.radius
         eps_prime = min(0.01 * slack, tau / 4) if slack > 0 else tau / 4
     spec = StoppingSpec(eps_prime=eps_prime, eps=eps_prime / g.vertex_count, max_events=max_events)
     spec.validate_for(g, params)
+    lo, hi = space.shape.bounding_box()
+    floor = MIN_EPS_ULPS * math.ulp(max(map(abs, lo + hi)))
+    if not spec.eps > floor:
+        raise ValueError(
+            f"eps = eps_prime / vertex_count = {spec.eps!r} is not above {MIN_EPS_ULPS} ulps of the largest "
+            f"coordinate ({floor!r}), so trials may never stop"
+            + (f"; the default rule derived eps_prime = {eps_prime!r} from tau = {tau!r}" if rule else "")
+        )
     return spec
 
 
@@ -262,6 +281,27 @@ def stop_reached(opinions: Rows, g: SocialGraph, spec: StoppingSpec, tau: float,
     return True
 
 
+def cut_points(kernel, tau: float, eps: float) -> tuple[float, float]:
+    """(hi, lo) with kernel > tau iff |d| > hi and kernel < eps iff |d| < lo, in 1-D.
+
+    A 1-D kernel is a non-decreasing f(|d|): |d| under L1 and Linf, sqrt(fl(d*d))
+    under L2. So hi is the last float t >= 0 with f(t) <= tau and lo the first
+    with f(t) >= eps: tau and eps themselves under L1 and Linf, and exact under
+    L2 also where tau**2 or eps**2 underflows.
+    """
+    def last(pred) -> float:
+        # largest t >= 0 with pred(t), by bisection over the bit patterns, which
+        # order the non-negative floats (at most 63 steps; 0x7FF0... is +inf)
+        lo, hi = 0, 0x7FF0000000000000
+        while hi - lo > 1:
+            mid = (lo + hi) >> 1
+            lo, hi = (mid, hi) if pred(struct.unpack("<d", mid.to_bytes(8, "little"))[0]) else (lo, mid)
+        return struct.unpack("<d", lo.to_bytes(8, "little"))[0]
+
+    return (last(lambda t: kernel((t,), (0.0,)) <= tau),
+            math.nextafter(last(lambda t: kernel((t,), (0.0,)) < eps), math.inf))
+
+
 class TrialEngine:
     """Single-trial state machine with incremental edge bookkeeping.
 
@@ -272,7 +312,10 @@ class TrialEngine:
     `_banded_count` is zero. A vertex's rate, its number of nonzero entries,
     sits in a Fenwick tree whose root is the total rate. After an update only
     the edges at the updated vertex are recomputed; tests pin equivalence with
-    full recomputation. Not thread-safe; one engine and one stream per trial.
+    full recomputation. `step` and `run_to_stop` both run the one event loop,
+    `_run`; in 1-D it compares |d| with the `cut_points` of tau and eps instead
+    of calling the kernel, which stays the definition (`_edge_state` classifies
+    the initial state with it). Not thread-safe; one engine and one stream per trial.
     """
 
     def __init__(
@@ -293,10 +336,12 @@ class TrialEngine:
         self.stopping = stopping
         self.rng = rng
         self._kernel = distance_fn(space.norm, space.dim)
-        self._tau = params.tau
+        self._tau = tau = params.tau
         self._alpha = params.alpha
-        self._eps = stopping.eps
+        self._eps = eps = stopping.eps
         self._center = space.center
+        # what `_run` compares a distance with: |d| in 1-D, else the kernel's value
+        self._cut = (tau, eps) if space.dim > 1 else cut_points(self._kernel, tau, eps)
         n = g.vertex_count
         self.opinions: list[tuple[float, ...]] = [sample_initial(dist, space, rng) for _ in range(n)]
         # adjacency lists are sorted, so each rev[y] fills in adjacency[y]'s order
@@ -327,7 +372,7 @@ class TrialEngine:
         self._samples = [(0.0, self.total_center_distance())] if record_samples else None
 
     def _edge_state(self, u: int, v: int) -> int:
-        """0, 1 or 2 for the edge u-v from its distance; `step` inlines the same rule."""
+        """0, 1 or 2 for the edge u-v from its distance; `_run` inlines the same rule."""
         d = self._kernel(self.opinions[u], self.opinions[v])
         return 0 if d > self._tau else 1 if d < self._eps else 2
 
@@ -337,15 +382,6 @@ class TrialEngine:
         return tuple(
             tuple(y for y, s in zip(nbrs, row) if s) for nbrs, row in zip(self.g.adjacency, self._state)
         )
-
-    def _tree_add(self, x: int, delta: int) -> None:
-        """Add delta to vertex x's entry in the Fenwick tree."""
-        tree = self._tree
-        size = self._size
-        i = x + 1
-        while i <= size:
-            tree[i] += delta
-            i += i & -i
 
     def total_center_distance(self) -> float:
         """Sum over vertices of the opinion's distance to the space center."""
@@ -361,76 +397,93 @@ class TrialEngine:
 
     def step(self) -> int | None:
         """Execute one event; returns the updated vertex, or None when absorbed."""
-        tree = self._tree
-        total = tree[self._size]
-        if total == 0:
-            return None
-        rng = self.rng
-        dt = rng.expovariate(total)
-        target = rng.random() * total
-        # x is the first vertex whose inclusive rate prefix sum exceeds target,
-        # as in gillespie_step's scan: the descent finds the longest prefix with
-        # sum <= target. Prefix sums are ints, and int/float comparison is exact.
-        x = 0
-        acc = 0
-        bit = self._size >> 1
-        while bit:
-            s = acc + tree[x + bit]
-            if s <= target:
-                x += bit
-                acc = s
-            bit >>= 1
-        opinions = self.opinions
-        nbrs = self.g.adjacency[x]
-        row = self._state[x]
-        old = opinions[x]
-        dim = len(old)
-        # neighbor mean in ascending neighbor order, as in apply_update
-        sums = [0.0] * dim
-        k = 0
-        for y, s in zip(nbrs, row):
-            if s:
-                k += 1
-                other = opinions[y]
-                for i in range(dim):
-                    sums[i] += other[i]
-        a = self._alpha
-        b = 1.0 - a
-        new = opinions[x] = tuple(a * old[i] + b * (sums[i] / k) for i in range(dim))
-        kernel = self._kernel
-        tau = self._tau
-        eps = self._eps
-        state = self._state
-        rev = self._rev[x]
-        dx = 0
-        for j, y in enumerate(nbrs):
-            d = kernel(new, opinions[y])
-            s = 0 if d > tau else 1 if d < eps else 2
-            was = row[j]
-            if s != was:
-                row[j] = state[y][rev[j]] = s
-                self._banded_count += (s == 2) - (was == 2)
-                if not (s and was):  # compatibility flipped
-                    delta = 1 if s else -1
-                    self._tree_add(y, delta)
-                    dx += delta
-        if dx:
-            self._tree_add(x, dx)
-        self.time += dt
-        self.events += 1
-        if self._samples is not None or self._on_event is not None:
-            xc = self.total_center_distance()
-            if self._samples is not None:
-                self._samples.append((self.time, xc))
-            if self._on_event is not None:
-                self._on_event(self.events, self.time, x, xc, self.opinions)
-        return x
+        return self._run(self.events + 1, True)
 
     def run_to_stop(self, max_events: int | None = None) -> None:
         """Step until the stopping band empties or the event cap is hit."""
-        cap = self.stopping.max_events if max_events is None else max_events
-        while self._banded_count and self.events < cap:
-            self.step()  # banded edges imply compatible edges, so never absorbed here
+        self._run(self.stopping.max_events if max_events is None else max_events, False)
+
+    def _run(self, cap: int, once: bool) -> int | None:
+        """The event loop: events until `cap`, and while edges are banded unless `once`.
+
+        Returns the last updated vertex, or None when absorbed. The engine's
+        state lives in locals for the whole run; the counters are written back
+        on exit and before each observation.
+        """
+        tree, size, state, revs = self._tree, self._size, self._state, self._rev
+        expovariate, rand = self.rng.expovariate, self.rng.random
+        opinions, adjacency, kernel = self.opinions, self.g.adjacency, self._kernel
+        a = self._alpha
+        b = 1.0 - a
+        hi, lo = self._cut
+        one_d = self.space.dim == 1
+        banded, events, time = self._banded_count, self.events, self.time
+        samples, on_event = self._samples, self._on_event
+        observe = samples is not None or on_event is not None
+        x = None
+        while events < cap and (banded or once):
+            total = tree[size]
+            if not total:
+                break  # absorbed; banded edges imply compatible ones, so only under `once`
+            dt = expovariate(total)
+            target = rand() * total
+            # x is the first vertex whose inclusive rate prefix sum exceeds target,
+            # as in gillespie_step's scan: the descent finds the longest prefix with
+            # sum <= target. Prefix sums are ints, and int/float comparison is exact.
+            x = acc = 0
+            bit = size >> 1
+            while bit:
+                s = acc + tree[x + bit]
+                if s <= target:
+                    x += bit
+                    acc = s
+                bit >>= 1
+            nbrs = adjacency[x]
+            row = state[x]
+            old = opinions[x]
+            # neighbor mean in ascending neighbor order, as in apply_update
+            ys = list(compress(nbrs, row))
+            k = len(ys)
+            new = []
+            for i in range(len(old)):
+                m = 0.0
+                for y in ys:
+                    m += opinions[y][i]
+                new.append(a * old[i] + b * (m / k))
+            new = opinions[x] = tuple(new)
+            nx = new[0]  # in 1-D |d| against the cut points is the kernel against tau and eps
+            fresh = [
+                0 if (d := abs(nx - opinions[y][0]) if one_d else kernel(new, opinions[y])) > hi
+                else 1 if d < lo else 2
+                for y in nbrs
+            ]
+            if fresh != row:
+                rev = revs[x]
+                for j, s in enumerate(fresh):
+                    was = row[j]
+                    if s != was:
+                        y = nbrs[j]
+                        state[y][rev[j]] = s
+                        banded += (s == 2) - (was == 2)
+                        if not (s and was):  # compatibility flipped: both rates move
+                            delta = 1 if s else -1
+                            for v in (x, y):
+                                i = v + 1
+                                while i <= size:
+                                    tree[i] += delta
+                                    i += i & -i
+                state[x] = fresh
+            time += dt
+            events += 1
+            if observe:
+                self.events, self.time, self._banded_count = events, time, banded
+                xc = self.total_center_distance()
+                if samples is not None:
+                    samples.append((time, xc))
+                if on_event is not None:
+                    on_event(events, time, x, xc, opinions)
+        self.events, self.time, self._banded_count = events, time, banded
+        return x
 
     def outcome(self) -> TrialOutcome:
         """Freeze the current state into a TrialOutcome, classifying if stopped.

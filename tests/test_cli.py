@@ -316,6 +316,39 @@ def test_unwritable_trace_path_exits_2(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("fail_at", [1, 4])  # the header line, or a row written from on_event
+def test_trace_write_error_exits_2(tmp_path, capsys, monkeypatch, fail_at):
+    # a full disk (`--trace /dev/full`) fails a write or the final flush, not the open
+    import hkc.cli
+
+    cfg = write_config(tmp_path, graph={"kind": "path", "n": 6})
+    real_open = open
+    writes = []
+
+    class FullFile:
+        def __init__(self, *args, **kwargs):
+            self._fh = real_open(*args, **kwargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self._fh.close()
+
+        def write(self, text):
+            writes.append(text)
+            if len(writes) >= fail_at:
+                raise OSError(28, "No space left on device")
+            return self._fh.write(text)
+
+    monkeypatch.setattr(hkc.cli, "open", FullFile, raising=False)
+    code, out, err = run_cli(capsys, "simulate", cfg, "--trace", str(tmp_path / "t.csv"))
+    assert len(writes) == fail_at
+    assert code == 2
+    assert out == ""
+    assert "--trace: cannot write" in err and "No space left on device" in err
+
+
 @pytest.mark.parametrize(
     "shape",
     [

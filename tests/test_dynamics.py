@@ -7,6 +7,7 @@ import pytest
 from scipy.optimize import linprog
 
 from hkc.dynamics import (
+    MIN_EPS_ULPS,
     Configuration,
     ModelParams,
     StoppingSpec,
@@ -14,6 +15,7 @@ from hkc.dynamics import (
     apply_update,
     check_event_a,
     compatibility,
+    cut_points,
     default_stopping,
     event_a_applicable,
     gillespie_step,
@@ -21,7 +23,7 @@ from hkc.dynamics import (
 )
 from hkc.analysis import classify_consensus, total_disagreement
 from hkc.graph import complete, cycle, erdos_renyi, grid, path
-from hkc.space import Ball, Box, Norm, OpinionSpace, PointMasses, UniformShape
+from hkc.space import Ball, Box, Norm, OpinionSpace, PointMasses, UniformShape, distance_fn
 
 
 BOX01 = OpinionSpace(Box((0.0,), (1.0,)), Norm.L2)
@@ -208,6 +210,31 @@ def test_default_stopping_rule():
     assert spec_low.eps_prime == pytest.approx(0.1)  # tau / 4
 
 
+def test_default_stopping_rejects_eps_below_float_resolution():
+    # Slack tau - radius from 1e-6 down to 1e-16 sets eps = 0.01 * slack / 6.
+    # Every accepted config stops all its trials under the cap; every rejected
+    # one has eps at most MIN_EPS_ULPS ulps of the largest coordinate, 1.0.
+    rng = random.Random(4242)
+    accepted = rejected = 0
+    for g in (path(6), cycle(6), complete(6)):
+        for norm, dim, alpha in itertools.product(Norm, (1, 2, 3), (0.0, 0.5)):
+            space = OpinionSpace(Box((0.0,) * dim, (1.0,) * dim), norm)
+            for e in range(6, 17):
+                params = ModelParams(tau=space.radius + 10.0**-e, alpha=alpha)
+                if params.tau == space.radius:
+                    continue  # 1e-16 rounded away: the tau / 4 rule applies
+                if 0.01 * (params.tau - space.radius) / 6 <= MIN_EPS_ULPS * math.ulp(1.0):
+                    with pytest.raises(ValueError, match="ulps of the largest coordinate"):
+                        default_stopping(g, space, params, max_events=20_000)
+                    rejected += 1
+                    continue
+                stopping = default_stopping(g, space, params, max_events=20_000)
+                out = _run_trial(g, space, UniformShape(), params, stopping, rng)
+                assert out.stopped, (g.vertex_count, norm, dim, alpha, e)
+                accepted += 1
+    assert accepted and rejected
+
+
 def test_run_trial_compatible_pair_merges_in_one_event():
     g = path(2)
     params = ModelParams(tau=1.0, alpha=0.0)
@@ -382,6 +409,140 @@ def test_engine_edges_closed_at_tau_after_updates():
             assert engine.compat == compatibility(config, g, params.tau, Norm.L2)
             on_tau += sum(abs(config[u][0] - config[v][0]) == 0.5 for u, v in g.edges())
     assert on_tau > 0
+
+
+def _oracle_run(g, space, params, stopping, rng, config, cap):
+    """Replay with the pure operations to the stop or `cap`.
+
+    Returns (config, time, events, recomputed edges that landed exactly on tau).
+    """
+    kernel = distance_fn(space.norm)
+    time = 0.0
+    events = on_tau = 0
+    while events < cap and not stop_reached(config, g, stopping, params.tau, space.norm):
+        view = compatibility(config, g, params.tau, space.norm)
+        dt, x = gillespie_step(view, rng)
+        config = apply_update(config, view, x, params.alpha)
+        time += dt
+        events += 1
+        on_tau += sum(kernel(config[x], config[y]) == params.tau for y in g.adjacency[x])
+    return config, time, events, on_tau
+
+
+def _oracle_table(config, g, space, params, stopping):
+    """The edge-state table, Fenwick tree and banded count, each from scratch."""
+    kernel = distance_fn(space.norm)
+    tau, eps = params.tau, stopping.eps
+    state = [
+        [0 if d > tau else 1 if d < eps else 2 for d in (kernel(config[x], config[y]) for y in ys)]
+        for x, ys in enumerate(g.adjacency)
+    ]
+    size = 1 << (g.vertex_count - 1).bit_length()
+    tree = [0] * (size + 1)
+    for v, row in enumerate(state):
+        i = v + 1
+        while i <= size:
+            tree[i] += sum(map(bool, row))
+            i += i & -i
+    return state, tree, sum(row.count(2) for row in state) // 2
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("norm", list(Norm))
+def test_run_to_stop_equals_step_by_step_oracle(norm, dim):
+    # One run_to_stop call keeps the engine's state in locals over many events
+    # and writes it back at the end; it must leave what the pure operations
+    # reach one event at a time. Cases stop, or hit the cap; tau just above the
+    # radius makes eps tiny, and dyadic atoms put edges exactly on tau.
+    space = OpinionSpace(Box((0.0,) * dim, (1.0,) * dim), norm)
+    atoms = PointMasses(tuple(((c / 4,) + (0.0,) * (dim - 1), 0.2) for c in range(5)))
+    cases = [(UniformShape(), space.radius * 0.6), (UniformShape(), space.radius + 1e-9)] + [(atoms, 0.5)] * 3
+    rng = random.Random(100 * dim + len(norm.value))
+    outcomes = set()
+    on_tau = 0  # recomputed edges exactly on tau
+    for g in (path(5), cycle(6), complete(5)):
+        for alpha in (0.0, 0.5):
+            for dist, tau in cases:
+                params = ModelParams(tau=tau, alpha=alpha)
+                stopping = default_stopping(g, space, params, max_events=300)
+                seen = []  # (event, time) as passed to on_event and as the engine holds them then
+
+                def on_event(event, time, *_):
+                    seen.append(((event, time), (engine.events, engine.time)))
+
+                # an observer only at alpha 0.5, so the write-back on exit is tested alone too
+                engine = TrialEngine(g, space, dist, params, stopping, rng,
+                                     on_event=on_event if alpha else None)
+                rng_pure = random.Random()
+                rng_pure.setstate(rng.getstate())
+                config, time, events, landed = _oracle_run(
+                    g, space, params, stopping, rng_pure, tuple(engine.opinions), 300
+                )
+                on_tau += landed
+                engine.run_to_stop()
+                assert repr(tuple(engine.opinions)) == repr(config)
+                assert (engine.time, engine.events) == (time, events)
+                assert len(seen) == (events if alpha else 0)
+                assert all(passed == held for passed, held in seen)
+                assert (engine._state, engine._tree, engine._banded_count) == _oracle_table(
+                    config, g, space, params, stopping
+                )
+                outcomes.add(engine.is_stopped())
+    assert outcomes == {True, False}
+    assert on_tau > 0
+
+
+def _ulps_around(x: float, k: int) -> list[float]:
+    """x and the k floats on each side of it."""
+    out = [x]
+    lo = hi = x
+    for _ in range(k):
+        lo, hi = math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
+        out += [lo, hi]
+    return out
+
+
+@pytest.mark.parametrize("norm", list(Norm))
+@pytest.mark.parametrize("tau,eps", [(0.8, 0.01 / 1000), (0.5 + 1e-9, 1e-11 / 20), (0.3, 0.3 / 4 / 7),
+                                     # tau**2 and eps**2 underflow: an L2 kernel reads 0.0 up to ~1.5e-162
+                                     (0.8e-200, 0.3e-200 / 400), (1e-170, 5e-324)])
+def test_cut_points_are_exact(norm, tau, eps):
+    # The event loop's 1-D test |d| > hi, |d| < lo must give the kernel's
+    # comparisons with tau and eps, at both cut points and at tau and eps.
+    kernel = distance_fn(norm, 1)
+    hi, lo = cut_points(kernel, tau, eps)
+    if norm is not Norm.L2:
+        assert (hi, lo) == (tau, eps)
+    for t in {u for c in (hi, lo, tau, eps) for u in _ulps_around(c, 6) if u >= 0}:
+        for d in (t, -t):
+            assert (abs(d) > hi) == (kernel((d,), (0.0,)) > tau), (t, hi)
+            assert (abs(d) < lo) == (kernel((0.0,), (d,)) < eps), (t, lo)
+
+
+@pytest.mark.parametrize("norm", list(Norm))
+def test_engine_on_tiny_box_matches_pure_operations(norm):
+    # On [0, 1e-200] the squares of L2 distances underflow to 0.0, so every
+    # L2 edge is near although |d| exceeds tau; L1 and Linf run real dynamics.
+    space = OpinionSpace(Box((0.0,), (1e-200,)), norm)
+    g = cycle(7)
+    params = ModelParams(tau=0.3e-200, alpha=0.5)
+    stopping = default_stopping(g, space, params)
+    rng = random.Random(31)
+    engine = TrialEngine(g, space, UniformShape(), params, stopping, rng)
+    rng_pure = random.Random()
+    rng_pure.setstate(rng.getstate())
+    config = tuple(engine.opinions)
+    assert max(abs(u[0] - v[0]) for u, v in itertools.combinations(config, 2)) > params.tau
+    for _ in range(200):
+        view = compatibility(config, g, params.tau, space.norm)
+        assert engine.compat == view
+        table = _oracle_table(config, g, space, params, stopping)
+        assert (engine._state, engine._tree, engine._banded_count) == table
+        _, x = gillespie_step(view, rng_pure)
+        assert engine.step() == x
+        config = apply_update(config, view, x, params.alpha)
+        assert repr(tuple(engine.opinions)) == repr(config)
+    assert engine.is_stopped()
 
 
 class _EighthsRandom(random.Random):
