@@ -10,7 +10,8 @@ Event scheduling is the exact direct method: the holding time is exponential
 at the total rate and the updating vertex is chosen with probability
 proportional to its own rate. The engine finds that vertex with an O(log n)
 descent of a Fenwick tree over the integer rates, which picks the same vertex
-as the direct method's linear scan (`gillespie_step`) for every draw. Edge
+as the direct method's linear scan for every draw (`gillespie_step` in
+`tests/oracles.py`, the reference implementation of the dynamics). Edge
 state lives in one table aligned with the adjacency lists, with a mirror index
 into the other endpoint's list and a count of in-band edges (`TrialEngine`).
 One event loop runs every event, with the engine's state in local variables;
@@ -44,8 +45,8 @@ import numpy as np
 from .graph import SocialGraph, is_connected
 from .space import (
     InitialDistribution,
-    Norm,
     OpinionSpace,
+    coordinate_ulp,
     distance_fn,
     sample_initial,
     validate_distribution,
@@ -118,7 +119,8 @@ class StoppingSpec:
         if self.max_events < 1:
             raise ValueError("max_events must be >= 1")
 
-    def validate_for(self, g: SocialGraph, params: ModelParams) -> None:
+    def validate_for(self, g: SocialGraph, space: OpinionSpace, params: ModelParams) -> None:
+        """Check the spec against its trial; eps must exceed MIN_EPS_ULPS ulps of the largest coordinate."""
         if self.eps != self.eps_prime / g.vertex_count:
             raise ValueError(
                 f"eps must equal eps_prime / vertex_count = "
@@ -126,6 +128,12 @@ class StoppingSpec:
             )
         if not self.eps_prime < params.tau / 2:
             raise ValueError(f"eps_prime must be < tau/2 = {params.tau / 2}, got {self.eps_prime}")
+        floor = MIN_EPS_ULPS * coordinate_ulp(space.shape)
+        if not self.eps > floor:
+            raise ValueError(
+                f"eps = eps_prime / vertex_count = {self.eps!r} is not above {MIN_EPS_ULPS} ulps of the largest "
+                f"coordinate ({floor!r}), so trials may never stop"
+            )
 
 
 def default_stopping(
@@ -140,7 +148,7 @@ def default_stopping(
     Default eps_prime = min(0.01 * (tau - radius), tau / 4) when tau exceeds
     the space radius, else tau / 4: keeps eps_prime in (0, tau/2) and keeps
     tau - radius - eps_prime positive whenever the consensus bound applies.
-    Rejects an eps of at most MIN_EPS_ULPS ulps of the shape's largest coordinate.
+    The spec is checked by `StoppingSpec.validate_for`.
     """
     tau = params.tau
     rule = eps_prime is None
@@ -148,15 +156,13 @@ def default_stopping(
         slack = tau - space.radius
         eps_prime = min(0.01 * slack, tau / 4) if slack > 0 else tau / 4
     spec = StoppingSpec(eps_prime=eps_prime, eps=eps_prime / g.vertex_count, max_events=max_events)
-    spec.validate_for(g, params)
-    lo, hi = space.shape.bounding_box()
-    floor = MIN_EPS_ULPS * math.ulp(max(map(abs, lo + hi)))
-    if not spec.eps > floor:
-        raise ValueError(
-            f"eps = eps_prime / vertex_count = {spec.eps!r} is not above {MIN_EPS_ULPS} ulps of the largest "
-            f"coordinate ({floor!r}), so trials may never stop"
-            + (f"; the default rule derived eps_prime = {eps_prime!r} from tau = {tau!r}" if rule else "")
-        )
+    try:
+        spec.validate_for(g, space, params)
+    except ValueError as exc:
+        if not rule:
+            raise
+        # the rule keeps eps_prime below tau/2, so only the eps floor can fail here
+        raise ValueError(f"{exc}; the default rule derived eps_prime = {eps_prime!r} from tau = {tau!r}") from None
     return spec
 
 
@@ -177,72 +183,6 @@ class TrialOutcome:
     event_a: bool | None
     final: Configuration
     x_samples: tuple[tuple[float, float], ...]
-
-
-def compatibility(opinions: Rows, g: SocialGraph, tau: float, norm: Norm) -> CompatibilityView:
-    """Compatible-neighbor sets: graph neighbors within opinion distance tau (closed).
-
-    Symmetric by construction: y in view[x] iff x in view[y]. Test oracle for
-    the engine's `compat`, read from its incrementally kept edge-state table.
-    """
-    if len(opinions) != g.vertex_count:
-        raise ValueError("configuration does not match the graph")
-    kernel = distance_fn(norm)
-    nbrs: list[list[int]] = [[] for _ in range(g.vertex_count)]
-    for u, v in g.edges():
-        if kernel(opinions[u], opinions[v]) <= tau:
-            nbrs[u].append(v)
-            nbrs[v].append(u)
-    return tuple(tuple(sorted(ns)) for ns in nbrs)
-
-
-def _neighbor_mean(opinions, neighbors, dim: int) -> tuple[float, ...]:
-    # Summation order (ascending neighbor id, then divide) is fixed so that
-    # the incremental engine and these pure operations agree bitwise.
-    sums = [0.0] * dim
-    for y in neighbors:
-        row = opinions[y]
-        for i in range(dim):
-            sums[i] += row[i]
-    k = len(neighbors)
-    return tuple(s / k for s in sums)
-
-
-def apply_update(
-    opinions: Rows, view: CompatibilityView, x: int, alpha: float
-) -> tuple[tuple[float, ...], ...]:
-    """The rows after opinion x is replaced by alpha * own + (1 - alpha) * local average.
-
-    Test oracle for the update in `TrialEngine.step`, which must agree bitwise.
-    """
-    if not view[x]:
-        raise ValueError(f"vertex {x} has no compatible neighbors; it cannot update")
-    old = opinions[x]
-    mean = _neighbor_mean(opinions, view[x], len(old))
-    b = 1.0 - alpha
-    new = tuple(alpha * old[i] + b * mean[i] for i in range(len(old)))
-    return (*opinions[:x], new, *opinions[x + 1:])
-
-
-def gillespie_step(view: CompatibilityView, rng: random.Random) -> tuple[float, int] | None:
-    """Sample the next event: (holding time, updating vertex), or None if absorbed.
-
-    Direct method: dt ~ Exponential(total rate), then the vertex is chosen
-    with probability len(view[x]) / total rate. Consumes the stream in that order.
-    The scan always stops: for an integer total below 2**53,
-    random() * total < total holds exactly in float64. Test oracle for the
-    Fenwick descent in `TrialEngine.step`, which must pick the same vertex.
-    """
-    total = sum(map(len, view))
-    if total == 0:
-        return None
-    dt = rng.expovariate(total)
-    target = rng.random() * total
-    acc = 0
-    for x, nbrs in enumerate(view):
-        acc += len(nbrs)
-        if acc > target:
-            return dt, x
 
 
 def event_a_applicable(space: OpinionSpace, tau: float, eps_prime: float) -> bool:
@@ -266,19 +206,6 @@ def check_event_a(opinions: Rows, space: OpinionSpace, tau: float, eps_prime: fl
     kernel = distance_fn(space.norm, space.dim)
     center = space.center
     return any(kernel(row, center) < threshold for row in opinions)
-
-
-def stop_reached(opinions: Rows, g: SocialGraph, spec: StoppingSpec, tau: float, norm: Norm) -> bool:
-    """True iff every edge's opinion distance is strictly outside [eps, tau].
-
-    Test oracle for `TrialEngine.is_stopped`, which counts the in-band edges.
-    """
-    kernel = distance_fn(norm)
-    eps = spec.eps
-    for u, v in g.edges():
-        if eps <= kernel(opinions[u], opinions[v]) <= tau:
-            return False
-    return True
 
 
 def cut_points(kernel, tau: float, eps: float) -> tuple[float, float]:
@@ -312,10 +239,11 @@ class TrialEngine:
     `_banded_count` is zero. A vertex's rate, its number of nonzero entries,
     sits in a Fenwick tree whose root is the total rate. After an update only
     the edges at the updated vertex are recomputed; tests pin equivalence with
-    full recomputation. `step` and `run_to_stop` both run the one event loop,
-    `_run`; in 1-D it compares |d| with the `cut_points` of tau and eps instead
-    of calling the kernel, which stays the definition (`_edge_state` classifies
-    the initial state with it). Not thread-safe; one engine and one stream per trial.
+    full recomputation by the oracles in `tests/oracles.py`. `step` and
+    `run_to_stop` both run the one event loop, `_run`; in 1-D it compares |d|
+    with the `cut_points` of tau and eps instead of calling the kernel, which
+    stays the definition (`_edge_state` classifies the initial state with it).
+    Not thread-safe; one engine and one stream per trial.
     """
 
     def __init__(
@@ -329,7 +257,7 @@ class TrialEngine:
         record_samples: bool = False,
         on_event: EventCallback | None = None,
     ):
-        stopping.validate_for(g, params)
+        stopping.validate_for(g, space, params)
         validate_distribution(dist, space)
         self.g = g
         self.space = space
@@ -428,7 +356,7 @@ class TrialEngine:
             dt = expovariate(total)
             target = rand() * total
             # x is the first vertex whose inclusive rate prefix sum exceeds target,
-            # as in gillespie_step's scan: the descent finds the longest prefix with
+            # as in the scan of gillespie_step (tests/oracles.py): the descent finds the longest prefix with
             # sum <= target. Prefix sums are ints, and int/float comparison is exact.
             x = acc = 0
             bit = size >> 1
@@ -441,7 +369,7 @@ class TrialEngine:
             nbrs = adjacency[x]
             row = state[x]
             old = opinions[x]
-            # neighbor mean in ascending neighbor order, as in apply_update
+            # neighbor mean in ascending neighbor order, as in apply_update (tests/oracles.py)
             ys = list(compress(nbrs, row))
             k = len(ys)
             new = []

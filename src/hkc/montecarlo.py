@@ -13,7 +13,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from itertools import repeat
 
-from .analysis import theoretical_bound
 from .dynamics import (
     EventCallback,
     ModelParams,
@@ -56,7 +55,7 @@ class ExperimentSpec:
             raise ValueError("trials must be >= 1")
         if not 0 <= self.master_seed < 2**64:
             raise ValueError("seed must be a 64-bit nonnegative integer")
-        self.stopping.validate_for(self.graph, self.params)
+        self.stopping.validate_for(self.graph, self.space, self.params)
         validate_distribution(self.init, self.space)
 
     def describe(self) -> dict:
@@ -163,6 +162,18 @@ def trial_outcomes(spec: ExperimentSpec, parallelism: int = 1) -> list[TrialOutc
     workers = min(parallelism, -(-spec.trials // chunk), os.cpu_count() or 1)
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(run_single_trial, repeat(spec), range(spec.trials), chunksize=chunk))
+
+
+def theoretical_bound(expected_dist: float, tau: float, rho: float) -> float:
+    """Lower bound on the consensus probability: 1 - E||X - center|| / (tau - rho), clamped to [0, 1].
+
+    Defined only for tau > rho.
+    """
+    if expected_dist < 0:
+        raise ValueError("expected_dist must be nonnegative")
+    if not tau > rho:
+        raise ValueError(f"bound requires tau > rho, got tau={tau}, rho={rho}")
+    return min(1.0, max(0.0, 1.0 - expected_dist / (tau - rho)))
 
 
 def consensus_bound(spec: ExperimentSpec) -> tuple[bool, float | None, float | None]:

@@ -19,6 +19,9 @@ Vector = tuple[float, ...]
 MAX_DIM = 8
 _MAX_REJECTION = 10**6
 _PROB_SUM_TOL = 1e-12
+# a point this many ulps of the shape's largest coordinate outside it still counts
+# as inside; a boundary point computed in floats lands at most about 3 ulps out
+CONTAINS_ULPS = 16
 
 
 class Norm(Enum):
@@ -96,6 +99,12 @@ def distance_fn(norm: Norm, dim: int | None = None):
     return _UNROLLED.get((norm, dim), _KERNELS[norm])
 
 
+def coordinate_ulp(shape: ConvexShape) -> float:
+    """ulp of the largest absolute coordinate of the shape's bounding box."""
+    lo, hi = shape.bounding_box()
+    return math.ulp(max(map(abs, lo + hi)))
+
+
 def _as_vector(coords, what: str) -> Vector:
     vec = tuple(float(c) for c in coords)
     if not vec:
@@ -123,7 +132,7 @@ class Ball:
         return len(self.center)
 
     def contains(self, point: Sequence[float], norm: Norm) -> bool:
-        return _KERNELS[norm](point, self.center) <= self.radius + 1e-12
+        return _KERNELS[norm](point, self.center) - self.radius <= CONTAINS_ULPS * coordinate_ulp(self)
 
     def bounding_box(self) -> tuple[Vector, Vector]:
         r = self.radius
@@ -153,7 +162,8 @@ class Box:
         return len(self.lo)
 
     def contains(self, point: Sequence[float], norm: Norm | None = None) -> bool:
-        return all(a - 1e-12 <= p <= b + 1e-12 for p, a, b in zip(point, self.lo, self.hi))
+        slack = CONTAINS_ULPS * coordinate_ulp(self)
+        return all(a - p <= slack and p - b <= slack for p, a, b in zip(point, self.lo, self.hi))
 
     def bounding_box(self) -> tuple[Vector, Vector]:
         return self.lo, self.hi

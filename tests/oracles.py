@@ -1,0 +1,146 @@
+"""Reference implementation of the dynamics: the test oracles for `TrialEngine`.
+
+Each function states one step or one observation of the model directly, from
+scratch on a tuple of opinion rows, in the summation order the engine keeps.
+The engine must agree with them bit for bit; `replay` steps an engine and
+these operations side by side on one random stream.
+"""
+
+from __future__ import annotations
+
+import random
+from typing import Iterator, Sequence
+
+from hkc.dynamics import CompatibilityView, ModelParams, Rows, StoppingSpec, TrialEngine
+from hkc.graph import SocialGraph, components
+from hkc.invariants import _neighbor_mean, compatibility
+from hkc.space import Norm, distance_fn
+
+
+def apply_update(
+    opinions: Rows, view: CompatibilityView, x: int, alpha: float
+) -> tuple[tuple[float, ...], ...]:
+    """The rows after opinion x is replaced by alpha * own + (1 - alpha) * local average.
+
+    Test oracle for the update in `TrialEngine.step`, which must agree bitwise.
+    """
+    if not view[x]:
+        raise ValueError(f"vertex {x} has no compatible neighbors; it cannot update")
+    old = opinions[x]
+    mean = _neighbor_mean(opinions, view[x], len(old))
+    b = 1.0 - alpha
+    new = tuple(alpha * old[i] + b * mean[i] for i in range(len(old)))
+    return (*opinions[:x], new, *opinions[x + 1:])
+
+
+def gillespie_step(view: CompatibilityView, rng: random.Random) -> tuple[float, int] | None:
+    """Sample the next event: (holding time, updating vertex), or None if absorbed.
+
+    Direct method: dt ~ Exponential(total rate), then the vertex is chosen
+    with probability len(view[x]) / total rate. Consumes the stream in that order.
+    The scan always stops: for an integer total below 2**53,
+    random() * total < total holds exactly in float64. Test oracle for the
+    Fenwick descent in `TrialEngine.step`, which must pick the same vertex.
+    """
+    total = sum(map(len, view))
+    if total == 0:
+        return None
+    dt = rng.expovariate(total)
+    target = rng.random() * total
+    acc = 0
+    for x, nbrs in enumerate(view):
+        acc += len(nbrs)
+        if acc > target:
+            return dt, x
+
+
+def stop_reached(opinions: Rows, g: SocialGraph, spec: StoppingSpec, tau: float, norm: Norm) -> bool:
+    """True iff every edge's opinion distance is strictly outside [eps, tau].
+
+    Test oracle for `TrialEngine.is_stopped`, which counts the in-band edges.
+    """
+    kernel = distance_fn(norm)
+    eps = spec.eps
+    for u, v in g.edges():
+        if eps <= kernel(opinions[u], opinions[v]) <= tau:
+            return False
+    return True
+
+
+def total_disagreement(opinions: Rows, c: Sequence[float], norm: Norm) -> float:
+    """Sum over vertices of the opinion distance to the reference point c.
+
+    Test oracle for `TrialEngine.total_center_distance` when c is the center.
+    """
+    kernel = distance_fn(norm)
+    if len(c) != len(opinions[0]):
+        raise ValueError(f"reference point has dimension {len(c)}, expected {len(opinions[0])}")
+    total = 0.0
+    for row in opinions:
+        total += kernel(row, c)
+    return float(total)
+
+
+def agreement_components(
+    opinions: Rows, g: SocialGraph, eps: float, norm: Norm
+) -> tuple[tuple[int, ...], ...]:
+    """Components of the subgraph of edges with opinion distance strictly below eps."""
+    kernel = distance_fn(norm)
+    ops = opinions
+    return components(
+        [[y for y in nbrs if kernel(ops[x], ops[y]) < eps] for x, nbrs in enumerate(g.adjacency)]
+    )
+
+
+def classify_consensus(
+    opinions: Rows, g: SocialGraph, spec: StoppingSpec, tau: float, norm: Norm
+) -> bool:
+    """Classify a stopped configuration: does it lead to global agreement?
+
+    At a stopping state every edge is either a near-agreement edge (< eps) or
+    frozen (> tau); each near-agreement component contracts to a single limit
+    opinion, so the state leads to consensus exactly when the near-agreement
+    subgraph spans the whole vertex set. This is a stop-time proxy for the
+    asymptotic event, reported as classification "T_eps_proxy".
+
+    Test oracle for `TrialEngine.outcome`, which decides the same thing from
+    its compatible-neighbor sets.
+    """
+    if not stop_reached(opinions, g, spec, tau, norm):
+        raise ValueError("classification is only defined at a stopping configuration")
+    comps = agreement_components(opinions, g, spec.eps, norm)
+    return len(comps) == 1
+
+
+def replay(
+    engine: TrialEngine, rng: random.Random, params: ModelParams, step: bool = True
+) -> Iterator[tuple[Rows, CompatibilityView, float, int | None]]:
+    """Run the oracles from the engine's opinions on a copy of `rng`, the engine's stream.
+
+    The copy is taken when iteration starts. Yields (config, view, time,
+    moved) before each event: the opinions, the compatible-neighbor sets, the
+    summed holding times, and the vertex the last event updated (None before
+    the first); ends when absorbed. With `step`, the engine runs one event per
+    oracle event and must pick the same vertex and reach bitwise the same
+    opinions.
+    """
+    pure = type(rng)()
+    pure.setstate(rng.getstate())
+    vars(pure).update(vars(rng))  # attributes of a Random subclass too
+    g, norm = engine.g, engine.space.norm
+    config = tuple(engine.opinions)
+    time = 0.0
+    moved = None
+    while True:
+        view = compatibility(config, g, params.tau, norm)
+        yield config, view, time, moved
+        event = gillespie_step(view, pure)
+        if step:
+            assert engine.step() == (None if event is None else event[1])
+        if event is None:
+            return
+        dt, moved = event
+        config = apply_update(config, view, moved, params.alpha)
+        time += dt
+        if step:
+            assert repr(tuple(engine.opinions)) == repr(config)

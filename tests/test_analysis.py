@@ -3,17 +3,12 @@ import random
 import numpy as np
 import pytest
 
-from hkc.analysis import (
-    agreement_components,
-    classify_consensus,
-    generator_drift,
-    theoretical_bound,
-    total_disagreement,
-)
-from hkc.dynamics import StoppingSpec, apply_update, check_event_a, compatibility
+from hkc.dynamics import StoppingSpec, check_event_a
 from hkc.graph import complete, path
-from hkc.invariants import drift_case_batch, run_drift_check
+from hkc.invariants import compatibility, drift_case_batch, generator_drift, run_drift_check
+from hkc.montecarlo import theoretical_bound
 from hkc.space import Ball, Norm, OpinionSpace
+from oracles import agreement_components, apply_update, classify_consensus, total_disagreement
 
 
 def cfg(*rows):

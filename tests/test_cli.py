@@ -428,6 +428,31 @@ def test_bad_init_atom_names_point_masses(tmp_path, capsys, point, message):
     assert err == f"config error: {message}\n"
 
 
+TINY_BOX = {"dim": 1, "norm": "l2", "shape": {"box": {"lo": [0.0], "hi": [1e-200]}}}
+TINY_BALL = {"dim": 2, "norm": "l2", "shape": {"ball": {"center": [0.0, 0.0], "radius": 1e-15}}}
+UNIT_BALL = {"dim": 2, "norm": "l2", "shape": {"ball": {"center": [0.0, 0.0], "radius": 1.0}}}
+
+
+@pytest.mark.parametrize(
+    "space, tau, point, code",
+    [
+        # about 1e13 box widths outside; once accepted, it gave event A on trials without consensus
+        (TINY_BOX, 1e-200, [1e-13], 2),
+        (TINY_BALL, 1e-15, [5e-13, 0.0], 2),
+        (UNIT_BALL, 0.5, [0.6, 0.8], 0),  # on the sphere
+    ],
+)
+def test_atom_outside_a_tiny_shape_exits_2(tmp_path, capsys, space, tau, point, code):
+    dim = space["dim"]
+    init = {"point_masses": [{"point": [0.0] * dim, "prob": 0.5}, {"point": point, "prob": 0.5}]}
+    cfg = write_config(tmp_path, graph={"kind": "path", "n": 3}, space=space, init=init, tau=tau, trials=3)
+    got, out, err = run_cli(capsys, "estimate", cfg)
+    assert got == code
+    if code:
+        assert out == ""
+        assert err == f"config error: init.point_masses: atom {tuple(point)} lies outside the opinion shape\n"
+
+
 @pytest.mark.parametrize("kind", ["torus", 3, [], {}, None])
 def test_unknown_graph_kind_exits_2(tmp_path, capsys, kind):
     code, _, err = run_cli(capsys, "bound", write_config(tmp_path, graph={"kind": kind, "n": 4}))

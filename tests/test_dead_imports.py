@@ -1,6 +1,8 @@
-"""Every name a module of `hkc` imports is used in that module.
+"""`hkc` holds no dead code: every name a module imports is used in that
+module, and every top-level function and class is reached from the package.
 
-`__init__.py` is left out: its imports are the package's public names.
+`__init__.py` is left out of the import check: its imports are the package's
+public names.
 """
 
 import ast
@@ -8,9 +10,11 @@ from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "hkc"
 
+_DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
-def _unused_imports(tree: ast.Module) -> list[str]:
-    """Names bound by an import that no other node of the module reads."""
+
+def _imported(tree: ast.Module) -> dict[str, int]:
+    """Names bound by the module's imports, with the line of each import."""
     imported = {}
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -19,8 +23,49 @@ def _unused_imports(tree: ast.Module) -> list[str]:
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             for alias in node.names:
                 imported[alias.asname or alias.name] = node.lineno
+    return imported
+
+
+def _unused_imports(tree: ast.Module) -> list[str]:
+    """Names bound by an import that no other node of the module reads."""
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    return sorted(name for name in imported if name not in used)
+    return sorted(name for name in _imported(tree) if name not in used)
+
+
+def _reads(node: ast.AST) -> set[str]:
+    """Names read within node, as bare names or as attributes (`seeding.trial_rng`)."""
+    return {
+        sub.id if isinstance(sub, ast.Name) else sub.attr
+        for sub in ast.walk(node)
+        if isinstance(sub, (ast.Name, ast.Attribute))
+    }
+
+
+def _unreached_definitions(modules: dict[str, ast.Module], exported: set[str]) -> list[str]:
+    """Top-level functions and classes that nothing live reads and `exported` does not name.
+
+    Live code is each module's top-level code outside definitions, and the
+    bodies of the definitions still live; a body's reads of its own name do
+    not count. Dropping unreached definitions until none is left also drops
+    one that only other unreached definitions read.
+    """
+    loose: set[str] = set()
+    live = {}
+    for module, tree in modules.items():
+        for node in tree.body:
+            if isinstance(node, _DEFINITIONS):
+                live[f"{module}:{node.name}"] = (node.name, _reads(node) - {node.name})
+            else:
+                loose |= _reads(node)
+    unreached = []
+    while True:
+        kept = exported | loose.union(*(reads for _, reads in live.values()))
+        dead = [key for key, (name, _) in live.items() if name not in kept]
+        if not dead:
+            return sorted(unreached)
+        for key in dead:
+            del live[key]
+        unreached += dead
 
 
 def test_every_import_is_used():
@@ -34,6 +79,11 @@ def test_every_import_is_used():
     assert unused == {}
 
 
+def test_every_definition_is_reached_or_exported():
+    modules = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in PACKAGE.glob("*.py")}
+    assert _unreached_definitions(modules, set(_imported(modules["__init__.py"]))) == []
+
+
 def test_import_check_sees_unused_names():
     source = (
         "from __future__ import annotations\n"
@@ -45,3 +95,29 @@ def test_import_check_sees_unused_names():
         "    return sqrt(x) + numpy.linalg.norm(x) + seeding.trial_rng(0, 0).random()\n"
     )
     assert _unused_imports(ast.parse(source)) == ["inf", "os", "rnd"]
+
+
+def test_definition_check_sees_unreached_names():
+    engine = (
+        "from . import kernels\n"
+        "LIMIT = default_limit()\n"
+        "def default_limit():\n"
+        "    return 10\n"
+        "class Engine:\n"
+        "    def step(self):\n"
+        "        return _update() + kernels.fast()\n"
+        "def _update():\n"
+        "    return 1\n"
+        "def recursive(n):\n"
+        "    return recursive(n - 1)\n"
+        "def classify():\n"
+        "    return settled()\n"
+        "def settled():\n"
+        "    return True\n"
+    )
+    kernels = "def fast():\n    return 2\ndef slow():\n    return fast()\n"
+    modules = {"engine.py": ast.parse(engine), "kernels.py": ast.parse(kernels)}
+    assert _unreached_definitions(modules, {"Engine"}) == [
+        "engine.py:classify", "engine.py:recursive", "engine.py:settled", "kernels.py:slow",
+    ]
+    assert _unreached_definitions(modules, {"Engine", "classify", "recursive", "slow"}) == []

@@ -12,18 +12,16 @@ from hkc.dynamics import (
     ModelParams,
     StoppingSpec,
     TrialEngine,
-    apply_update,
     check_event_a,
-    compatibility,
     cut_points,
     default_stopping,
     event_a_applicable,
-    gillespie_step,
-    stop_reached,
 )
-from hkc.analysis import classify_consensus, total_disagreement
 from hkc.graph import complete, cycle, erdos_renyi, grid, path
+from hkc.invariants import compatibility
+from hkc.montecarlo import ExperimentSpec
 from hkc.space import Ball, Box, Norm, OpinionSpace, PointMasses, UniformShape, distance_fn
+from oracles import apply_update, classify_consensus, gillespie_step, replay, stop_reached, total_disagreement
 
 
 BOX01 = OpinionSpace(Box((0.0,), (1.0,)), Norm.L2)
@@ -196,9 +194,9 @@ def test_stopping_spec_validation():
     g = path(4)
     params = ModelParams(tau=0.8)
     with pytest.raises(ValueError, match="eps must equal"):
-        StoppingSpec(eps_prime=0.1, eps=0.1, max_events=10).validate_for(g, params)
+        StoppingSpec(eps_prime=0.1, eps=0.1, max_events=10).validate_for(g, BOX01, params)
     with pytest.raises(ValueError, match="tau/2"):
-        StoppingSpec(eps_prime=0.5, eps=0.125, max_events=10).validate_for(g, params)
+        StoppingSpec(eps_prime=0.5, eps=0.125, max_events=10).validate_for(g, BOX01, params)
 
 
 def test_default_stopping_rule():
@@ -235,6 +233,21 @@ def test_default_stopping_rejects_eps_below_float_resolution():
     assert accepted and rejected
 
 
+def test_hand_built_stopping_spec_below_float_resolution_is_rejected():
+    # default_stopping rejects this tau; the same eps in a spec built by hand
+    # used to run all 200,000 events without a stop
+    g = cycle(12)
+    params = ModelParams(tau=0.5000000000000002, alpha=0.5)
+    with pytest.raises(ValueError, match="ulps of the largest coordinate"):
+        default_stopping(g, BOX01, params)
+    stopping = StoppingSpec(1e-17, 1e-17 / 12, 200_000)
+    with pytest.raises(ValueError, match=r"^eps = eps_prime / vertex_count = .* ulps of the largest coordinate"):
+        TrialEngine(g, BOX01, UniformShape(), params, stopping, random.Random(0))
+    with pytest.raises(ValueError, match="ulps of the largest coordinate"):
+        ExperimentSpec(graph=g, space=BOX01, init=UniformShape(), params=params, stopping=stopping,
+                       trials=1, master_seed=0)
+
+
 def test_run_trial_compatible_pair_merges_in_one_event():
     g = path(2)
     params = ModelParams(tau=1.0, alpha=0.0)
@@ -262,8 +275,6 @@ def test_run_trial_frozen_pair_absorbs_immediately():
 
 
 def test_run_trial_samples_agree_with_disagreement_functional():
-    from hkc.analysis import total_disagreement
-
     g = cycle(5)
     params = ModelParams(tau=0.9)
     stopping = default_stopping(g, BOX01, params)
@@ -324,11 +335,7 @@ def test_engine_matches_pure_operations_step_by_step():
         params = ModelParams(tau=tau, alpha=0.25 * (trial % 4))
         stopping = default_stopping(g, space, params, max_events=400)
         engine = TrialEngine(g, space, UniformShape(), params, stopping, rng_engine)
-        rng_pure = random.Random()
-        rng_pure.setstate(rng_engine.getstate())
-        config = tuple(engine.opinions)
-        for _ in range(400):
-            view = compatibility(config, g, params.tau, space.norm)
+        for config, view, _, _ in replay(engine, rng_engine, params):
             # engine bookkeeping must equal full recomputation
             rates = [len(nbrs) for nbrs in view]
             assert [len(s) for s in engine.compat] == rates
@@ -350,15 +357,8 @@ def test_engine_matches_pure_operations_step_by_step():
             assert engine.total_center_distance() == total_disagreement(
                 config, space.center, space.norm
             )
-            step = gillespie_step(view, rng_pure)
-            moved = engine.step()
-            if step is None:
-                assert moved is None
+            if engine.events == 400:
                 break
-            _, x = step
-            assert moved == x
-            config = apply_update(config, view, x, params.alpha)
-            assert config == tuple(engine.opinions)
     assert consensus_seen == {True, False}
     assert event_a_seen == {None, True, False}
 
@@ -377,19 +377,11 @@ def test_engine_matches_pure_operations_every_norm_and_dim(norm, dim):
         params = ModelParams(tau=space.radius * (0.5, 1.5)[trial % 2], alpha=(0.0, 0.5)[trial // 2 % 2])
         stopping = default_stopping(g, space, params, max_events=2000)
         engine = TrialEngine(g, space, UniformShape(), params, stopping, rng_engine)
-        rng_pure = random.Random()
-        rng_pure.setstate(rng_engine.getstate())
-        config = tuple(engine.opinions)
-        while True:
-            view = compatibility(config, g, params.tau, space.norm)
+        for config, view, _, _ in replay(engine, rng_engine, params):
             assert engine.compat == view
             assert engine.is_stopped() == stop_reached(config, g, stopping, params.tau, space.norm)
             if engine.is_stopped() or engine.events == stopping.max_events:
                 break
-            _, x = gillespie_step(view, rng_pure)
-            assert engine.step() == x
-            config = apply_update(config, view, x, params.alpha)
-            assert repr(tuple(engine.opinions)) == repr(config)
         assert engine.is_stopped(), "trial hit its event cap"
         consensus_seen.add(engine.outcome().consensus)
     assert consensus_seen == {True, False}
@@ -409,24 +401,6 @@ def test_engine_edges_closed_at_tau_after_updates():
             assert engine.compat == compatibility(config, g, params.tau, Norm.L2)
             on_tau += sum(abs(config[u][0] - config[v][0]) == 0.5 for u, v in g.edges())
     assert on_tau > 0
-
-
-def _oracle_run(g, space, params, stopping, rng, config, cap):
-    """Replay with the pure operations to the stop or `cap`.
-
-    Returns (config, time, events, recomputed edges that landed exactly on tau).
-    """
-    kernel = distance_fn(space.norm)
-    time = 0.0
-    events = on_tau = 0
-    while events < cap and not stop_reached(config, g, stopping, params.tau, space.norm):
-        view = compatibility(config, g, params.tau, space.norm)
-        dt, x = gillespie_step(view, rng)
-        config = apply_update(config, view, x, params.alpha)
-        time += dt
-        events += 1
-        on_tau += sum(kernel(config[x], config[y]) == params.tau for y in g.adjacency[x])
-    return config, time, events, on_tau
 
 
 def _oracle_table(config, g, space, params, stopping):
@@ -457,6 +431,7 @@ def test_run_to_stop_equals_step_by_step_oracle(norm, dim):
     space = OpinionSpace(Box((0.0,) * dim, (1.0,) * dim), norm)
     atoms = PointMasses(tuple(((c / 4,) + (0.0,) * (dim - 1), 0.2) for c in range(5)))
     cases = [(UniformShape(), space.radius * 0.6), (UniformShape(), space.radius + 1e-9)] + [(atoms, 0.5)] * 3
+    kernel = distance_fn(space.norm)
     rng = random.Random(100 * dim + len(norm.value))
     outcomes = set()
     on_tau = 0  # recomputed edges exactly on tau
@@ -473,12 +448,12 @@ def test_run_to_stop_equals_step_by_step_oracle(norm, dim):
                 # an observer only at alpha 0.5, so the write-back on exit is tested alone too
                 engine = TrialEngine(g, space, dist, params, stopping, rng,
                                      on_event=on_event if alpha else None)
-                rng_pure = random.Random()
-                rng_pure.setstate(rng.getstate())
-                config, time, events, landed = _oracle_run(
-                    g, space, params, stopping, rng_pure, tuple(engine.opinions), 300
-                )
-                on_tau += landed
+                # the pure operations alone, one event at a time, to the stop or the cap
+                for events, (config, _, time, x) in enumerate(replay(engine, rng, params, step=False)):
+                    if x is not None:
+                        on_tau += sum(kernel(config[x], config[y]) == params.tau for y in g.adjacency[x])
+                    if events == 300 or stop_reached(config, g, stopping, params.tau, space.norm):
+                        break
                 engine.run_to_stop()
                 assert repr(tuple(engine.opinions)) == repr(config)
                 assert (engine.time, engine.events) == (time, events)
@@ -529,20 +504,15 @@ def test_engine_on_tiny_box_matches_pure_operations(norm):
     stopping = default_stopping(g, space, params)
     rng = random.Random(31)
     engine = TrialEngine(g, space, UniformShape(), params, stopping, rng)
-    rng_pure = random.Random()
-    rng_pure.setstate(rng.getstate())
     config = tuple(engine.opinions)
     assert max(abs(u[0] - v[0]) for u, v in itertools.combinations(config, 2)) > params.tau
-    for _ in range(200):
-        view = compatibility(config, g, params.tau, space.norm)
+    for config, view, _, _ in replay(engine, rng, params):
         assert engine.compat == view
         table = _oracle_table(config, g, space, params, stopping)
         assert (engine._state, engine._tree, engine._banded_count) == table
-        _, x = gillespie_step(view, rng_pure)
-        assert engine.step() == x
-        config = apply_update(config, view, x, params.alpha)
-        assert repr(tuple(engine.opinions)) == repr(config)
-    assert engine.is_stopped()
+        if engine.events == 200:
+            break
+    assert engine.events == 200 and engine.is_stopped()
 
 
 class _EighthsRandom(random.Random):
@@ -578,22 +548,14 @@ def test_engine_selection_matches_scan_at_exact_prefix_boundaries():
             rng_engine = _EighthsRandom(1000 + gi)
             engine = TrialEngine(g, BOX01, UniformShape(), params, stopping, rng_engine)
             rng_engine.eighths = True
-            rng_pure = _EighthsRandom()
-            rng_pure.setstate(rng_engine.getstate())
-            rng_pure.eighths = True
-            config = tuple(engine.opinions)
-            for _ in range(200):
-                view = compatibility(config, g, tau, BOX01.norm)
+            total = 0  # the total rate before the event just run
+            for _, view, _, _ in replay(engine, rng_engine, params):
+                if engine.events:  # the last event's target, rng_engine.last * total
+                    exact_targets += (rng_engine.last * total).is_integer()
                 total = sum(map(len, view))
                 zero_rate_seen |= total > 0 and () in view
-                step = gillespie_step(view, rng_pure)
-                moved = engine.step()
-                if step is None:
-                    assert moved is None
+                if engine.events == 200:
                     break
-                assert moved == step[1], (g.vertex_count, tau, engine.events)
-                exact_targets += (rng_engine.last * total).is_integer()
-                config = apply_update(config, view, moved, params.alpha)
     assert zero_rate_seen
     assert exact_targets > 100
 
