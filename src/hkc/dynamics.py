@@ -15,8 +15,8 @@ as the direct method's linear scan for every draw (`gillespie_step` in
 state lives in one table aligned with the adjacency lists, with a mirror index
 into the other endpoint's list and a count of in-band edges (`TrialEngine`).
 One event loop runs every event, with the engine's state in local variables;
-in one dimension it tests an edge by |u - v| against cut points that give
-exactly the kernel's comparisons with tau and eps (`cut_points`).
+in one dimension it compares |u - v| with tau and eps, which classifies every
+edge as the kernel does on the shapes `OpinionSpace` accepts (`MIN_L2_EXTENT`).
 
 A trial stops at the first time every edge's opinion distance falls strictly
 outside [eps, tau] (either near-agreement or frozen), or when an event cap is
@@ -33,9 +33,7 @@ consumed in a fixed order (holding time, then vertex choice, per event).
 
 from __future__ import annotations
 
-import math
 import random
-import struct
 from dataclasses import dataclass
 from itertools import compress
 from typing import Callable, Sequence
@@ -208,27 +206,6 @@ def check_event_a(opinions: Rows, space: OpinionSpace, tau: float, eps_prime: fl
     return any(kernel(row, center) < threshold for row in opinions)
 
 
-def cut_points(kernel, tau: float, eps: float) -> tuple[float, float]:
-    """(hi, lo) with kernel > tau iff |d| > hi and kernel < eps iff |d| < lo, in 1-D.
-
-    A 1-D kernel is a non-decreasing f(|d|): |d| under L1 and Linf, sqrt(fl(d*d))
-    under L2. So hi is the last float t >= 0 with f(t) <= tau and lo the first
-    with f(t) >= eps: tau and eps themselves under L1 and Linf, and exact under
-    L2 also where tau**2 or eps**2 underflows.
-    """
-    def last(pred) -> float:
-        # largest t >= 0 with pred(t), by bisection over the bit patterns, which
-        # order the non-negative floats (at most 63 steps; 0x7FF0... is +inf)
-        lo, hi = 0, 0x7FF0000000000000
-        while hi - lo > 1:
-            mid = (lo + hi) >> 1
-            lo, hi = (mid, hi) if pred(struct.unpack("<d", mid.to_bytes(8, "little"))[0]) else (lo, mid)
-        return struct.unpack("<d", lo.to_bytes(8, "little"))[0]
-
-    return (last(lambda t: kernel((t,), (0.0,)) <= tau),
-            math.nextafter(last(lambda t: kernel((t,), (0.0,)) < eps), math.inf))
-
-
 class TrialEngine:
     """Single-trial state machine with incremental edge bookkeeping.
 
@@ -241,8 +218,8 @@ class TrialEngine:
     the edges at the updated vertex are recomputed; tests pin equivalence with
     full recomputation by the oracles in `tests/oracles.py`. `step` and
     `run_to_stop` both run the one event loop, `_run`; in 1-D it compares |d|
-    with the `cut_points` of tau and eps instead of calling the kernel, which
-    stays the definition (`_edge_state` classifies the initial state with it).
+    with tau and eps instead of calling the kernel, which stays the definition
+    (`_edge_state` classifies the initial state with it) and gives the same states.
     Not thread-safe; one engine and one stream per trial.
     """
 
@@ -264,12 +241,10 @@ class TrialEngine:
         self.stopping = stopping
         self.rng = rng
         self._kernel = distance_fn(space.norm, space.dim)
-        self._tau = tau = params.tau
+        self._tau = params.tau
         self._alpha = params.alpha
-        self._eps = eps = stopping.eps
+        self._eps = stopping.eps
         self._center = space.center
-        # what `_run` compares a distance with: |d| in 1-D, else the kernel's value
-        self._cut = (tau, eps) if space.dim > 1 else cut_points(self._kernel, tau, eps)
         n = g.vertex_count
         self.opinions: list[tuple[float, ...]] = [sample_initial(dist, space, rng) for _ in range(n)]
         # adjacency lists are sorted, so each rev[y] fills in adjacency[y]'s order
@@ -343,7 +318,7 @@ class TrialEngine:
         opinions, adjacency, kernel = self.opinions, self.g.adjacency, self._kernel
         a = self._alpha
         b = 1.0 - a
-        hi, lo = self._cut
+        tau, eps = self._tau, self._eps
         one_d = self.space.dim == 1
         banded, events, time = self._banded_count, self.events, self.time
         samples, on_event = self._samples, self._on_event
@@ -379,10 +354,10 @@ class TrialEngine:
                     m += opinions[y][i]
                 new.append(a * old[i] + b * (m / k))
             new = opinions[x] = tuple(new)
-            nx = new[0]  # in 1-D |d| against the cut points is the kernel against tau and eps
+            nx = new[0]  # in 1-D |d| and the kernel classify alike (space.MIN_L2_EXTENT)
             fresh = [
-                0 if (d := abs(nx - opinions[y][0]) if one_d else kernel(new, opinions[y])) > hi
-                else 1 if d < lo else 2
+                0 if (d := abs(nx - opinions[y][0]) if one_d else kernel(new, opinions[y])) > tau
+                else 1 if d < eps else 2
                 for y in nbrs
             ]
             if fresh != row:

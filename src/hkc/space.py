@@ -22,6 +22,10 @@ _PROB_SUM_TOL = 1e-12
 # a point this many ulps of the shape's largest coordinate outside it still counts
 # as inside; a boundary point computed in floats lands at most about 3 ulps out
 CONTAINS_ULPS = 16
+# l2 squares coordinate differences, and a square underflows below about 1e-154.
+# With a bounding-box diameter at least this large, every eps the stop floor admits
+# exceeds 2**-511, and sqrt(fl(d*d)) == |d| for every |d| >= 2**-511
+MIN_L2_EXTENT = 1e-100
 
 
 class Norm(Enum):
@@ -161,7 +165,7 @@ class Box:
     def dim(self) -> int:
         return len(self.lo)
 
-    def contains(self, point: Sequence[float], norm: Norm | None = None) -> bool:
+    def contains(self, point: Sequence[float], norm: Norm) -> bool:
         slack = CONTAINS_ULPS * coordinate_ulp(self)
         return all(a - p <= slack and p - b <= slack for p, a, b in zip(point, self.lo, self.hi))
 
@@ -194,8 +198,12 @@ class OpinionSpace:
         kernel = distance_fn(self.norm, self.dim)
         # sampling and every distance stay finite iff the bounding-box diameter does
         lo, hi = shape.bounding_box()
-        if not math.isfinite(kernel(hi, lo)):
+        extent = kernel(hi, lo)
+        if not math.isfinite(extent):
             raise ValueError(f"shape extent overflows float64 under the {self.norm.value} norm")
+        if self.norm is Norm.L2 and extent < MIN_L2_EXTENT:
+            raise ValueError(f"shape extent is below {MIN_L2_EXTENT} under the l2 norm, which squares "
+                             f"coordinate differences; rescale the shape and tau together")
         if isinstance(shape, Ball):
             center, radius = shape.center, shape.radius
         else:

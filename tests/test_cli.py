@@ -428,7 +428,7 @@ def test_bad_init_atom_names_point_masses(tmp_path, capsys, point, message):
     assert err == f"config error: {message}\n"
 
 
-TINY_BOX = {"dim": 1, "norm": "l2", "shape": {"box": {"lo": [0.0], "hi": [1e-200]}}}
+TINY_BOX = {"dim": 1, "norm": "l1", "shape": {"box": {"lo": [0.0], "hi": [1e-200]}}}
 TINY_BALL = {"dim": 2, "norm": "l2", "shape": {"ball": {"center": [0.0, 0.0], "radius": 1e-15}}}
 UNIT_BALL = {"dim": 2, "norm": "l2", "shape": {"ball": {"center": [0.0, 0.0], "radius": 1.0}}}
 
@@ -451,6 +451,30 @@ def test_atom_outside_a_tiny_shape_exits_2(tmp_path, capsys, space, tau, point, 
     if code:
         assert out == ""
         assert err == f"config error: init.point_masses: atom {tuple(point)} lies outside the opinion shape\n"
+
+
+L2_FLOOR_ERROR = (
+    "config error: space: shape extent is below 1e-100 under the l2 norm, which squares "
+    "coordinate differences; rescale the shape and tau together\n"
+)
+
+
+@pytest.mark.parametrize(
+    "command, dim, norm, code",
+    [
+        # once accepted: every l2 distance read 0.0, so all trials reached consensus with tau below the radius
+        ("estimate", 2, "l2", 2),
+        ("bound", 1, "l2", 2),
+        ("bound", 1, "l1", 0),  # l1 and linf distances do not square, so they stay exact
+    ],
+)
+def test_l2_shape_below_floor_exits_2(tmp_path, capsys, command, dim, norm, code):
+    space = {"dim": dim, "norm": norm, "shape": {"box": {"lo": [0.0] * dim, "hi": [1e-200] * dim}}}
+    cfg = write_config(tmp_path, graph={"kind": "path", "n": 3}, space=space, tau=3e-201, trials=20)
+    got, out, err = run_cli(capsys, command, cfg)
+    assert got == code
+    if code:
+        assert (out, err) == ("", L2_FLOOR_ERROR)
 
 
 @pytest.mark.parametrize("kind", ["torus", 3, [], {}, None])

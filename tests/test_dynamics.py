@@ -13,14 +13,23 @@ from hkc.dynamics import (
     StoppingSpec,
     TrialEngine,
     check_event_a,
-    cut_points,
     default_stopping,
     event_a_applicable,
 )
 from hkc.graph import complete, cycle, erdos_renyi, grid, path
 from hkc.invariants import compatibility
 from hkc.montecarlo import ExperimentSpec
-from hkc.space import Ball, Box, Norm, OpinionSpace, PointMasses, UniformShape, distance_fn
+from hkc.space import (
+    MIN_L2_EXTENT,
+    Ball,
+    Box,
+    Norm,
+    OpinionSpace,
+    PointMasses,
+    UniformShape,
+    coordinate_ulp,
+    distance_fn,
+)
 from oracles import apply_update, classify_consensus, gillespie_step, replay, stop_reached, total_disagreement
 
 
@@ -482,26 +491,38 @@ def _ulps_around(x: float, k: int) -> list[float]:
                                      # tau**2 and eps**2 underflow: an L2 kernel reads 0.0 up to ~1.5e-162
                                      (0.8e-200, 0.3e-200 / 400), (1e-170, 5e-324)])
 def test_cut_points_are_exact(norm, tau, eps):
-    # The event loop's 1-D test |d| > hi, |d| < lo must give the kernel's
-    # comparisons with tau and eps, at both cut points and at tau and eps.
+    # The event loop's 1-D test |d| > tau, |d| < eps must give the kernel's
+    # comparisons, at tau and eps and on 6 ulps either side, so tau and eps are
+    # the exact cut points. Where an l2 square underflows, the eps is below the
+    # stop floor of the smallest l2 shape, so no trial compares with it.
     kernel = distance_fn(norm, 1)
-    hi, lo = cut_points(kernel, tau, eps)
-    if norm is not Norm.L2:
-        assert (hi, lo) == (tau, eps)
-    for t in {u for c in (hi, lo, tau, eps) for u in _ulps_around(c, 6) if u >= 0}:
+    if norm is Norm.L2 and eps < 2.0**-511:
+        space = OpinionSpace(Box((0.0,), (MIN_L2_EXTENT,)), norm)
+        with pytest.raises(ValueError, match="ulps of the largest coordinate"):
+            StoppingSpec(eps, eps).validate_for(path(1), space, ModelParams(tau))
+        return
+    for t in {u for c in (tau, eps) for u in _ulps_around(c, 6) if u >= 0}:
         for d in (t, -t):
-            assert (abs(d) > hi) == (kernel((d,), (0.0,)) > tau), (t, hi)
-            assert (abs(d) < lo) == (kernel((0.0,), (d,)) < eps), (t, lo)
+            assert (abs(d) > tau) == (kernel((d,), (0.0,)) > tau), t
+            assert (abs(d) < eps) == (kernel((0.0,), (d,)) < eps), t
+
+
+_TINY_BOXES = {Norm.L1: (1e-200, 0.3e-200), Norm.LINF: (1e-200, 0.3e-200), Norm.L2: (1e-100, 0.3e-100)}
 
 
 @pytest.mark.parametrize("norm", list(Norm))
 def test_engine_on_tiny_box_matches_pure_operations(norm):
-    # On [0, 1e-200] the squares of L2 distances underflow to 0.0, so every
-    # L2 edge is near although |d| exceeds tau; L1 and Linf run real dynamics.
-    space = OpinionSpace(Box((0.0,), (1e-200,)), norm)
+    # l1 and linf run real dynamics at any scale, l2 on shapes down to its
+    # floor MIN_L2_EXTENT. With the smallest eps the box admits, the engine's
+    # 1-D test of |d| against tau and eps must classify every edge as the kernel.
+    hi, tau = _TINY_BOXES[norm]
+    space = OpinionSpace(Box((0.0,), (hi,)), norm)
     g = cycle(7)
-    params = ModelParams(tau=0.3e-200, alpha=0.5)
-    stopping = default_stopping(g, space, params)
+    params = ModelParams(tau=tau, alpha=0.5)
+    floor = MIN_EPS_ULPS * coordinate_ulp(space.shape)
+    eps_prime = math.nextafter(floor * 7, math.inf)
+    stopping = StoppingSpec(eps_prime, eps_prime / 7)
+    assert stopping.eps == math.nextafter(floor, math.inf)
     rng = random.Random(31)
     engine = TrialEngine(g, space, UniformShape(), params, stopping, rng)
     config = tuple(engine.opinions)
@@ -510,9 +531,9 @@ def test_engine_on_tiny_box_matches_pure_operations(norm):
         assert engine.compat == view
         table = _oracle_table(config, g, space, params, stopping)
         assert (engine._state, engine._tree, engine._banded_count) == table
-        if engine.events == 200:
+        if engine.is_stopped() or engine.events == 20_000:
             break
-    assert engine.events == 200 and engine.is_stopped()
+    assert engine.is_stopped() and engine.events > 100
 
 
 class _EighthsRandom(random.Random):

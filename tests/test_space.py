@@ -6,7 +6,10 @@ from array import array
 import numpy as np
 import pytest
 
+from hkc.dynamics import MIN_EPS_ULPS
 from hkc.space import (
+    MAX_DIM,
+    MIN_L2_EXTENT,
     _KERNELS,
     Ball,
     Box,
@@ -97,6 +100,28 @@ def test_unrolled_kernels_equal_loop_kernels_bitwise():
     for norm in Norm:
         assert distance_fn(norm, 3) is _KERNELS[norm]
         assert distance_fn(norm) is _KERNELS[norm]
+
+
+def test_l2_distance_in_1d_is_abs_from_2_to_minus_511_to_2_to_511():
+    # The engine's 1-D edge test compares |d| with tau and eps in place of the
+    # kernel. Every eps the stop floor admits on an l2 shape exceeds 2**-511,
+    # and below 2**-511 the l2 kernel stays below it too.
+    low, high = 2.0**-511, 2.0**511
+    # the largest coordinate M of a shape is at least its l2 extent / (2 * sqrt(dim))
+    assert MIN_EPS_ULPS * math.ulp(MIN_L2_EXTENT / (2 * math.sqrt(MAX_DIM))) > low
+    kernel = distance_fn(Norm.L2, 1)
+    rng = random.Random(511)
+    ds = [math.ldexp(rng.uniform(0.5, 1.0), rng.randint(-510, 511)) for _ in range(100_000)]
+    ds += [b for c in (low, high) for b in (math.nextafter(c, 0.0), c, math.nextafter(c, math.inf))]
+    ds += [math.ldexp(rng.uniform(0.5, 1.0), rng.randint(-1073, -511)) for _ in range(10_000)]
+    ds += [0.0, 5e-324]
+    for d in ds:
+        for x in (d, -d):
+            got = kernel((x,), (0.0,))
+            if low <= d <= high:
+                assert got == d, x
+            elif d < low:
+                assert got <= low, x
 
 
 def test_center_and_radius_ball_any_norm():
@@ -295,6 +320,14 @@ def test_max_pairwise_distance_matches_pair_scan_bitwise():
 
 
 def test_shape_validation():
+    with pytest.raises(ValueError, match="below 1e-100 under the l2 norm"):
+        OpinionSpace(Box((0.0,), (1e-200,)), Norm.L2)
+    with pytest.raises(ValueError, match="below 1e-100 under the l2 norm"):
+        OpinionSpace(Ball((0.0, 0.0), 1e-150), Norm.L2)
+    # the floor applies to l2 only, and a shape at the floor is accepted
+    assert OpinionSpace(Box((0.0,), (1e-100,)), Norm.L2).radius == 0.5e-100
+    for norm in (Norm.L1, Norm.LINF):
+        assert OpinionSpace(Box((0.0,), (1e-200,)), norm).radius == 0.5e-200
     with pytest.raises(ValueError):
         Ball((0.0,), 0.0)
     with pytest.raises(ValueError):
