@@ -13,7 +13,7 @@ from contextlib import nullcontext
 
 from .config import ConfigError, build_experiment, load_config
 from .invariants import run_drift_check
-from .montecarlo import consensus_bound, run_estimate, run_single_trial
+from .montecarlo import MonteCarloReport, consensus_bound, run_estimate, run_single_trial
 from .render import TRACE_HEADER, to_json, trace_row
 from .space import max_pairwise_distance
 
@@ -53,7 +53,7 @@ def cmd_simulate(args) -> int:
         "events": outcome.events,
         "consensus": outcome.consensus,
         "event_A": outcome.event_a,
-        "classification": "T_eps_proxy",
+        "classification": MonteCarloReport.classification,
         "final": outcome.final.opinions.tolist(),
         "seed": spec.master_seed,
         "trial_index": 0,

@@ -12,11 +12,12 @@ proportional to its own rate. The engine finds that vertex with an O(log n)
 descent of a Fenwick tree over the integer rates, which picks the same vertex
 as the direct method's linear scan for every draw (`gillespie_step` in
 `tests/oracles.py`, the reference implementation of the dynamics). Edge
-state lives in one table aligned with the adjacency lists, with a mirror index
-into the other endpoint's list and a count of in-band edges (`TrialEngine`).
-One event loop runs every event, with the engine's state in local variables;
-in one dimension it compares |u - v| with tau and eps, which classifies every
-edge as the kernel does on the shapes `OpinionSpace` accepts (`MIN_L2_EXTENT`).
+state lives in one table aligned with the adjacency lists, with a count of
+in-band edges (`TrialEngine`). One function classifies the edges of the initial
+table and those at each updated vertex; in one dimension it compares |u - v|
+with tau and eps, which classifies every edge as the kernel does on the shapes
+`OpinionSpace` accepts (`MIN_L2_EXTENT`). One event loop runs every event, with
+the engine's state in local variables.
 
 A trial stops at the first time every edge's opinion distance falls strictly
 outside [eps, tau] (either near-agreement or frozen), or when an event cap is
@@ -34,6 +35,7 @@ consumed in a fixed order (holding time, then vertex choice, per event).
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import compress
 from typing import Callable, Sequence
@@ -211,16 +213,16 @@ class TrialEngine:
 
     `_state[x][j]` classifies the edge from x to `adjacency[x][j]` as 0
     (incompatible, distance > tau), 1 (near, distance < eps) or 2 (banded,
-    in [eps, tau]); `_rev[x][j]` is x's position in that neighbor's list, so
-    the mirror entry updates in O(1), and the trial is stopped when
-    `_banded_count` is zero. A vertex's rate, its number of nonzero entries,
-    sits in a Fenwick tree whose root is the total rate. After an update only
-    the edges at the updated vertex are recomputed; tests pin equivalence with
-    full recomputation by the oracles in `tests/oracles.py`. `step` and
-    `run_to_stop` both run the one event loop, `_run`; in 1-D it compares |d|
-    with tau and eps instead of calling the kernel, which stays the definition
-    (`_edge_state` classifies the initial state with it) and gives the same states.
-    Not thread-safe; one engine and one stream per trial.
+    in [eps, tau]), and the trial is stopped when `_banded_count` is zero.
+    `_states(op, nbrs)` is the one statement of that rule: it builds every row
+    of the initial table, from both ends of each edge (the kernels are
+    symmetric bitwise), and the row of each updated vertex. Adjacency rows are
+    sorted, so a changed edge's mirror entry is found by bisection. A vertex's
+    rate, its number of nonzero entries, sits in a Fenwick tree whose root is
+    the total rate. After an update only the edges at the updated vertex are
+    recomputed; tests pin equivalence with full recomputation by the oracles in
+    `tests/oracles.py`. `step` and `run_to_stop` both run the one event loop,
+    `_run`. Not thread-safe; one engine and one stream per trial.
     """
 
     def __init__(
@@ -240,25 +242,22 @@ class TrialEngine:
         self.space = space
         self.stopping = stopping
         self.rng = rng
-        self._kernel = distance_fn(space.norm, space.dim)
-        self._tau = params.tau
+        self._kernel = kernel = distance_fn(space.norm, space.dim)
+        self._tau = tau = params.tau
         self._alpha = params.alpha
-        self._eps = stopping.eps
         self._center = space.center
+        eps = stopping.eps
         n = g.vertex_count
-        self.opinions: list[tuple[float, ...]] = [sample_initial(dist, space, rng) for _ in range(n)]
-        # adjacency lists are sorted, so each rev[y] fills in adjacency[y]'s order
-        rev: list[list[int]] = [[] for _ in range(n)]
-        for nbrs in g.adjacency:
-            for j, y in enumerate(nbrs):
-                rev[y].append(j)
-        state = [[0] * len(nbrs) for nbrs in g.adjacency]
-        for x, nbrs in enumerate(g.adjacency):
-            for j, y in enumerate(nbrs):
-                if y > x:
-                    state[x][j] = state[y][rev[x][j]] = self._edge_state(x, y)
-        self._state = state
-        self._rev = rev
+        self.opinions = opinions = [sample_initial(dist, space, rng) for _ in range(n)]
+        if space.dim == 1:  # |d| and the kernel classify alike (space.MIN_L2_EXTENT)
+            def states(op: tuple[float, ...], nbrs: tuple[int, ...]) -> list[int]:
+                u = op[0]
+                return [0 if (d := abs(u - opinions[y][0])) > tau else 1 if d < eps else 2 for y in nbrs]
+        else:
+            def states(op: tuple[float, ...], nbrs: tuple[int, ...]) -> list[int]:
+                return [0 if (d := kernel(op, opinions[y])) > tau else 1 if d < eps else 2 for y in nbrs]
+        self._states = states
+        self._state = state = [states(op, nbrs) for op, nbrs in zip(opinions, g.adjacency)]
         self._banded_count = sum(row.count(2) for row in state) // 2
         # Fenwick tree over rates, zero-padded to a power-of-two size so the descent
         # needs no bounds check and the root tree[size] is the total; built in O(n)
@@ -273,11 +272,6 @@ class TrialEngine:
         self._on_event = on_event
         # (time, total center distance) pairs, from the initial state on
         self._samples = [(0.0, self.total_center_distance())] if record_samples else None
-
-    def _edge_state(self, u: int, v: int) -> int:
-        """0, 1 or 2 for the edge u-v from its distance; `_run` inlines the same rule."""
-        d = self._kernel(self.opinions[u], self.opinions[v])
-        return 0 if d > self._tau else 1 if d < self._eps else 2
 
     @property
     def compat(self) -> CompatibilityView:
@@ -313,13 +307,11 @@ class TrialEngine:
         state lives in locals for the whole run; the counters are written back
         on exit and before each observation.
         """
-        tree, size, state, revs = self._tree, self._size, self._state, self._rev
+        tree, size, state, states = self._tree, self._size, self._state, self._states
         expovariate, rand = self.rng.expovariate, self.rng.random
-        opinions, adjacency, kernel = self.opinions, self.g.adjacency, self._kernel
+        opinions, adjacency = self.opinions, self.g.adjacency
         a = self._alpha
         b = 1.0 - a
-        tau, eps = self._tau, self._eps
-        one_d = self.space.dim == 1
         banded, events, time = self._banded_count, self.events, self.time
         samples, on_event = self._samples, self._on_event
         observe = samples is not None or on_event is not None
@@ -354,19 +346,13 @@ class TrialEngine:
                     m += opinions[y][i]
                 new.append(a * old[i] + b * (m / k))
             new = opinions[x] = tuple(new)
-            nx = new[0]  # in 1-D |d| and the kernel classify alike (space.MIN_L2_EXTENT)
-            fresh = [
-                0 if (d := abs(nx - opinions[y][0]) if one_d else kernel(new, opinions[y])) > tau
-                else 1 if d < eps else 2
-                for y in nbrs
-            ]
+            fresh = states(new, nbrs)
             if fresh != row:
-                rev = revs[x]
                 for j, s in enumerate(fresh):
                     was = row[j]
                     if s != was:
                         y = nbrs[j]
-                        state[y][rev[j]] = s
+                        state[y][bisect_left(adjacency[y], x)] = s
                         banded += (s == 2) - (was == 2)
                         if not (s and was):  # compatibility flipped: both rates move
                             delta = 1 if s else -1

@@ -7,11 +7,12 @@ Instances are immutable after construction and shareable across workers.
 from __future__ import annotations
 
 import random
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 _ER_MAX_ATTEMPTS = 10**4
+# an attempt draws one number per vertex pair; this caps the draws before a rejection
+_ER_MAX_DRAWS = 10**8
 MAX_VERTICES = 100_000
 # complete and erdos_renyi enumerate all n(n-1)/2 vertex pairs
 MAX_PAIRS = 2_000_000
@@ -80,31 +81,17 @@ def _adjacency(n: int, edges: Iterable[tuple[int, int]]) -> tuple[tuple[int, ...
     return tuple(tuple(sorted(s)) for s in nbrs)
 
 
-def components(adjacency) -> tuple[tuple[int, ...], ...]:
-    """Connected components, each sorted, ordered by smallest vertex.
-
-    `adjacency[x]` may be any iterable of the neighbors of x (tuples, sets).
-    """
-    seen = bytearray(len(adjacency))
-    comps = []
-    for start in range(len(adjacency)):
-        if seen[start]:
-            continue
-        seen[start] = 1
-        comp = [start]
-        queue = deque(comp)
-        while queue:
-            for y in adjacency[queue.popleft()]:
-                if not seen[y]:
-                    seen[y] = 1
-                    comp.append(y)
-                    queue.append(y)
-        comps.append(tuple(sorted(comp)))
-    return tuple(comps)
-
-
 def is_connected(adjacency) -> bool:
-    return len(components(adjacency)) == 1
+    """Whether a search from vertex 0 reaches every vertex; `adjacency[x]` iterates x's neighbors."""
+    seen = bytearray(len(adjacency))
+    seen[0] = 1
+    stack = [0]
+    while stack:
+        for y in adjacency[stack.pop()]:
+            if not seen[y]:
+                seen[y] = 1
+                stack.append(y)
+    return 0 not in seen
 
 
 def parse_edge_list(text: str) -> SocialGraph:
@@ -173,19 +160,19 @@ def grid(w: int, h: int) -> SocialGraph:
 
 
 def erdos_renyi(n: int, p: float, rng: random.Random) -> SocialGraph:
-    """G(n, p) conditioned on connectivity, by resampling (capped attempts)."""
+    """G(n, p) conditioned on connectivity, by resampling: at most 10**4 attempts and 10**8 draws."""
     if n < 1:
         raise GraphValidationError("erdos_renyi needs n >= 1")
     if not 0 < p <= 1:
         raise GraphValidationError(f"erdos_renyi needs 0 < p <= 1, got {p}")
-    for _ in range(_ER_MAX_ATTEMPTS):
+    pairs = n * (n - 1) // 2
+    attempts = min(_ER_MAX_ATTEMPTS, max(1, _ER_MAX_DRAWS // max(pairs, 1)))
+    for _ in range(attempts):
         edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
         adjacency = _adjacency(n, edges)
         if is_connected(adjacency):
             return SocialGraph(n, adjacency)
-    raise GraphValidationError(
-        f"no connected sample in {_ER_MAX_ATTEMPTS} attempts; increase p (n={n}, p={p})"
-    )
+    raise GraphValidationError(f"no connected sample in {attempts} attempts; increase p (n={n}, p={p})")
 
 
 # The generated graph kinds: constructor and its ordered, typed parameters.

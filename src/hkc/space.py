@@ -293,18 +293,17 @@ def expected_center_distance(
 
     Exact for point masses and for the uniform ball (dim * radius / (dim + 1),
     from the radial law P(||X - c|| <= s) = (s/r)^dim). A one-dimensional box
-    is an interval, i.e. a ball, so it gets the same exact form; boxes in
-    higher dimension fall back to a Monte Carlo average over `samples` draws.
+    is an interval, i.e. a ball of the space's radius, so it takes the same
+    form; boxes in higher dimension fall back to a Monte Carlo average over
+    `samples` draws.
     """
     if isinstance(dist, PointMasses):
         validate_distribution(dist, space)
         kernel = _KERNELS[space.norm]
         return math.fsum(w * kernel(p, space.center) for p, w in dist.atoms)
-    if isinstance(space.shape, Ball):
-        n, r = space.dim, space.shape.radius
+    if isinstance(space.shape, Ball) or space.dim == 1:
+        n, r = space.dim, space.radius
         return n * r / (n + 1)
-    if space.dim == 1:
-        return (space.shape.hi[0] - space.shape.lo[0]) / 4.0
     if samples < 1:
         raise ValueError("samples must be >= 1 for the Monte Carlo path")
     if rng is None:

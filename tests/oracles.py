@@ -9,10 +9,11 @@ these operations side by side on one random stream.
 from __future__ import annotations
 
 import random
+from collections import deque
 from typing import Iterator, Sequence
 
 from hkc.dynamics import CompatibilityView, ModelParams, Rows, StoppingSpec, TrialEngine
-from hkc.graph import SocialGraph, components
+from hkc.graph import SocialGraph
 from hkc.invariants import _neighbor_mean, compatibility
 from hkc.space import Norm, distance_fn
 
@@ -79,6 +80,30 @@ def total_disagreement(opinions: Rows, c: Sequence[float], norm: Norm) -> float:
     for row in opinions:
         total += kernel(row, c)
     return float(total)
+
+
+def components(adjacency) -> tuple[tuple[int, ...], ...]:
+    """Connected components, each sorted, ordered by smallest vertex.
+
+    `adjacency[x]` may be any iterable of the neighbors of x (tuples, sets).
+    Test oracle for `hkc.graph.is_connected`: one component iff connected.
+    """
+    seen = bytearray(len(adjacency))
+    comps = []
+    for start in range(len(adjacency)):
+        if seen[start]:
+            continue
+        seen[start] = 1
+        comp = [start]
+        queue = deque(comp)
+        while queue:
+            for y in adjacency[queue.popleft()]:
+                if not seen[y]:
+                    seen[y] = 1
+                    comp.append(y)
+                    queue.append(y)
+        comps.append(tuple(sorted(comp)))
+    return tuple(comps)
 
 
 def agreement_components(

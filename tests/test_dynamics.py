@@ -432,6 +432,34 @@ def _oracle_table(config, g, space, params, stopping):
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
 @pytest.mark.parametrize("norm", list(Norm))
+def test_initial_edge_table_equals_oracle(norm, dim):
+    # The table is built from both ends of every edge; it must hold the states,
+    # rates and banded count of the kernel's classification, also where dyadic
+    # atoms put an edge exactly on tau (banded) and exactly on eps (banded).
+    space = OpinionSpace(Box((0.0,) * dim, (1.0,) * dim), norm)
+    tau, eps = 0.5, 1 / 64
+    axis = [(c,) + (0.0,) * (dim - 1) for c in (0.0, 1 / 64, 0.5, 33 / 64, 1.0)]
+    dist = PointMasses(tuple((p, 1 / 6) for p in axis + [(0.5,) * dim]))
+    params = ModelParams(tau=tau)
+    kernel = distance_fn(norm)
+    on = {tau: 0, eps: 0}
+    for g in (complete(8), cycle(8)):
+        stopping = StoppingSpec(eps * 8, eps)
+        for seed in range(10):
+            engine = TrialEngine(g, space, dist, params, stopping, random.Random(seed))
+            config = tuple(engine.opinions)
+            assert (engine._state, engine._tree, engine._banded_count) == _oracle_table(
+                config, g, space, params, stopping
+            )
+            for u, v in g.edges():
+                d = kernel(config[u], config[v])
+                if d in on:
+                    on[d] += 1
+    assert min(on.values()) > 0
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("norm", list(Norm))
 def test_run_to_stop_equals_step_by_step_oracle(norm, dim):
     # One run_to_stop call keeps the engine's state in locals over many events
     # and writes it back at the end; it must leave what the pure operations

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from hkc import graph
 from hkc.graph import (
     GraphParseError,
     GraphValidationError,
@@ -11,9 +12,11 @@ from hkc.graph import (
     erdos_renyi,
     generate,
     grid,
+    is_connected,
     parse_edge_list,
     path,
 )
+from oracles import components
 
 
 def test_parse_simple_path():
@@ -95,6 +98,38 @@ def test_erdos_renyi_deterministic_per_seed():
 def test_erdos_renyi_gives_up_when_p_too_small():
     with pytest.raises(GraphValidationError, match="increase p"):
         erdos_renyi(40, 1e-6, random.Random(1))
+
+
+def test_erdos_renyi_attempts_are_capped_by_the_draw_budget(monkeypatch):
+    # an attempt draws n(n-1)/2 numbers; the budget caps the attempts, at least one
+    monkeypatch.setattr(graph, "_ER_MAX_DRAWS", 100)
+    with pytest.raises(GraphValidationError, match=r"no connected sample in 2 attempts; increase p \(n=10"):
+        erdos_renyi(10, 1e-9, random.Random(1))
+    with pytest.raises(GraphValidationError, match="no connected sample in 1 attempts"):
+        erdos_renyi(20, 1e-9, random.Random(1))
+    monkeypatch.setattr(graph, "_ER_MAX_DRAWS", 10**9)
+    with pytest.raises(GraphValidationError, match=f"in {graph._ER_MAX_ATTEMPTS} attempts"):
+        erdos_renyi(3, 1e-9, random.Random(1))
+
+
+def test_is_connected_matches_component_count():
+    # random symmetric views, as the engine passes its compatible-neighbor sets
+    rng = random.Random(23)
+    views = [((),), ((1,), (0,)), ((), ()), ((1,), (0,), ())]
+    for _ in range(400):
+        n = rng.randint(1, 12)
+        p = rng.choice([0.0, 0.1, 0.3, 0.6, 1.0])
+        nbrs = [set() for _ in range(n)]
+        for x in range(n):
+            for y in range(x + 1, n):
+                if rng.random() < p:
+                    nbrs[x].add(y)
+                    nbrs[y].add(x)
+        views.append(tuple(tuple(sorted(s)) for s in nbrs))
+    assert {len(view) for view in views} >= {1, 2, 12}
+    connected = [is_connected(view) for view in views]
+    assert connected == [len(components(view)) == 1 for view in views]
+    assert True in connected and False in connected
 
 
 def test_generate_dispatch():

@@ -263,6 +263,20 @@ def test_expected_center_distance_uniform_interval_is_exact():
     assert expected_center_distance(UniformShape(), space) == 0.25
 
 
+@pytest.mark.parametrize("norm", [Norm.L1, Norm.LINF])
+def test_expected_center_distance_interval_is_quarter_width_at_subnormal_widths(norm):
+    # dim * radius / (dim + 1) halves the half-width; halving twice must round
+    # as dividing the width by 4 does, also where the halvings are inexact
+    tiny = 5e-324
+    rng = random.Random(17)
+    widths = [k * tiny for k in range(1, 64)] + [rng.randrange(1, 2**52) * tiny for _ in range(200)]
+    for lo in (0.0, -tiny, 3 * tiny, -2.0**-1022):
+        for w in widths:
+            hi = lo + w
+            space = OpinionSpace(Box((lo,), (hi,)), norm)
+            assert expected_center_distance(UniformShape(), space) == (hi - lo) / 4.0, (lo, hi)
+
+
 def test_expected_center_distance_uniform_box_monte_carlo():
     # L1 oracle for the unit square: E||X - c||_1 = 1/4 + 1/4 = 1/2
     space = OpinionSpace(Box((0.0, 0.0), (1.0, 1.0)), Norm.L1)
