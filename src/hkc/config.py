@@ -94,7 +94,7 @@ def load_config(path: str) -> dict:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
     try:
         raw = json.loads(text, object_pairs_hook=_unique_keys)
-    except ValueError as exc:  # a JSONDecodeError or a duplicate key
+    except (ValueError, RecursionError) as exc:  # a JSONDecodeError, a duplicate key, or nesting too deep
         raise ConfigError(f"config {path!r} is not valid JSON: {exc}") from exc
     return _expect_dict(raw, "config")
 
@@ -108,7 +108,7 @@ def _build_graph(section: dict, master_seed: int) -> tuple[SocialGraph, dict]:
             _fail("graph.file", "expected a file path string")
         try:
             text = Path(path).read_text(encoding="utf-8")
-        except (OSError, UnicodeDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or a null byte in the path
             raise ConfigError(f"graph.file: cannot read {path!r}: {exc}") from exc
         with _at("graph.file"):
             return parse_edge_list(text), {"file": path}
@@ -162,7 +162,8 @@ def _build_space(section: dict) -> OpinionSpace:
 def _build_init(section, space: OpinionSpace):
     if section == "uniform":
         return UniformShape()
-    section = _expect_dict(section, "init")
+    if not isinstance(section, dict):
+        _fail("init", f'expected "uniform" or {{"point_masses": [...]}}, got {section!r}')
     _check_keys(section, "init", required={"point_masses"})
     atoms_raw = section["point_masses"]
     if not isinstance(atoms_raw, list) or not atoms_raw:

@@ -13,11 +13,10 @@ descent of a Fenwick tree over the integer rates, which picks the same vertex
 as the direct method's linear scan for every draw (`gillespie_step` in
 `tests/oracles.py`, the reference implementation of the dynamics). Edge
 state lives in one table aligned with the adjacency lists, with a count of
-in-band edges (`TrialEngine`). One function classifies the edges of the initial
-table and those at each updated vertex; in one dimension it compares |u - v|
-with tau and eps, which classifies every edge as the kernel does on the shapes
-`OpinionSpace` accepts (`MIN_L2_EXTENT`). One event loop runs every event, with
-the engine's state in local variables.
+in-band edges (`TrialEngine`). The edge rule (`edge_states`) and the update
+(`average`) are each stated once; the engine and `hkc.invariants` both run
+them. One event loop runs every event, with the engine's state in local
+variables.
 
 A trial stops at the first time every edge's opinion distance falls strictly
 outside [eps, tau] (either near-agreement or frozen), or when an event cap is
@@ -208,15 +207,42 @@ def check_event_a(opinions: Rows, space: OpinionSpace, tau: float, eps_prime: fl
     return any(kernel(row, center) < threshold for row in opinions)
 
 
+def edge_states(opinions: Rows, tau: float, eps: float, kernel: Callable, dim: int) -> Callable[..., list[int]]:
+    """The edge rule: `states(op, nbrs)` lists the state of the edge from opinion op to each vertex
+    of nbrs, 0 (distance > tau, incompatible), 1 (< eps, near) or 2 (in [eps, tau], banded).
+
+    In one dimension it compares |u - v|, as the kernel does on the shapes `OpinionSpace` accepts (`MIN_L2_EXTENT`).
+    """
+    if dim == 1:
+        def states(op: tuple[float, ...], nbrs: Sequence[int]) -> list[int]:
+            u = op[0]
+            return [0 if (d := abs(u - opinions[y][0])) > tau else 1 if d < eps else 2 for y in nbrs]
+    else:
+        def states(op: tuple[float, ...], nbrs: Sequence[int]) -> list[int]:
+            return [0 if (d := kernel(op, opinions[y])) > tau else 1 if d < eps else 2 for y in nbrs]
+    return states
+
+
+def average(opinions: Rows, ys: Sequence[int], old: tuple[float, ...], a: float, b: float) -> tuple[float, ...]:
+    """The update rule: a * old + b * (the sum of the rows ys, in the order of ys, / len(ys))."""
+    k = len(ys)
+    new = []
+    for i in range(len(old)):
+        m = 0.0
+        for y in ys:
+            m += opinions[y][i]
+        new.append(a * old[i] + b * (m / k))
+    return tuple(new)
+
+
 class TrialEngine:
     """Single-trial state machine with incremental edge bookkeeping.
 
-    `_state[x][j]` classifies the edge from x to `adjacency[x][j]` as 0
-    (incompatible, distance > tau), 1 (near, distance < eps) or 2 (banded,
-    in [eps, tau]), and the trial is stopped when `_banded_count` is zero.
-    `_states(op, nbrs)` is the one statement of that rule: it builds every row
-    of the initial table, from both ends of each edge (the kernels are
-    symmetric bitwise), and the row of each updated vertex. Adjacency rows are
+    `_state[x][j]` is the state of the edge from x to `adjacency[x][j]` under
+    `edge_states`, and the trial is stopped when `_banded_count`, the number of
+    edges in state 2, is zero. `_states(op, nbrs)` builds every row of the
+    initial table, from both ends of each edge (the kernels are symmetric
+    bitwise), and the row of each updated vertex. Adjacency rows are
     sorted, so a changed edge's mirror entry is found by bisection. A vertex's
     rate, its number of nonzero entries, sits in a Fenwick tree whose root is
     the total rate. After an update only the edges at the updated vertex are
@@ -246,17 +272,9 @@ class TrialEngine:
         self._tau = tau = params.tau
         self._alpha = params.alpha
         self._center = space.center
-        eps = stopping.eps
         n = g.vertex_count
         self.opinions = opinions = [sample_initial(dist, space, rng) for _ in range(n)]
-        if space.dim == 1:  # |d| and the kernel classify alike (space.MIN_L2_EXTENT)
-            def states(op: tuple[float, ...], nbrs: tuple[int, ...]) -> list[int]:
-                u = op[0]
-                return [0 if (d := abs(u - opinions[y][0])) > tau else 1 if d < eps else 2 for y in nbrs]
-        else:
-            def states(op: tuple[float, ...], nbrs: tuple[int, ...]) -> list[int]:
-                return [0 if (d := kernel(op, opinions[y])) > tau else 1 if d < eps else 2 for y in nbrs]
-        self._states = states
+        self._states = states = edge_states(opinions, tau, stopping.eps, kernel, space.dim)
         self._state = state = [states(op, nbrs) for op, nbrs in zip(opinions, g.adjacency)]
         self._banded_count = sum(row.count(2) for row in state) // 2
         # Fenwick tree over rates, zero-padded to a power-of-two size so the descent
@@ -335,17 +353,7 @@ class TrialEngine:
                 bit >>= 1
             nbrs = adjacency[x]
             row = state[x]
-            old = opinions[x]
-            # neighbor mean in ascending neighbor order, as in apply_update (tests/oracles.py)
-            ys = list(compress(nbrs, row))
-            k = len(ys)
-            new = []
-            for i in range(len(old)):
-                m = 0.0
-                for y in ys:
-                    m += opinions[y][i]
-                new.append(a * old[i] + b * (m / k))
-            new = opinions[x] = tuple(new)
+            new = opinions[x] = average(opinions, list(compress(nbrs, row)), opinions[x], a, b)
             fresh = states(new, nbrs)
             if fresh != row:
                 for j, s in enumerate(fresh):

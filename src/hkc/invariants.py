@@ -4,53 +4,24 @@ positive expected drift, for any configuration, reference point, graph, or norm.
 The total distance of all opinions to any fixed point is nonincreasing in
 expectation under the dynamics; `generator_drift` computes its exact expected
 rate of change, which must be <= 0 for every configuration, point, graph, and
-norm. A failing case would contradict this supermartingale property and
-therefore indicates an implementation defect; the runner shrinks any failure
-to a minimal witness before reporting it.
+norm. It runs the engine's own edge rule and update (`edge_states` and
+`average` in `hkc.dynamics`), so a failing case would contradict this
+supermartingale property for the code that produces every report; the runner
+shrinks any failure to a minimal witness before reporting it.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import product
+from itertools import compress, product
 from typing import Sequence
 
-from .dynamics import CompatibilityView, Rows
+from .dynamics import Rows, average, edge_states
 from .graph import SocialGraph
 from .space import Norm, distance_fn
 
 DRIFT_TOLERANCE = 1e-9
-
-
-def compatibility(opinions: Rows, g: SocialGraph, tau: float, norm: Norm) -> CompatibilityView:
-    """Compatible-neighbor sets: graph neighbors within opinion distance tau (closed).
-
-    Symmetric by construction: y in view[x] iff x in view[y]. Also the test
-    oracle for the engine's `compat`, read from its incrementally kept
-    edge-state table.
-    """
-    if len(opinions) != g.vertex_count:
-        raise ValueError("configuration does not match the graph")
-    kernel = distance_fn(norm)
-    nbrs: list[list[int]] = [[] for _ in range(g.vertex_count)]
-    for u, v in g.edges():
-        if kernel(opinions[u], opinions[v]) <= tau:
-            nbrs[u].append(v)
-            nbrs[v].append(u)
-    return tuple(tuple(sorted(ns)) for ns in nbrs)
-
-
-def _neighbor_mean(opinions, neighbors, dim: int) -> tuple[float, ...]:
-    # Summation order (ascending neighbor id, then divide) is fixed so that
-    # the incremental engine and these pure operations agree bitwise.
-    sums = [0.0] * dim
-    for y in neighbors:
-        row = opinions[y]
-        for i in range(dim):
-            sums[i] += row[i]
-    k = len(neighbors)
-    return tuple(s / k for s in sums)
 
 
 def generator_drift(
@@ -60,16 +31,20 @@ def generator_drift(
 
     Sum over vertices with at least one compatible neighbor of
     rate * (||local mean - c|| - ||own - c||). Always <= 0 up to rounding.
+    The compatible neighbors and the local mean come from the engine's own
+    edge rule and averaging step, `edge_states` and `average`.
     """
-    view = compatibility(opinions, g, tau, norm)
-    kernel = distance_fn(norm)
+    if len(opinions) != g.vertex_count:
+        raise ValueError("configuration does not match the graph")
+    dim = len(opinions[0])
+    kernel = distance_fn(norm, dim)
+    states = edge_states(opinions, tau, 0.0, kernel, dim)  # eps = 0: only compatible or not matters
     drift = 0.0
-    for x, nbrs in enumerate(view):
-        if not nbrs:
-            continue
-        mean = _neighbor_mean(opinions, nbrs, len(opinions[x]))
-        drift += len(nbrs) * (kernel(mean, c) - kernel(opinions[x], c))
-    return float(drift)
+    for op, nbrs in zip(opinions, g.adjacency):
+        ys = list(compress(nbrs, states(op, nbrs)))
+        if ys:
+            drift += len(ys) * (kernel(average(opinions, ys, op, 0.0, 1.0), c) - kernel(op, c))
+    return drift
 
 
 @dataclass

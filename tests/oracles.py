@@ -3,7 +3,9 @@
 Each function states one step or one observation of the model directly, from
 scratch on a tuple of opinion rows, in the summation order the engine keeps.
 The engine must agree with them bit for bit; `replay` steps an engine and
-these operations side by side on one random stream.
+these operations side by side on one random stream. `compatibility` and
+`_neighbor_mean` are also the reference for `hkc.invariants.generator_drift`,
+which runs the engine's own edge rule and update.
 """
 
 from __future__ import annotations
@@ -14,8 +16,37 @@ from typing import Iterator, Sequence
 
 from hkc.dynamics import CompatibilityView, ModelParams, Rows, StoppingSpec, TrialEngine
 from hkc.graph import SocialGraph
-from hkc.invariants import _neighbor_mean, compatibility
 from hkc.space import Norm, distance_fn
+
+
+def compatibility(opinions: Rows, g: SocialGraph, tau: float, norm: Norm) -> CompatibilityView:
+    """Compatible-neighbor sets: graph neighbors within opinion distance tau (closed).
+
+    Symmetric by construction: y in view[x] iff x in view[y]. Also the test
+    oracle for the engine's `compat`, read from its incrementally kept
+    edge-state table.
+    """
+    if len(opinions) != g.vertex_count:
+        raise ValueError("configuration does not match the graph")
+    kernel = distance_fn(norm)
+    nbrs: list[list[int]] = [[] for _ in range(g.vertex_count)]
+    for u, v in g.edges():
+        if kernel(opinions[u], opinions[v]) <= tau:
+            nbrs[u].append(v)
+            nbrs[v].append(u)
+    return tuple(tuple(sorted(ns)) for ns in nbrs)
+
+
+def _neighbor_mean(opinions, neighbors, dim: int) -> tuple[float, ...]:
+    # Summation order (ascending neighbor id, then divide) is fixed so that
+    # the incremental engine and these pure operations agree bitwise.
+    sums = [0.0] * dim
+    for y in neighbors:
+        row = opinions[y]
+        for i in range(dim):
+            sums[i] += row[i]
+    k = len(neighbors)
+    return tuple(s / k for s in sums)
 
 
 def apply_update(

@@ -12,12 +12,12 @@ import pytest
 from hkc.cli import main
 from hkc.dynamics import ModelParams, TrialEngine, default_stopping
 from hkc.graph import complete, cycle, path
-from hkc.invariants import compatibility, drift_case_batch, generator_drift
+from hkc.invariants import drift_case_batch, generator_drift
 from hkc.montecarlo import ExperimentSpec, reduce_outcomes, run_estimate, trial_outcomes
 from hkc.render import to_json
 from hkc.space import Ball, Box, Norm, OpinionSpace, UniformShape, distance_fn, expected_center_distance
 from hkc.seeding import trial_rng
-from oracles import agreement_components, apply_update, total_disagreement
+from oracles import agreement_components, apply_update, compatibility, total_disagreement
 
 UNIT_INTERVAL = OpinionSpace(Box((0.0,), (1.0,)), Norm.L2)
 PARALLELISM = 2

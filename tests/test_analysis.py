@@ -5,10 +5,12 @@ import pytest
 
 from hkc.dynamics import StoppingSpec, check_event_a
 from hkc.graph import complete, path
-from hkc.invariants import compatibility, drift_case_batch, generator_drift, run_drift_check
+from hkc.invariants import DriftCase, drift_case_batch, generator_drift, random_connected_graph, run_drift_check
 from hkc.montecarlo import theoretical_bound
-from hkc.space import Ball, Norm, OpinionSpace
-from oracles import agreement_components, apply_update, classify_consensus, total_disagreement
+from hkc.space import Ball, Norm, OpinionSpace, distance_fn
+from oracles import (
+    _neighbor_mean, agreement_components, apply_update, classify_consensus, compatibility, total_disagreement,
+)
 
 
 def cfg(*rows):
@@ -51,6 +53,42 @@ def test_generator_drift_nonpositive_on_random_cases():
     report = run_drift_check(cases=300, seed=9)
     assert report["status"] == "pass"
     assert report["max_drift"] <= 1e-9
+
+
+def oracle_drift(case: DriftCase) -> float:
+    """The drift of `case` from the oracles' compatible-neighbor sets and neighbor mean."""
+    view = compatibility(case.opinions, case.graph, case.tau, case.norm)
+    kernel = distance_fn(case.norm)
+    drift = 0.0
+    for x, nbrs in enumerate(view):
+        if nbrs:
+            mean = _neighbor_mean(case.opinions, nbrs, len(case.opinions[x]))
+            drift += len(nbrs) * (kernel(mean, case.c) - kernel(case.opinions[x], case.c))
+    return drift
+
+
+def test_generator_drift_equals_oracle_drift_bitwise():
+    # generator_drift runs the engine's edge rule and update; the oracles state both
+    # independently. Dyadic opinions put many edges exactly at tau in every norm.
+    rng = random.Random(15)
+    cases = []
+    for _ in range(300):
+        cases += drift_case_batch(rng)
+    assert {(case.norm, len(case.c)) for case in cases} == {(norm, dim) for norm in Norm for dim in (1, 2, 3)}
+    at_tau = 0
+    for norm in Norm:
+        kernel = distance_fn(norm)
+        for dim in (1, 2, 3):
+            for _ in range(20):
+                g = random_connected_graph(rng, 10)
+                rows = tuple(tuple(rng.randrange(-4, 5) / 8 for _ in range(dim)) for _ in range(g.vertex_count))
+                tau = rng.randrange(1, 5) / 8
+                at_tau += sum(kernel(rows[u], rows[v]) == tau for u, v in g.edges())
+                c = tuple(rng.randrange(-8, 9) / 8 for _ in range(dim))
+                cases.append(DriftCase(g, rows, tau, norm, c))
+    assert at_tau >= 100
+    for case in cases:
+        assert repr(case.drift()) == repr(oracle_drift(case))
 
 
 def test_drift_check_reports_a_violation(monkeypatch):

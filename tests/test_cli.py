@@ -210,6 +210,27 @@ def test_non_utf8_graph_file_exits_2(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+def test_deeply_nested_config_exits_2(tmp_path, capsys):
+    # json.loads raises RecursionError, not ValueError, past the recursion limit
+    cfg = tmp_path / "deep.json"
+    cfg.write_text("[" * 200_000 + "]" * 200_000, encoding="utf-8")
+    code, out, err = run_cli(capsys, "bound", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"config error: config {str(cfg)!r} is not valid JSON: ")
+    assert err.count("\n") == 1
+
+
+def test_graph_file_with_null_byte_exits_2(tmp_path, capsys):
+    # Path.read_text raises ValueError, not OSError, for a path with a null byte
+    cfg = write_config(tmp_path, graph={"file": "edges\u0000.txt"})
+    code, out, err = run_cli(capsys, "bound", cfg)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("config error: graph.file: cannot read 'edges\\x00.txt': ")
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize(
     "old, new, key",
     [
@@ -426,6 +447,14 @@ def test_bad_init_atom_names_point_masses(tmp_path, capsys, point, message):
     assert code == 2
     assert out == ""
     assert err == f"config error: {message}\n"
+
+
+@pytest.mark.parametrize("init", ["UNIFORM", 5, ["uniform"]])
+def test_bad_init_names_the_accepted_forms(tmp_path, capsys, init):
+    code, out, err = run_cli(capsys, "bound", write_config(tmp_path, init=init))
+    assert code == 2
+    assert out == ""
+    assert err == f'config error: init: expected "uniform" or {{"point_masses": [...]}}, got {init!r}\n'
 
 
 TINY_BOX = {"dim": 1, "norm": "l1", "shape": {"box": {"lo": [0.0], "hi": [1e-200]}}}

@@ -17,7 +17,6 @@ from hkc.dynamics import (
     event_a_applicable,
 )
 from hkc.graph import complete, cycle, erdos_renyi, grid, path
-from hkc.invariants import compatibility
 from hkc.montecarlo import ExperimentSpec
 from hkc.space import (
     MIN_L2_EXTENT,
@@ -30,7 +29,9 @@ from hkc.space import (
     coordinate_ulp,
     distance_fn,
 )
-from oracles import apply_update, classify_consensus, gillespie_step, replay, stop_reached, total_disagreement
+from oracles import (
+    apply_update, classify_consensus, compatibility, gillespie_step, replay, stop_reached, total_disagreement,
+)
 
 
 BOX01 = OpinionSpace(Box((0.0,), (1.0,)), Norm.L2)
