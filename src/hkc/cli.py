@@ -1,6 +1,8 @@
 """Command-line surface: simulate, estimate, bound, and check-invariants.
 
-Exit codes: 0 success, 1 invariant violation, 2 usage or config error.
+Exit codes: 0 success, 1 invariant violation, 2 usage or config error, or
+a report that cannot be written to stdout. Each command returns its report
+text and exit code, and `main` writes the text.
 The environment variable HKC_SEED, when set, overrides the config seed.
 """
 
@@ -28,7 +30,7 @@ def _seed_override() -> int | None:
         raise ConfigError(f"HKC_SEED: expected an integer, got {value!r}") from None
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> tuple[str, int]:
     spec = build_experiment(load_config(args.config), seed_override=_seed_override())
     # the trace file is the only I/O before the summary, so an OSError is its open, write or close
     try:
@@ -59,42 +61,36 @@ def cmd_simulate(args) -> int:
         "trial_index": 0,
         "params": spec.describe(),
     }
-    print(to_json(summary))
-    return 0
+    return to_json(summary), 0
 
 
-def cmd_estimate(args) -> int:
+def cmd_estimate(args) -> tuple[str, int]:
     if args.parallel < 1:
         raise ConfigError(f"--parallel must be >= 1, got {args.parallel}")
     spec = build_experiment(load_config(args.config), seed_override=_seed_override())
     report = run_estimate(spec, parallelism=args.parallel)
-    print(to_json(report.to_json_dict()))
-    return 0
+    return to_json(report.to_json_dict()), 0
 
 
-def cmd_bound(args) -> int:
+def cmd_bound(args) -> tuple[str, int]:
     spec = build_experiment(load_config(args.config), seed_override=_seed_override())
     applicable, expected, bound = consensus_bound(spec)
-    print(
-        to_json(
-            {
-                "tau": spec.params.tau,
-                "rho": spec.space.radius,
-                "expected_center_distance": expected,
-                "bound": bound,
-                "bound_applicable": applicable,
-            }
-        )
-    )
-    return 0
+    return to_json(
+        {
+            "tau": spec.params.tau,
+            "rho": spec.space.radius,
+            "expected_center_distance": expected,
+            "bound": bound,
+            "bound_applicable": applicable,
+        }
+    ), 0
 
 
-def cmd_check_invariants(args) -> int:
+def cmd_check_invariants(args) -> tuple[str, int]:
     if args.cases < 1:
         raise ConfigError(f"--cases must be >= 1, got {args.cases}")
     result = run_drift_check(args.cases, args.seed)
-    print(to_json(result))
-    return 0 if result["status"] == "pass" else 1
+    return to_json(result), 0 if result["status"] == "pass" else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -132,10 +128,20 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        report, code = args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    try:
+        print(report, flush=True)
+    except OSError as exc:  # a full disk, a closed pipe
+        # a later write or the flush at exit would fail again on this descriptor, so point
+        # it at devnull first, as the Python docs advise for a closed pipe
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        print(f"cannot write output: {exc}", file=sys.stderr)
+        return 2
+    return code
 
 
 def entrypoint() -> None:

@@ -23,9 +23,11 @@ outside [eps, tau] (either near-agreement or frozen), or when an event cap is
 hit.
 
 At a stop every compatible edge (distance <= tau) is a near-agreement edge
-(distance < eps). Each near-agreement component contracts to one limit
-opinion while the other edges stay frozen, so a stopped trial reaches
-consensus exactly when its compatible-neighbor graph is connected.
+(distance < eps), and a stopped trial is classified as consensus exactly
+when its compatible-neighbor graph is connected. A consensus stop is final.
+A dissensus stop is a proxy and may not be: a near-agreement component moves
+as it contracts, which can bring a frozen edge back within tau and merge two
+components later, so p_hat can be biased low (open item 1 in ROADMAP.md).
 
 Trials are deterministic functions of their random stream: the stream is
 consumed in a fixed order (holding time, then vertex choice, per event).
@@ -189,24 +191,6 @@ def event_a_applicable(space: OpinionSpace, tau: float, eps_prime: float) -> boo
     return tau > space.radius + eps_prime
 
 
-def check_event_a(opinions: Rows, space: OpinionSpace, tau: float, eps_prime: float) -> bool:
-    """Whether some opinion lies strictly within tau - radius - eps_prime of the center.
-
-    At a stopping state this condition forces every other opinion into the
-    same near-agreement component, so it guarantees eventual consensus. Only
-    defined when `event_a_applicable`.
-    """
-    if not event_a_applicable(space, tau, eps_prime):
-        raise ValueError(
-            f"event A is undefined: tau={tau} does not exceed radius + eps_prime "
-            f"(radius={space.radius}, eps_prime={eps_prime})"
-        )
-    threshold = tau - space.radius - eps_prime
-    kernel = distance_fn(space.norm, space.dim)
-    center = space.center
-    return any(kernel(row, center) < threshold for row in opinions)
-
-
 def edge_states(opinions: Rows, tau: float, eps: float, kernel: Callable, dim: int) -> Callable[..., list[int]]:
     """The edge rule: `states(op, nbrs)` lists the state of the edge from opinion op to each vertex
     of nbrs, 0 (distance > tau, incompatible), 1 (< eps, near) or 2 (in [eps, tau], banded).
@@ -248,7 +232,8 @@ class TrialEngine:
     the total rate. After an update only the edges at the updated vertex are
     recomputed; tests pin equivalence with full recomputation by the oracles in
     `tests/oracles.py`. `step` and `run_to_stop` both run the one event loop,
-    `_run`. Not thread-safe; one engine and one stream per trial.
+    `_run`. `outcome` decides event A with the engine's own kernel and center.
+    Not thread-safe; one engine and one stream per trial.
     """
 
     def __init__(
@@ -385,8 +370,10 @@ class TrialEngine:
     def outcome(self) -> TrialOutcome:
         """Freeze the current state into a TrialOutcome, classifying if stopped.
 
-        A stopped trial reaches consensus iff its compatible-neighbor graph is
-        connected; see the module docstring.
+        A stopped trial is consensus iff its compatible-neighbor graph is
+        connected; a dissensus verdict may not be final (see the module
+        docstring). Event A, some opinion strictly within tau - radius - eps_prime
+        of the center under the engine's kernel, is decided where `event_a_applicable`.
         """
         stopped = self.is_stopped()
         consensus: bool | None = None
@@ -395,7 +382,8 @@ class TrialEngine:
             consensus = is_connected(self.compat)
             eps_prime = self.stopping.eps_prime
             if event_a_applicable(self.space, self._tau, eps_prime):
-                event_a = check_event_a(self.opinions, self.space, self._tau, eps_prime)
+                threshold = self._tau - self.space.radius - eps_prime
+                event_a = any(self._kernel(row, self._center) < threshold for row in self.opinions)
         return TrialOutcome(
             stopped=stopped,
             stop_time=self.time,

@@ -5,7 +5,8 @@ scratch on a tuple of opinion rows, in the summation order the engine keeps.
 The engine must agree with them bit for bit; `replay` steps an engine and
 these operations side by side on one random stream. `compatibility` and
 `_neighbor_mean` are also the reference for `hkc.invariants.generator_drift`,
-which runs the engine's own edge rule and update.
+which runs the engine's own edge rule and update, and `check_event_a` is the
+reference for the near-center trigger that `TrialEngine.outcome` decides.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Iterator, Sequence
 
 from hkc.dynamics import CompatibilityView, ModelParams, Rows, StoppingSpec, TrialEngine
 from hkc.graph import SocialGraph
-from hkc.space import Norm, distance_fn
+from hkc.space import Norm, OpinionSpace, distance_fn
 
 
 def compatibility(opinions: Rows, g: SocialGraph, tau: float, norm: Norm) -> CompatibilityView:
@@ -166,6 +167,24 @@ def classify_consensus(
         raise ValueError("classification is only defined at a stopping configuration")
     comps = agreement_components(opinions, g, spec.eps, norm)
     return len(comps) == 1
+
+
+def check_event_a(opinions: Rows, space: OpinionSpace, tau: float, eps_prime: float) -> bool:
+    """Event A: whether some opinion lies strictly within tau - radius - eps_prime of the center.
+
+    At a stopping state this condition forces every other opinion into the
+    same near-agreement component, so it guarantees eventual consensus. Only
+    defined when tau > radius + eps_prime. Test oracle for `TrialEngine.outcome`,
+    which decides it with its space's kernel and returns None where it is undefined.
+    """
+    if not tau > space.radius + eps_prime:
+        raise ValueError(
+            f"event A is undefined: tau={tau} does not exceed radius + eps_prime "
+            f"(radius={space.radius}, eps_prime={eps_prime})"
+        )
+    threshold = tau - space.radius - eps_prime
+    kernel = distance_fn(space.norm)
+    return any(kernel(row, space.center) < threshold for row in opinions)
 
 
 def replay(

@@ -3,13 +3,14 @@ import random
 import numpy as np
 import pytest
 
-from hkc.dynamics import StoppingSpec, check_event_a
+from hkc.dynamics import StoppingSpec
 from hkc.graph import complete, path
 from hkc.invariants import DriftCase, drift_case_batch, generator_drift, random_connected_graph, run_drift_check
 from hkc.montecarlo import theoretical_bound
 from hkc.space import Ball, Norm, OpinionSpace, distance_fn
 from oracles import (
-    _neighbor_mean, agreement_components, apply_update, classify_consensus, compatibility, total_disagreement,
+    _neighbor_mean, agreement_components, apply_update, check_event_a, classify_consensus, compatibility,
+    total_disagreement,
 )
 
 

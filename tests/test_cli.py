@@ -231,6 +231,45 @@ def test_graph_file_with_null_byte_exits_2(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+def test_parallel_zero_exits_2(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "estimate", write_config(tmp_path), "--parallel", "0")
+    assert (code, out, err) == (2, "", "config error: --parallel must be >= 1, got 0\n")
+
+
+@pytest.mark.parametrize("p", [0, 1.5])
+def test_erdos_renyi_p_out_of_range_exits_2(tmp_path, capsys, p):
+    cfg = write_config(tmp_path, graph={"kind": "erdos_renyi", "n": 5, "p": p})
+    code, out, err = run_cli(capsys, "bound", cfg)
+    assert (code, out, err) == (2, "", f"config error: graph: erdos_renyi needs 0 < p <= 1, got {float(p)}\n")
+
+
+def test_box_lo_hi_dimension_mismatch_exits_2(tmp_path, capsys):
+    space = {"dim": 1, "norm": "l2", "shape": {"box": {"lo": [0.0], "hi": [1.0, 1.0]}}}
+    code, out, err = run_cli(capsys, "bound", write_config(tmp_path, space=space))
+    assert (code, out, err) == (2, "", "config error: space.shape.box: box lo and hi must have the same dimension\n")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("0 1 2\n", "line 1: expected two vertex ids, got '0 1 2'"),
+        ("0 -1\n", "line 1: vertex ids must be nonnegative, got '0 -1'"),
+        ("# a comment\n\n# another\n", "edge list contains no edges"),
+    ],
+    ids=["three-ids", "negative-id", "comments-only"],
+)
+def test_bad_edge_list_exits_2(tmp_path, capsys, text, message):
+    edges = tmp_path / "edges.txt"
+    edges.write_text(text, encoding="utf-8")
+    code, out, err = run_cli(capsys, "bound", write_config(tmp_path, graph={"file": str(edges)}))
+    assert (code, out, err) == (2, "", f"config error: graph.file: {message}\n")
+
+
+def test_graph_file_not_a_string_exits_2(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "bound", write_config(tmp_path, graph={"file": 5}))
+    assert (code, out, err) == (2, "", "config error: graph.file: expected a file path string\n")
+
+
 @pytest.mark.parametrize(
     "old, new, key",
     [
@@ -368,6 +407,44 @@ def test_trace_write_error_exits_2(tmp_path, capsys, monkeypatch, fail_at):
     assert code == 2
     assert out == ""
     assert "--trace: cannot write" in err and "No space left on device" in err
+
+
+@pytest.mark.parametrize(
+    "fail_at, error",
+    [
+        ("flush", OSError(28, "No space left on device")),  # `> /dev/full`: the flush fails
+        ("write", BrokenPipeError(32, "Broken pipe")),  # `| head -1`: the reader has gone
+    ],
+    ids=["full", "closed-pipe"],
+)
+@pytest.mark.parametrize("command", ["estimate", "bound", "simulate", "check-invariants"])
+def test_unwritable_stdout_exits_2(tmp_path, capsys, monkeypatch, command, fail_at, error):
+    argv = ["check-invariants", "--cases", "5"] if command == "check-invariants" else [
+        command, write_config(tmp_path, trials=3)
+    ]
+    with open(tmp_path / "stdout", "w") as target:
+
+        class Unwritable:
+            def write(self, text):
+                if fail_at == "write":
+                    raise error
+                return len(text)
+
+            def flush(self):
+                raise error
+
+            def fileno(self):
+                return target.fileno()
+
+        with monkeypatch.context() as patch:
+            patch.setattr(sys, "stdout", Unwritable())
+            code = main(argv)
+        # the descriptor now points at devnull, so no later flush can fail again
+        assert os.path.samestat(os.fstat(target.fileno()), os.stat(os.devnull))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"cannot write output: {error}\n"
 
 
 @pytest.mark.parametrize(

@@ -12,12 +12,11 @@ from hkc.dynamics import (
     ModelParams,
     StoppingSpec,
     TrialEngine,
-    check_event_a,
     default_stopping,
     event_a_applicable,
 )
 from hkc.graph import complete, cycle, erdos_renyi, grid, path
-from hkc.montecarlo import ExperimentSpec
+from hkc.montecarlo import ExperimentSpec, run_single_trial
 from hkc.space import (
     MIN_L2_EXTENT,
     Ball,
@@ -30,7 +29,8 @@ from hkc.space import (
     distance_fn,
 )
 from oracles import (
-    apply_update, classify_consensus, compatibility, gillespie_step, replay, stop_reached, total_disagreement,
+    apply_update, check_event_a, classify_consensus, compatibility, gillespie_step, replay, stop_reached,
+    total_disagreement,
 )
 
 
@@ -319,6 +319,48 @@ def test_run_trial_cap_hit_is_undetermined():
     assert not out.stopped
     assert out.consensus is None and out.event_a is None
     assert out.events == 1
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("norm", list(Norm))
+def test_engine_event_a_strict_at_threshold(norm, dim):
+    # tau - radius - eps_prime = 0.875 - 0.5 - 0.125 = 0.25 exactly. Every vertex takes the one
+    # atom, so the trial is stopped at event 0: event A is true iff the atom lies strictly
+    # within 0.25 of the center, and undefined once tau <= radius + eps_prime.
+    spaces = [OpinionSpace(Ball((0.0,) * dim, 0.5), norm)]
+    if dim == 1:
+        spaces.append(OpinionSpace(Box((0.0,), (1.0,)), norm))
+    g = path(3)
+    for space in spaces:
+        c = space.center
+        cases = [(c, True)]
+        for side in (1.0, -1.0):
+            edge = c[0] + side * 0.25  # 0.25 from the center along the first axis, under every norm
+            cases += [((edge, *c[1:]), False), ((math.nextafter(edge, c[0]), *c[1:]), True)]  # one ulp inside
+        for point, expected in cases:
+            atom = PointMasses(((point, 1.0),))
+            for tau, want in ((0.875, expected), (0.625, None)):
+                params = ModelParams(tau=tau)
+                stopping = default_stopping(g, space, params, eps_prime=0.125)
+                engine = TrialEngine(g, space, atom, params, stopping, random.Random(0))
+                assert engine.is_stopped() and engine.events == 0
+                assert engine.outcome().event_a is want, (space, point, tau)
+                if want is not None:
+                    assert check_event_a(engine.opinions, space, tau, 0.125) is want
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+def test_dissensus_stop_is_final():
+    # Trial 0 stops at event 21 with vertex 0 frozen away from the near component {1, 2, 3},
+    # and is reported as dissensus. Stepped on from that stop, the component's contraction
+    # brings edge 0-1 back within tau, and the engine is stopped in consensus at event 61.
+    g = path(4)
+    params = ModelParams(tau=0.3, alpha=0.5)
+    spec = ExperimentSpec(
+        graph=g, space=BOX01, init=UniformShape(), params=params,
+        stopping=default_stopping(g, BOX01, params), trials=1, master_seed=44,
+    )
+    assert run_single_trial(spec, 0).consensus is True
 
 
 def _fenwick_prefix(tree, i: int) -> int:

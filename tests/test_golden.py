@@ -38,12 +38,44 @@ CYCLE_TRACE = {
     "seed": 5,
 }
 
+# the geometry the configs above leave out: a 2-D L1 ball (rejection sampling, the
+# unrolled L1 kernel) with alpha > 0; event A is true in 4 of the 20 trials
+L1_BALL_2D = {
+    "graph": {"kind": "path", "n": 6},
+    "space": {"dim": 2, "norm": "l1", "shape": {"ball": {"center": [0.0, 0.0], "radius": 1.0}}},
+    "init": "uniform",
+    "tau": 1.2,
+    "alpha": 0.25,
+    "trials": 20,
+    "seed": 13,
+}
+
+# a 3-D Linf box (the loop kernel) with dyadic point-mass draws; event A is true in
+# 18 of the 20 trials, and the bound is exact in binary
+LINF_MASSES_3D = {
+    "graph": {"kind": "cycle", "n": 5},
+    "space": {"dim": 3, "norm": "linf", "shape": {"box": {"lo": [0.0, 0.0, 0.0], "hi": [1.0, 1.0, 1.0]}}},
+    "init": {
+        "point_masses": [
+            {"point": [0.5, 0.5, 0.5], "prob": 0.5},
+            {"point": [0.0, 0.0, 0.0], "prob": 0.25},
+            {"point": [1.0, 1.0, 1.0], "prob": 0.25},
+        ]
+    },
+    "tau": 0.9,
+    "trials": 20,
+    "seed": 17,
+}
+
 GOLDEN = {
     "estimate_path_1d": "622afd0067d2a4de91c0513e487810cdb2e43b7e9b5c0c5f3afadf3696ce6c56",
     "estimate_box_2d": "4eb4076556d4a83241e839281af379aa715b24febef040958eb443fc3f80adb8",
     "bound_box_2d": "55e9d3dfacfcd600ffae7ecfefb20b99a9c51da3f92aec0185877617aeab18dc",
     "simulate_cycle_stdout": "bb82c8f93c18035c240d9e477f7bc7b4d6e4892a184121dc3962b15601a78495",
     "simulate_cycle_trace": "abf0844644fb4af68ed571d0e7ddeaee6e2be8c5187f5820a918a4c3aec8d0b7",
+    "estimate_l1_ball_2d": "19095906be3f497638b8aa6356719428d6c16f1749a3dbd01db4580d59b0e499",
+    "estimate_linf_masses_3d": "5f3450c988c2ea1099abd5c07336f5e4cc1798cc71972f7647d8c93858de5d0b",
+    "bound_linf_masses_3d": "ffb54eb5f2d0ed751a407dd8abd6ab5d54a7a06c229f013b84334d1c867f9659",
     "check_invariants_200_3": "98f703914ced18fa0509771cce852b09ff97d7317616e734d16752924ab9663d",
 }
 
@@ -66,6 +98,15 @@ def test_estimate_path_1d_bytes(tmp_path, capsys):
 def test_estimate_and_bound_box_2d_bytes(tmp_path, capsys):
     assert _sha(_stdout(capsys, tmp_path, BOX_2D, "estimate")) == GOLDEN["estimate_box_2d"]
     assert _sha(_stdout(capsys, tmp_path, BOX_2D, "bound")) == GOLDEN["bound_box_2d"]
+
+
+def test_estimate_l1_ball_2d_bytes(tmp_path, capsys):
+    assert _sha(_stdout(capsys, tmp_path, L1_BALL_2D, "estimate")) == GOLDEN["estimate_l1_ball_2d"]
+
+
+def test_estimate_and_bound_linf_masses_3d_bytes(tmp_path, capsys):
+    assert _sha(_stdout(capsys, tmp_path, LINF_MASSES_3D, "estimate")) == GOLDEN["estimate_linf_masses_3d"]
+    assert _sha(_stdout(capsys, tmp_path, LINF_MASSES_3D, "bound")) == GOLDEN["bound_linf_masses_3d"]
 
 
 def test_simulate_trace_cycle_bytes(tmp_path, capsys):
