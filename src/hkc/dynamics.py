@@ -14,9 +14,20 @@ as the direct method's linear scan for every draw (`gillespie_step` in
 `tests/oracles.py`, the reference implementation of the dynamics). Edge
 state lives in one table aligned with the adjacency lists, with a count of
 in-band edges (`TrialEngine`). The edge rule (`edge_states`) and the update
-(`average`) are each stated once; the engine and `hkc.invariants` both run
+(`update_rule`) are each stated once; the engine and `hkc.invariants` both run
 them. One event loop runs every event, with the engine's state in local
 variables.
+
+Both rules pick a form once, by (norm, dim), before any event. In dims 1 and 2
+the forms are straight-line code with no kernel call per edge or per
+coordinate: the edge rule computes each distance inline, by the expression of
+the straight-line kernel `distance_fn(norm, 2)`, and the update keeps one
+accumulator per coordinate over a single pass of the neighbors. Each is
+bitwise equal to the loop form: the same float operations on the same
+operands in the same order, every sum taken left to right from 0.0. For that
+reason no form uses `sum()` (compensated from Python 3.12), `math.fsum`,
+`math.hypot` or `math.dist` (rounded differently), or numpy. Dims 3 and up call
+the loop kernel.
 
 A trial stops at the first time every edge's opinion distance falls strictly
 outside [eps, tau] (either near-agreement or frozen), or when an event cap is
@@ -38,7 +49,10 @@ from __future__ import annotations
 import random
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import reduce
 from itertools import compress
+from math import sqrt
+from operator import add
 from typing import Callable, Sequence
 
 import numpy as np
@@ -46,6 +60,7 @@ import numpy as np
 from .graph import SocialGraph, is_connected
 from .space import (
     InitialDistribution,
+    Norm,
     OpinionSpace,
     coordinate_ulp,
     distance_fn,
@@ -191,32 +206,89 @@ def event_a_applicable(space: OpinionSpace, tau: float, eps_prime: float) -> boo
     return tau > space.radius + eps_prime
 
 
-def edge_states(opinions: Rows, tau: float, eps: float, kernel: Callable, dim: int) -> Callable[..., list[int]]:
+def edge_states(opinions: Rows, tau: float, eps: float, norm: Norm, dim: int) -> Callable[..., list[int]]:
     """The edge rule: `states(op, nbrs)` lists the state of the edge from opinion op to each vertex
     of nbrs, 0 (distance > tau, incompatible), 1 (< eps, near) or 2 (in [eps, tau], banded).
 
-    In one dimension it compares |u - v|, as the kernel does on the shapes `OpinionSpace` accepts (`MIN_L2_EXTENT`).
+    The form is chosen once, by (norm, dim). In one dimension it compares |u - v|, as the kernel does
+    on the shapes `OpinionSpace` accepts (`MIN_L2_EXTENT`). In two it computes the distance inline,
+    by the expression of `distance_fn(norm, 2)`; from three on it calls the loop kernel.
     """
     if dim == 1:
         def states(op: tuple[float, ...], nbrs: Sequence[int]) -> list[int]:
             u = op[0]
             return [0 if (d := abs(u - opinions[y][0])) > tau else 1 if d < eps else 2 for y in nbrs]
+    elif dim == 2 and norm is Norm.L2:
+        def states(op: tuple[float, ...], nbrs: Sequence[int]) -> list[int]:
+            u0, u1 = op
+            out = []
+            for y in nbrs:
+                v0, v1 = opinions[y]
+                d0 = u0 - v0
+                d1 = u1 - v1
+                d = sqrt(d0 * d0 + d1 * d1)
+                out.append(0 if d > tau else 1 if d < eps else 2)
+            return out
+    elif dim == 2 and norm is Norm.L1:
+        def states(op: tuple[float, ...], nbrs: Sequence[int]) -> list[int]:
+            u0, u1 = op
+            out = []
+            for y in nbrs:
+                v0, v1 = opinions[y]
+                d = abs(u0 - v0) + abs(u1 - v1)
+                out.append(0 if d > tau else 1 if d < eps else 2)
+            return out
+    elif dim == 2:
+        def states(op: tuple[float, ...], nbrs: Sequence[int]) -> list[int]:
+            u0, u1 = op
+            out = []
+            for y in nbrs:
+                v0, v1 = opinions[y]
+                d = max(abs(u0 - v0), abs(u1 - v1))
+                out.append(0 if d > tau else 1 if d < eps else 2)
+            return out
     else:
+        kernel = distance_fn(norm, dim)
+
         def states(op: tuple[float, ...], nbrs: Sequence[int]) -> list[int]:
             return [0 if (d := kernel(op, opinions[y])) > tau else 1 if d < eps else 2 for y in nbrs]
     return states
 
 
-def average(opinions: Rows, ys: Sequence[int], old: tuple[float, ...], a: float, b: float) -> tuple[float, ...]:
-    """The update rule: a * old + b * (the sum of the rows ys, in the order of ys, / len(ys))."""
-    k = len(ys)
-    new = []
-    for i in range(len(old)):
-        m = 0.0
-        for y in ys:
-            m += opinions[y][i]
-        new.append(a * old[i] + b * (m / k))
-    return tuple(new)
+def update_rule(opinions: Rows, alpha: float, dim: int) -> Callable[..., tuple[float, ...]]:
+    """The update rule: `update(ys, old)` is alpha * old + (1 - alpha) * (the sum of the rows ys,
+    taken left to right in the order of ys, / len(ys)), coordinate by coordinate.
+
+    The form is chosen once, by dim: in dims 1 and 2 one pass over ys keeps an accumulator per
+    coordinate, which adds the same terms in the same order as the loop over coordinates.
+    """
+    a, b = alpha, 1.0 - alpha
+    if dim == 1:
+        def update(ys: Sequence[int], old: tuple[float, ...]) -> tuple[float, ...]:
+            m = 0.0
+            for y in ys:
+                m += opinions[y][0]
+            return (a * old[0] + b * (m / len(ys)),)
+    elif dim == 2:
+        def update(ys: Sequence[int], old: tuple[float, ...]) -> tuple[float, ...]:
+            m0 = m1 = 0.0
+            for y in ys:
+                v = opinions[y]
+                m0 += v[0]
+                m1 += v[1]
+            k = len(ys)
+            return (a * old[0] + b * (m0 / k), a * old[1] + b * (m1 / k))
+    else:
+        def update(ys: Sequence[int], old: tuple[float, ...]) -> tuple[float, ...]:
+            k = len(ys)
+            new = []
+            for i in range(dim):
+                m = 0.0
+                for y in ys:
+                    m += opinions[y][i]
+                new.append(a * old[i] + b * (m / k))
+            return tuple(new)
+    return update
 
 
 class TrialEngine:
@@ -255,11 +327,11 @@ class TrialEngine:
         self.rng = rng
         self._kernel = kernel = distance_fn(space.norm, space.dim)
         self._tau = tau = params.tau
-        self._alpha = params.alpha
-        self._center = space.center
+        self._center = center = space.center
         n = g.vertex_count
         self.opinions = opinions = [sample_initial(dist, space, rng) for _ in range(n)]
-        self._states = states = edge_states(opinions, tau, stopping.eps, kernel, space.dim)
+        self._states = states = edge_states(opinions, tau, stopping.eps, space.norm, space.dim)
+        self._update = update_rule(opinions, params.alpha, space.dim)
         self._state = state = [states(op, nbrs) for op, nbrs in zip(opinions, g.adjacency)]
         self._banded_count = sum(row.count(2) for row in state) // 2
         # Fenwick tree over rates, zero-padded to a power-of-two size so the descent
@@ -273,8 +345,12 @@ class TrialEngine:
         self.time = 0.0
         self.events = 0
         self._on_event = on_event
+        # each vertex's center distance, kept while observing: an event changes one entry,
+        # and adding the list left to right from 0.0 gives total_center_distance() bitwise
+        observed = record_samples or on_event is not None
+        self._center_dists = [kernel(op, center) for op in opinions] if observed else None
         # (time, total center distance) pairs, from the initial state on
-        self._samples = [(0.0, self.total_center_distance())] if record_samples else None
+        self._samples = [(0.0, reduce(add, self._center_dists, 0.0))] if record_samples else None
 
     @property
     def compat(self) -> CompatibilityView:
@@ -310,14 +386,12 @@ class TrialEngine:
         state lives in locals for the whole run; the counters are written back
         on exit and before each observation.
         """
-        tree, size, state, states = self._tree, self._size, self._state, self._states
+        tree, size, state, states, update = self._tree, self._size, self._state, self._states, self._update
         expovariate, rand = self.rng.expovariate, self.rng.random
         opinions, adjacency = self.opinions, self.g.adjacency
-        a = self._alpha
-        b = 1.0 - a
         banded, events, time = self._banded_count, self.events, self.time
-        samples, on_event = self._samples, self._on_event
-        observe = samples is not None or on_event is not None
+        samples, on_event, dists = self._samples, self._on_event, self._center_dists
+        kernel, center = self._kernel, self._center
         x = None
         while events < cap and (banded or once):
             total = tree[size]
@@ -338,7 +412,7 @@ class TrialEngine:
                 bit >>= 1
             nbrs = adjacency[x]
             row = state[x]
-            new = opinions[x] = average(opinions, list(compress(nbrs, row)), opinions[x], a, b)
+            new = opinions[x] = update(list(compress(nbrs, row)), opinions[x])
             fresh = states(new, nbrs)
             if fresh != row:
                 for j, s in enumerate(fresh):
@@ -357,9 +431,10 @@ class TrialEngine:
                 state[x] = fresh
             time += dt
             events += 1
-            if observe:
+            if dists is not None:
                 self.events, self.time, self._banded_count = events, time, banded
-                xc = self.total_center_distance()
+                dists[x] = kernel(new, center)
+                xc = reduce(add, dists, 0.0)
                 if samples is not None:
                     samples.append((time, xc))
                 if on_event is not None:

@@ -5,7 +5,7 @@ The total distance of all opinions to any fixed point is nonincreasing in
 expectation under the dynamics; `generator_drift` computes its exact expected
 rate of change, which must be <= 0 for every configuration, point, graph, and
 norm. It runs the engine's own edge rule and update (`edge_states` and
-`average` in `hkc.dynamics`), so a failing case would contradict this
+`update_rule` in `hkc.dynamics`), so a failing case would contradict this
 supermartingale property for the code that produces every report; the runner
 shrinks any failure to a minimal witness before reporting it.
 """
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from itertools import compress, product
 from typing import Sequence
 
-from .dynamics import Rows, average, edge_states
+from .dynamics import Rows, edge_states, update_rule
 from .graph import SocialGraph
 from .space import Norm, distance_fn
 
@@ -32,18 +32,19 @@ def generator_drift(
     Sum over vertices with at least one compatible neighbor of
     rate * (||local mean - c|| - ||own - c||). Always <= 0 up to rounding.
     The compatible neighbors and the local mean come from the engine's own
-    edge rule and averaging step, `edge_states` and `average`.
+    edge rule and averaging step, `edge_states` and `update_rule`.
     """
     if len(opinions) != g.vertex_count:
         raise ValueError("configuration does not match the graph")
     dim = len(opinions[0])
     kernel = distance_fn(norm, dim)
-    states = edge_states(opinions, tau, 0.0, kernel, dim)  # eps = 0: only compatible or not matters
+    states = edge_states(opinions, tau, 0.0, norm, dim)  # eps = 0: only compatible or not matters
+    mean = update_rule(opinions, 0.0, dim)
     drift = 0.0
     for op, nbrs in zip(opinions, g.adjacency):
         ys = list(compress(nbrs, states(op, nbrs)))
         if ys:
-            drift += len(ys) * (kernel(average(opinions, ys, op, 0.0, 1.0), c) - kernel(op, c))
+            drift += len(ys) * (kernel(mean(ys, op), c) - kernel(op, c))
     return drift
 
 

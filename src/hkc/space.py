@@ -86,11 +86,53 @@ def _dist_linf_2(u, v) -> float:
 
 # Straight-line kernels for dims 1 and 2: the loop kernels without their leading
 # 0.0 (the start of the sum or of the running max). Dropping it is exact because
-# every term is >= +0.0, so each returns the loop kernel's bits.
+# every term is >= +0.0, so each returns the loop kernel's bits. The loops that
+# take one distance per element inline these expressions in dims 1 and 2, with the
+# form chosen once by (norm, dim): the edge rule (`dynamics.edge_states`), and the
+# box Monte Carlo bound (`_BOX_TOTALS`, which also fuses the uniform draw). The
+# update (`dynamics.update_rule`) likewise keeps one accumulator per coordinate.
+# Each performs the loop form's float operations on the same operands in the same
+# order, so each is bitwise equal to it. None may use sum() (compensated from
+# Python 3.12), math.fsum, math.hypot or math.dist, which round differently.
 _UNROLLED = {
     (Norm.L1, 1): _dist_abs_1, (Norm.L2, 1): _dist_l2_1, (Norm.LINF, 1): _dist_abs_1,
     (Norm.L1, 2): _dist_l1_2, (Norm.L2, 2): _dist_l2_2, (Norm.LINF, 2): _dist_linf_2,
 }
+
+
+# The sums of expected_center_distance's box Monte Carlo in two dimensions: each
+# coordinate difference is (a + w * random()) - c, the draw and then the kernel's
+# subtraction, taken for coordinate 0 and then 1 as the generic loop takes them.
+def _box_total_l1_2(box, center, rand, samples: int) -> float:
+    (a0, w0), (a1, w1) = box
+    c0, c1 = center
+    total = 0.0
+    for _ in range(samples):
+        total += abs(a0 + w0 * rand() - c0) + abs(a1 + w1 * rand() - c1)
+    return total
+
+
+def _box_total_l2_2(box, center, rand, samples: int) -> float:
+    (a0, w0), (a1, w1) = box
+    c0, c1 = center
+    total = 0.0
+    for _ in range(samples):
+        d0 = a0 + w0 * rand() - c0
+        d1 = a1 + w1 * rand() - c1
+        total += math.sqrt(d0 * d0 + d1 * d1)
+    return total
+
+
+def _box_total_linf_2(box, center, rand, samples: int) -> float:
+    (a0, w0), (a1, w1) = box
+    c0, c1 = center
+    total = 0.0
+    for _ in range(samples):
+        total += max(abs(a0 + w0 * rand() - c0), abs(a1 + w1 * rand() - c1))
+    return total
+
+
+_BOX_TOTALS = {(Norm.L1, 2): _box_total_l1_2, (Norm.L2, 2): _box_total_l2_2, (Norm.LINF, 2): _box_total_linf_2}
 
 
 def distance_fn(norm: Norm, dim: int | None = None):
@@ -308,12 +350,15 @@ def expected_center_distance(
         raise ValueError("samples must be >= 1 for the Monte Carlo path")
     if rng is None:
         raise ValueError("uniform-box expected distance needs a random stream")
-    kernel = distance_fn(space.norm, space.dim)
     center = space.center
     # sample_initial's draw fused into the loop: random.uniform(a, b) is
     # a + (b - a) * random(), so this is the same stream and the same bits
     box = tuple((a, b - a) for a, b in zip(space.shape.lo, space.shape.hi))
     rand = rng.random
+    fused = _BOX_TOTALS.get((space.norm, space.dim))
+    if fused is not None:
+        return fused(box, center, rand, samples) / samples
+    kernel = distance_fn(space.norm, space.dim)
     total = 0.0
     for _ in range(samples):
         total += kernel(tuple([a + w * rand() for a, w in box]), center)

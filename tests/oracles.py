@@ -7,6 +7,7 @@ these operations side by side on one random stream. `compatibility` and
 `_neighbor_mean` are also the reference for `hkc.invariants.generator_drift`,
 which runs the engine's own edge rule and update, and `check_event_a` is the
 reference for the near-center trigger that `TrialEngine.outcome` decides.
+`box_center_distance` is the reference for the box Monte Carlo bound.
 """
 
 from __future__ import annotations
@@ -185,6 +186,24 @@ def check_event_a(opinions: Rows, space: OpinionSpace, tau: float, eps_prime: fl
     threshold = tau - space.radius - eps_prime
     kernel = distance_fn(space.norm)
     return any(kernel(row, space.center) < threshold for row in opinions)
+
+
+def box_center_distance(space: OpinionSpace, samples: int, rng: random.Random) -> float:
+    """Monte Carlo mean distance from the center of a uniform draw on a box, by the loop kernel.
+
+    Each draw is sample_initial's, random.uniform(a, b) = a + (b - a) * random()
+    coordinate by coordinate, and the distances are added left to right from 0.0.
+    Test oracle for `expected_center_distance` on a box, which must agree bitwise
+    on the same stream.
+    """
+    kernel = distance_fn(space.norm)
+    center = space.center
+    box = tuple((a, b - a) for a, b in zip(space.shape.lo, space.shape.hi))
+    rand = rng.random
+    total = 0.0
+    for _ in range(samples):
+        total += kernel(tuple([a + w * rand() for a, w in box]), center)
+    return total / samples
 
 
 def replay(

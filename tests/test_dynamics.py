@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from array import array
 
 import numpy as np
 import pytest
@@ -13,11 +14,14 @@ from hkc.dynamics import (
     StoppingSpec,
     TrialEngine,
     default_stopping,
+    edge_states,
     event_a_applicable,
+    update_rule,
 )
 from hkc.graph import complete, cycle, erdos_renyi, grid, path
 from hkc.montecarlo import ExperimentSpec, run_single_trial
 from hkc.space import (
+    _KERNELS,
     MIN_L2_EXTENT,
     Ball,
     Box,
@@ -453,6 +457,74 @@ def test_engine_edges_closed_at_tau_after_updates():
             assert engine.compat == compatibility(config, g, params.tau, Norm.L2)
             on_tau += sum(abs(config[u][0] - config[v][0]) == 0.5 for u, v in g.edges())
     assert on_tau > 0
+
+
+def _bits(values) -> bytes:
+    """The float64 bytes, so that -0.0 and 0.0 differ."""
+    return array("d", values).tobytes()
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("norm", list(Norm))
+def test_edge_rule_and_update_equal_loop_forms_bitwise(norm, dim):
+    # edge_states and update_rule take straight-line forms in dims 1 and 2. Every
+    # pair's loop-kernel distance d serves as tau and as eps, and tau one ulp below
+    # d, so a form that misses d by one ulp (math.hypot, say) flips a state. Dyadic
+    # rows put many distances exactly on tau and eps; rows of mixed magnitude make a
+    # sum taken out of order, or with compensation, change its bits.
+    kernel = _KERNELS[norm]
+    rng = random.Random(40 + 10 * dim + len(norm.value))
+    n = 7
+    g = complete(n)
+    for batch in range(40):
+        if batch % 2:
+            rows = [tuple(rng.randint(-16, 16) / 16 for _ in range(dim)) for _ in range(n)]
+            rows[1] = tuple(c + (0.375, 0.5, 0.0)[i] for i, c in enumerate(rows[0]))  # 3-4-5: exact in l2
+        else:
+            rows = [tuple(rng.uniform(-1, 1) * 2.0 ** rng.randint(-30, 30) for _ in range(dim)) for _ in range(n)]
+        for u, v in itertools.combinations(range(n), 2):
+            d = kernel(rows[u], rows[v])
+            for tau, eps in ((d, d), (d, math.nextafter(d, math.inf)), (math.nextafter(d, 0.0), d / 2)):
+                states = edge_states(rows, tau, eps, norm, dim)
+                view = compatibility(rows, g, tau, norm)
+                for x, nbrs in enumerate(g.adjacency):
+                    got = states(rows[x], nbrs)
+                    assert got == [0 if (e := kernel(rows[x], rows[y])) > tau else 1 if e < eps else 2 for y in nbrs]
+                    assert tuple(y for y, s in zip(nbrs, got) if s) == view[x]
+        for alpha in (0.0, 0.5):
+            update = update_rule(rows, alpha, dim)
+            for x in range(n):
+                ys = rng.sample(range(n), rng.randint(1, n))  # any order: the sum follows ys
+                view = tuple(tuple(ys) if v == x else () for v in range(n))
+                assert _bits(update(ys, rows[x])) == _bits(apply_update(rows, view, x, alpha)[x])
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_observed_center_distance_equals_total_center_distance(dim):
+    # Under observation the engine keeps each vertex's center distance and adds the
+    # list; the total it passes to on_event and records must be the bits of
+    # total_center_distance() after every event. An offset box makes the distances round.
+    for norm in Norm:
+        space = OpinionSpace(Box((-3.0,) * dim, (5.5,) * dim), norm)
+        g = erdos_renyi(12, 0.5, random.Random(dim))
+        params = ModelParams(tau=space.radius * 0.6, alpha=0.5)
+        stopping = default_stopping(g, space, params, max_events=400)
+        seen = []
+
+        def on_event(event, time, x, xc, opinions):
+            seen.append((time, xc, engine.total_center_distance()))
+
+        engine = TrialEngine(g, space, UniformShape(), params, stopping, random.Random(dim + len(norm.value)),
+                             record_samples=True, on_event=on_event)
+        initial = engine.total_center_distance()
+        engine.run_to_stop()
+        assert len(seen) == engine.events > 0
+        passed = [xc for _, xc, _ in seen]
+        assert _bits(passed) == _bits(total for _, _, total in seen)
+        samples = engine.outcome().x_samples
+        assert samples[0] == (0.0, initial)
+        assert [t for t, _ in samples[1:]] == [t for t, _, _ in seen]
+        assert _bits(xc for _, xc in samples[1:]) == _bits(passed)
 
 
 def _oracle_table(config, g, space, params, stopping):

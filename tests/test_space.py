@@ -23,6 +23,7 @@ from hkc.space import (
     sample_initial,
     validate_distribution,
 )
+from oracles import box_center_distance
 
 
 def np_norm(diff: np.ndarray, norm: Norm) -> np.ndarray:
@@ -289,17 +290,23 @@ def test_expected_center_distance_uniform_box_monte_carlo():
 
 
 def test_expected_center_distance_box_equals_sampling_loop_bitwise():
-    # the fused draw must consume the stream as sample_initial does and sum the
-    # same kernel values in the same order
-    boxes = [Box((-1.5, 0.25), (2.0, 0.75)), Box((-3.0, 0.1, 10.0), (-0.5, 0.4, 17.5))]
+    # The oracle's draw must consume the stream as sample_initial does, and the
+    # bound (fused straight-line loops in 2-D) must sum the oracle's kernel values
+    # in its order. Offsets of 1e6 make each a + w * random() - c round.
+    boxes = [Box((-1.5, 0.25), (2.0, 0.75)), Box((1e6 + 0.1, -1e6 - 7.0), (1e6 + 0.9, -1e6 + 3.0)),
+             Box((-3.0, 0.1, 10.0), (-0.5, 0.4, 17.5)), Box((1e6, -1.0, 0.0), (1e6 + 1.5, 1.0, 2.0**-20))]
     for shape, norm in itertools.product(boxes, Norm):
         space = OpinionSpace(shape, norm)
         rng = random.Random(11)
         total = 0.0
         for _ in range(5000):
             total += _KERNELS[norm](sample_initial(UniformShape(), space, rng), space.center)
-        got = expected_center_distance(UniformShape(), space, samples=5000, rng=random.Random(11))
-        assert got == total / 5000, (shape, norm)
+        oracle_rng, rng = random.Random(11), random.Random(11)
+        want = box_center_distance(space, 5000, oracle_rng)
+        assert want == total / 5000, (shape, norm)
+        got = expected_center_distance(UniformShape(), space, samples=5000, rng=rng)
+        assert array("d", [got]).tobytes() == array("d", [want]).tobytes(), (shape, norm)
+        assert rng.getstate() == oracle_rng.getstate(), (shape, norm)
 
 
 def test_max_pairwise_distance():
