@@ -18,16 +18,17 @@ in-band edges (`TrialEngine`). The edge rule (`edge_states`) and the update
 them. One event loop runs every event, with the engine's state in local
 variables.
 
-Both rules pick a form once, by (norm, dim), before any event. In dims 1 and 2
-the forms are straight-line code with no kernel call per edge or per
+Both rules pick a form once, by (norm, dim), before any event. On the 2-D L2
+space the forms are straight-line code with no kernel call per edge or per
 coordinate: the edge rule computes each distance inline, by the expression of
-the straight-line kernel `distance_fn(norm, 2)`, and the update keeps one
-accumulator per coordinate over a single pass of the neighbors. Each is
-bitwise equal to the loop form: the same float operations on the same
-operands in the same order, every sum taken left to right from 0.0. For that
-reason no form uses `sum()` (compensated from Python 3.12), `math.fsum`,
-`math.hypot` or `math.dist` (rounded differently), or numpy. Dims 3 and up call
-the loop kernel.
+the straight-line kernel `distance_fn(Norm.L2, 2)`, and the update keeps one
+accumulator per coordinate over a single pass of the neighbors (in any 2-D
+space). Each is bitwise equal to the loop form: the same float operations on
+the same operands in the same order, every sum taken left to right from 0.0.
+For that reason no form uses `sum()` (compensated from Python 3.12),
+`math.fsum`, `math.hypot` or `math.dist` (rounded differently), or numpy. The
+1-D edge rule compares |u - v|; every other space calls the kernel
+`distance_fn(norm, dim)` and loops over coordinates in the update.
 
 A trial stops at the first time every edge's opinion distance falls strictly
 outside [eps, tau] (either near-agreement or frozen), or when an event cap is
@@ -211,8 +212,8 @@ def edge_states(opinions: Rows, tau: float, eps: float, norm: Norm, dim: int) ->
     of nbrs, 0 (distance > tau, incompatible), 1 (< eps, near) or 2 (in [eps, tau], banded).
 
     The form is chosen once, by (norm, dim). In one dimension it compares |u - v|, as the kernel does
-    on the shapes `OpinionSpace` accepts (`MIN_L2_EXTENT`). In two it computes the distance inline,
-    by the expression of `distance_fn(norm, 2)`; from three on it calls the loop kernel.
+    on the shapes `OpinionSpace` accepts (`MIN_L2_EXTENT`). Under L2 in two it computes the distance
+    inline, by the expression of `distance_fn(Norm.L2, 2)`; otherwise it calls `distance_fn(norm, dim)`.
     """
     if dim == 1:
         def states(op: tuple[float, ...], nbrs: Sequence[int]) -> list[int]:
@@ -229,24 +230,6 @@ def edge_states(opinions: Rows, tau: float, eps: float, norm: Norm, dim: int) ->
                 d = sqrt(d0 * d0 + d1 * d1)
                 out.append(0 if d > tau else 1 if d < eps else 2)
             return out
-    elif dim == 2 and norm is Norm.L1:
-        def states(op: tuple[float, ...], nbrs: Sequence[int]) -> list[int]:
-            u0, u1 = op
-            out = []
-            for y in nbrs:
-                v0, v1 = opinions[y]
-                d = abs(u0 - v0) + abs(u1 - v1)
-                out.append(0 if d > tau else 1 if d < eps else 2)
-            return out
-    elif dim == 2:
-        def states(op: tuple[float, ...], nbrs: Sequence[int]) -> list[int]:
-            u0, u1 = op
-            out = []
-            for y in nbrs:
-                v0, v1 = opinions[y]
-                d = max(abs(u0 - v0), abs(u1 - v1))
-                out.append(0 if d > tau else 1 if d < eps else 2)
-            return out
     else:
         kernel = distance_fn(norm, dim)
 
@@ -259,17 +242,11 @@ def update_rule(opinions: Rows, alpha: float, dim: int) -> Callable[..., tuple[f
     """The update rule: `update(ys, old)` is alpha * old + (1 - alpha) * (the sum of the rows ys,
     taken left to right in the order of ys, / len(ys)), coordinate by coordinate.
 
-    The form is chosen once, by dim: in dims 1 and 2 one pass over ys keeps an accumulator per
+    The form is chosen once, by dim: in two dimensions one pass over ys keeps an accumulator per
     coordinate, which adds the same terms in the same order as the loop over coordinates.
     """
     a, b = alpha, 1.0 - alpha
-    if dim == 1:
-        def update(ys: Sequence[int], old: tuple[float, ...]) -> tuple[float, ...]:
-            m = 0.0
-            for y in ys:
-                m += opinions[y][0]
-            return (a * old[0] + b * (m / len(ys)),)
-    elif dim == 2:
+    if dim == 2:
         def update(ys: Sequence[int], old: tuple[float, ...]) -> tuple[float, ...]:
             m0 = m1 = 0.0
             for y in ys:
@@ -346,7 +323,7 @@ class TrialEngine:
         self.events = 0
         self._on_event = on_event
         # each vertex's center distance, kept while observing: an event changes one entry,
-        # and adding the list left to right from 0.0 gives total_center_distance() bitwise
+        # and the list is added left to right from 0.0, as a from-scratch sum over the rows would be
         observed = record_samples or on_event is not None
         self._center_dists = [kernel(op, center) for op in opinions] if observed else None
         # (time, total center distance) pairs, from the initial state on
@@ -358,15 +335,6 @@ class TrialEngine:
         return tuple(
             tuple(y for y, s in zip(nbrs, row) if s) for nbrs, row in zip(self.g.adjacency, self._state)
         )
-
-    def total_center_distance(self) -> float:
-        """Sum over vertices of the opinion's distance to the space center."""
-        kernel = self._kernel
-        center = self._center
-        total = 0.0
-        for op in self.opinions:
-            total += kernel(op, center)
-        return total
 
     def is_stopped(self) -> bool:
         return not self._banded_count

@@ -86,10 +86,10 @@ def _dist_linf_2(u, v) -> float:
 
 # Straight-line kernels for dims 1 and 2: the loop kernels without their leading
 # 0.0 (the start of the sum or of the running max). Dropping it is exact because
-# every term is >= +0.0, so each returns the loop kernel's bits. The loops that
-# take one distance per element inline these expressions in dims 1 and 2, with the
-# form chosen once by (norm, dim): the edge rule (`dynamics.edge_states`), and the
-# box Monte Carlo bound (`_BOX_TOTALS`, which also fuses the uniform draw). The
+# every term is >= +0.0, so each returns the loop kernel's bits. Two loops that
+# take one distance per element inline the 2-D L2 expression, with the form chosen
+# once by (norm, dim): the edge rule (`dynamics.edge_states`), and the box Monte
+# Carlo bound (`_box_total_l2_2`, which also fuses the uniform draw). The 2-D
 # update (`dynamics.update_rule`) likewise keeps one accumulator per coordinate.
 # Each performs the loop form's float operations on the same operands in the same
 # order, so each is bitwise equal to it. None may use sum() (compensated from
@@ -100,18 +100,9 @@ _UNROLLED = {
 }
 
 
-# The sums of expected_center_distance's box Monte Carlo in two dimensions: each
+# The sum of expected_center_distance's box Monte Carlo on the 2-D L2 box: each
 # coordinate difference is (a + w * random()) - c, the draw and then the kernel's
 # subtraction, taken for coordinate 0 and then 1 as the generic loop takes them.
-def _box_total_l1_2(box, center, rand, samples: int) -> float:
-    (a0, w0), (a1, w1) = box
-    c0, c1 = center
-    total = 0.0
-    for _ in range(samples):
-        total += abs(a0 + w0 * rand() - c0) + abs(a1 + w1 * rand() - c1)
-    return total
-
-
 def _box_total_l2_2(box, center, rand, samples: int) -> float:
     (a0, w0), (a1, w1) = box
     c0, c1 = center
@@ -121,18 +112,6 @@ def _box_total_l2_2(box, center, rand, samples: int) -> float:
         d1 = a1 + w1 * rand() - c1
         total += math.sqrt(d0 * d0 + d1 * d1)
     return total
-
-
-def _box_total_linf_2(box, center, rand, samples: int) -> float:
-    (a0, w0), (a1, w1) = box
-    c0, c1 = center
-    total = 0.0
-    for _ in range(samples):
-        total += max(abs(a0 + w0 * rand() - c0), abs(a1 + w1 * rand() - c1))
-    return total
-
-
-_BOX_TOTALS = {(Norm.L1, 2): _box_total_l1_2, (Norm.L2, 2): _box_total_l2_2, (Norm.LINF, 2): _box_total_linf_2}
 
 
 def distance_fn(norm: Norm, dim: int | None = None):
@@ -355,9 +334,8 @@ def expected_center_distance(
     # a + (b - a) * random(), so this is the same stream and the same bits
     box = tuple((a, b - a) for a, b in zip(space.shape.lo, space.shape.hi))
     rand = rng.random
-    fused = _BOX_TOTALS.get((space.norm, space.dim))
-    if fused is not None:
-        return fused(box, center, rand, samples) / samples
+    if space.norm is Norm.L2 and space.dim == 2:
+        return _box_total_l2_2(box, center, rand, samples) / samples
     kernel = distance_fn(space.norm, space.dim)
     total = 0.0
     for _ in range(samples):

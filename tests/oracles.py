@@ -104,7 +104,8 @@ def stop_reached(opinions: Rows, g: SocialGraph, spec: StoppingSpec, tau: float,
 def total_disagreement(opinions: Rows, c: Sequence[float], norm: Norm) -> float:
     """Sum over vertices of the opinion distance to the reference point c.
 
-    Test oracle for `TrialEngine.total_center_distance` when c is the center.
+    Test oracle, when c is the center, for the total center distance that
+    `TrialEngine` records and passes to `on_event` after each event.
     """
     kernel = distance_fn(norm)
     if len(c) != len(opinions[0]):

@@ -410,9 +410,6 @@ def test_engine_matches_pure_operations_step_by_step():
                     assert out.event_a is None
                 consensus_seen.add(out.consensus)
                 event_a_seen.add(out.event_a)
-            assert engine.total_center_distance() == total_disagreement(
-                config, space.center, space.norm
-            )
             if engine.events == 400:
                 break
     assert consensus_seen == {True, False}
@@ -502,8 +499,8 @@ def test_edge_rule_and_update_equal_loop_forms_bitwise(norm, dim):
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_observed_center_distance_equals_total_center_distance(dim):
     # Under observation the engine keeps each vertex's center distance and adds the
-    # list; the total it passes to on_event and records must be the bits of
-    # total_center_distance() after every event. An offset box makes the distances round.
+    # list; the total it passes to on_event and records must be the bits of the
+    # from-scratch sum over the rows after every event. An offset box makes the distances round.
     for norm in Norm:
         space = OpinionSpace(Box((-3.0,) * dim, (5.5,) * dim), norm)
         g = erdos_renyi(12, 0.5, random.Random(dim))
@@ -512,11 +509,11 @@ def test_observed_center_distance_equals_total_center_distance(dim):
         seen = []
 
         def on_event(event, time, x, xc, opinions):
-            seen.append((time, xc, engine.total_center_distance()))
+            seen.append((time, xc, total_disagreement(opinions, space.center, norm)))
 
         engine = TrialEngine(g, space, UniformShape(), params, stopping, random.Random(dim + len(norm.value)),
                              record_samples=True, on_event=on_event)
-        initial = engine.total_center_distance()
+        initial = total_disagreement(engine.opinions, space.center, norm)
         engine.run_to_stop()
         assert len(seen) == engine.events > 0
         passed = [xc for _, xc, _ in seen]

@@ -291,7 +291,7 @@ def test_expected_center_distance_uniform_box_monte_carlo():
 
 def test_expected_center_distance_box_equals_sampling_loop_bitwise():
     # The oracle's draw must consume the stream as sample_initial does, and the
-    # bound (fused straight-line loops in 2-D) must sum the oracle's kernel values
+    # bound (a fused straight-line loop on the 2-D L2 box) must sum the oracle's kernel values
     # in its order. Offsets of 1e6 make each a + w * random() - c round.
     boxes = [Box((-1.5, 0.25), (2.0, 0.75)), Box((1e6 + 0.1, -1e6 - 7.0), (1e6 + 0.9, -1e6 + 3.0)),
              Box((-3.0, 0.1, 10.0), (-0.5, 0.4, 17.5)), Box((1e6, -1.0, 0.0), (1e6 + 1.5, 1.0, 2.0**-20))]
