@@ -34,6 +34,28 @@ A trial stops at the first time every edge's opinion distance falls strictly
 outside [eps, tau] (either near-agreement or frozen), or when an event cap is
 hit.
 
+`run_to_stop` (not `step`) skips the edge rule in a certified phase. It
+enters it when every edge is compatible (the total rate is twice the edge
+count, an O(1) test) and the kernel distance between the corners of the
+opinions' bounding box is at most tau (O(n * dim), tested at most once every
+n events). Every pair of points in the box is then within tau: rounding is
+monotone, so |fl(u_i - v_i)| <= fl(hi_i - lo_i), and each kernel is monotone
+in every |d_i|. An update is a convex combination of compatible opinions, so
+the hull only shrinks (Moreau 2005) and no edge can become incompatible.
+Each event then runs only the selection and the update from all neighbors,
+and grows the box by the new opinion, since an update can round an ulp out
+of the hull; the phase ends if that takes the box beyond tau. The stop is
+found exactly by one banded witness edge, examined again only when one of
+its ends moves. When it is no longer banded, a scan of the adjacency rows
+from its end finds another, or finds none, which is the stop at that same
+event. Every exit (stop, cap or box growth) rebuilds the edge-state table,
+the banded count and the Fenwick tree with the builder `__init__` uses. The
+phase only skips work: each event draws the same numbers, picks the same
+vertex, and averages the same neighbors in the same order as the general
+loop, and the trial stops at the same event, so no report, trace or pinned
+byte changes. Inside an `on_event` callback during the phase, `is_stopped()`
+is False until the event that stops the trial, as in the general loop.
+
 At a stop every compatible edge (distance <= tau) is a near-agreement edge
 (distance < eps), and a stopped trial is classified as consensus exactly
 when its compatible-neighbor graph is connected. A consensus stop is final.
@@ -48,12 +70,12 @@ consumed in a fixed order (holding time, then vertex choice, per event).
 from __future__ import annotations
 
 import random
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import reduce
-from itertools import compress
+from itertools import chain, compress
 from math import sqrt
-from operator import add
+from operator import add, itemgetter
 from typing import Callable, Sequence
 
 import numpy as np
@@ -281,8 +303,14 @@ class TrialEngine:
     the total rate. After an update only the edges at the updated vertex are
     recomputed; tests pin equivalence with full recomputation by the oracles in
     `tests/oracles.py`. `step` and `run_to_stop` both run the one event loop,
-    `_run`. `outcome` decides event A with the engine's own kernel and center.
-    Not thread-safe; one engine and one stream per trial.
+    `_run`; only `run_to_stop` enters the certified phase (module docstring),
+    which skips the edge rule and the table with the same events and bytes,
+    and rebuilds the table with `_build` on leaving it. Inside
+    an `on_event` callback during the phase, `is_stopped()` is False until the
+    event that stops the trial and `compat` is exact (every edge is
+    compatible); only the near and banded entries of `_state` and the value
+    of `_banded_count` are stale. `outcome` decides event A with the engine's
+    own kernel and center. Not thread-safe; one engine and one stream per trial.
     """
 
     def __init__(
@@ -307,18 +335,13 @@ class TrialEngine:
         self._center = center = space.center
         n = g.vertex_count
         self.opinions = opinions = [sample_initial(dist, space, rng) for _ in range(n)]
-        self._states = states = edge_states(opinions, tau, stopping.eps, space.norm, space.dim)
+        self._states = edge_states(opinions, tau, stopping.eps, space.norm, space.dim)
         self._update = update_rule(opinions, params.alpha, space.dim)
-        self._state = state = [states(op, nbrs) for op, nbrs in zip(opinions, g.adjacency)]
-        self._banded_count = sum(row.count(2) for row in state) // 2
         # Fenwick tree over rates, zero-padded to a power-of-two size so the descent
-        # needs no bounds check and the root tree[size] is the total; built in O(n)
-        size = 1 << (n - 1).bit_length()
-        tree = [0] + [len(row) - row.count(0) for row in state] + [0] * (size - n)
-        for i in range(1, size):
-            tree[i + (i & -i)] += tree[i]
-        self._tree = tree
-        self._size = size
+        # needs no bounds check and the root tree[size] is the total
+        self._size = 1 << (n - 1).bit_length()
+        self._full_rate = sum(map(len, g.adjacency))  # the total rate when every edge is compatible
+        self._build()
         self.time = 0.0
         self.events = 0
         self._on_event = on_event
@@ -347,56 +370,115 @@ class TrialEngine:
         """Step until the stopping band empties or the event cap is hit."""
         self._run(self.stopping.max_events if max_events is None else max_events, False)
 
+    def _build(self) -> None:
+        """Build the edge-state table, the banded count and the Fenwick tree (in O(n)) from the opinions."""
+        states, size = self._states, self._size
+        self._state = state = [states(op, nbrs) for op, nbrs in zip(self.opinions, self.g.adjacency)]
+        self._banded_count = sum(row.count(2) for row in state) // 2
+        tree = [0] + [len(row) - row.count(0) for row in state] + [0] * (size - len(state))
+        for i in range(1, size):
+            tree[i + (i & -i)] += tree[i]
+        self._tree = tree
+
     def _run(self, cap: int, once: bool) -> int | None:
         """The event loop: events until `cap`, and while edges are banded unless `once`.
 
         Returns the last updated vertex, or None when absorbed. The engine's
         state lives in locals for the whole run; the counters are written back
-        on exit and before each observation.
+        on exit and before each observation. Unless `once`, the loop runs the
+        certified phase (module docstring) while it holds, and rebuilds the
+        table with `_build` whenever it leaves it.
         """
         tree, size, state, states, update = self._tree, self._size, self._state, self._states, self._update
         expovariate, rand = self.rng.expovariate, self.rng.random
         opinions, adjacency = self.opinions, self.g.adjacency
         banded, events, time = self._banded_count, self.events, self.time
         samples, on_event, dists = self._samples, self._on_event, self._center_dists
-        kernel, center = self._kernel, self._center
+        kernel, center, tau = self._kernel, self._center, self._tau
+        full, n, dim = self._full_rate, len(opinions), self.space.dim
+        # in the certified phase lo and hi bound every opinion with kernel(hi, lo) <= tau,
+        # and (wu, wv) is a banded edge; the box is tested again from event `check` on
+        certified = False
+        check = events
         x = None
         while events < cap and (banded or once):
             total = tree[size]
             if not total:
                 break  # absorbed; banded edges imply compatible ones, so only under `once`
+            if total == full and not certified and not once and events >= check:
+                # a pass per coordinate: zip(*opinions) would allocate an iterator per row, n objects
+                # that the cyclic garbage collector counts, and set off its collections inside the trial
+                lo = [min(map(itemgetter(i), opinions)) for i in range(dim)]
+                hi = [max(map(itemgetter(i), opinions)) for i in range(dim)]
+                if kernel(hi, lo) <= tau:
+                    certified = True
+                    wu = next(v for v, row in enumerate(state) if 2 in row)
+                    wv = adjacency[wu][state[wu].index(2)]
+                else:
+                    check = events + n
             dt = expovariate(total)
-            target = rand() * total
-            # x is the first vertex whose inclusive rate prefix sum exceeds target,
-            # as in the scan of gillespie_step (tests/oracles.py): the descent finds the longest prefix with
-            # sum <= target. Prefix sums are ints, and int/float comparison is exact.
-            x = acc = 0
+            # x is the first vertex whose inclusive rate prefix sum exceeds rand() * total, as in
+            # the scan of gillespie_step (tests/oracles.py). Prefix sums are ints, and an int is
+            # <= a nonnegative float exactly when it is <= the float's floor k, so the descent
+            # finds the longest prefix with sum <= k, taking each node it passes off k.
+            k = int(rand() * total)
+            x = 0
             bit = size >> 1
             while bit:
-                s = acc + tree[x + bit]
-                if s <= target:
+                s = tree[x + bit]
+                if s <= k:
                     x += bit
-                    acc = s
+                    k -= s
                 bit >>= 1
             nbrs = adjacency[x]
-            row = state[x]
-            new = opinions[x] = update(list(compress(nbrs, row)), opinions[x])
-            fresh = states(new, nbrs)
-            if fresh != row:
-                for j, s in enumerate(fresh):
-                    was = row[j]
-                    if s != was:
-                        y = nbrs[j]
-                        state[y][bisect_left(adjacency[y], x)] = s
-                        banded += (s == 2) - (was == 2)
-                        if not (s and was):  # compatibility flipped: both rates move
-                            delta = 1 if s else -1
-                            for v in (x, y):
-                                i = v + 1
-                                while i <= size:
-                                    tree[i] += delta
-                                    i += i & -i
-                state[x] = fresh
+            if certified:
+                new = opinions[x] = update(nbrs, opinions[x])
+                grew = False
+                for i, c in enumerate(new):
+                    if c > hi[i]:
+                        hi[i] = c
+                        grew = True
+                    elif c < lo[i]:
+                        lo[i] = c
+                        grew = True
+                if grew and kernel(hi, lo) > tau:
+                    # the update rounded out of the hull far enough to void the certificate
+                    certified = False
+                    check = events + n
+                    state = self._state = None  # drop the old table first, so the rebuild adds no peak memory
+                    self._build()
+                    tree, state, banded = self._tree, self._state, self._banded_count
+                elif (x == wu or x == wv) and states(opinions[wu], (wv,))[0] != 2:
+                    # the witness is no longer banded: scan the rows from its end for another edge
+                    # of the upper triangle that is; none left is the stop
+                    for v in chain(range(wu, n), range(wu)):
+                        ys = adjacency[v]
+                        ys = ys[bisect_right(ys, v):]
+                        row = states(opinions[v], ys)
+                        if 2 in row:
+                            wu, wv = v, ys[row.index(2)]
+                            break
+                    else:
+                        banded = 0
+            else:
+                row = state[x]
+                new = opinions[x] = update(list(compress(nbrs, row)), opinions[x])
+                fresh = states(new, nbrs)
+                if fresh != row:
+                    for j, s in enumerate(fresh):
+                        was = row[j]
+                        if s != was:
+                            y = nbrs[j]
+                            state[y][bisect_left(adjacency[y], x)] = s
+                            banded += (s == 2) - (was == 2)
+                            if not (s and was):  # compatibility flipped: both rates move
+                                delta = 1 if s else -1
+                                for v in (x, y):
+                                    i = v + 1
+                                    while i <= size:
+                                        tree[i] += delta
+                                        i += i & -i
+                    state[x] = fresh
             time += dt
             events += 1
             if dists is not None:
@@ -407,6 +489,10 @@ class TrialEngine:
                     samples.append((time, xc))
                 if on_event is not None:
                     on_event(events, time, x, xc, opinions)
+        if certified:  # stopped or capped in the phase
+            state = self._state = None
+            self._build()
+            banded = self._banded_count
         self.events, self.time, self._banded_count = events, time, banded
         return x
 

@@ -570,13 +570,59 @@ def test_initial_edge_table_equals_oracle(norm, dim):
     assert min(on.values()) > 0
 
 
+def _count_edge_rule(engine) -> list:
+    """Wrap the engine's edge rule; the returned list grows by one entry per call."""
+    calls = []
+    states = engine._states
+
+    def counted(op, nbrs):
+        calls.append(None)
+        return states(op, nbrs)
+
+    engine._states = counted
+    return calls
+
+
+def _run_to_stop_as_stepped(engine, stepped, params, cap) -> int:
+    """Run `engine` by run_to_stop(cap) and its twin `stepped` by step() to the same stop or cap.
+
+    Asserts that the two end bitwise equal, with the table the oracles build from
+    scratch, and that every event run_to_stop ran without the edge rule found the
+    opinions' bounding box within tau; returns the number of edge-rule calls it made.
+    """
+    calls = _count_edge_rule(engine)
+    update, kernel, log = engine._update, distance_fn(engine.space.norm), []
+
+    def logged(ys, old):
+        # (edge-rule calls so far, whether the box's corners are farther apart than tau)
+        corners = [(max(c), min(c)) for c in zip(*engine.opinions)]
+        log.append((len(calls), kernel(*zip(*corners)) > params.tau))
+        return update(ys, old)
+
+    engine._update = logged
+    engine.run_to_stop(cap)
+    log.append((len(calls), None))
+    assert not any(wide for (before, wide), (after, _) in zip(log, log[1:]) if before == after)
+    while stepped.events < cap and not stepped.is_stopped():
+        stepped.step()
+    assert repr(tuple(engine.opinions)) == repr(tuple(stepped.opinions))
+    assert (engine.time, engine.events) == (stepped.time, stepped.events)
+    table = (engine._state, engine._tree, engine._banded_count)
+    assert table == (stepped._state, stepped._tree, stepped._banded_count)
+    assert table == _oracle_table(tuple(engine.opinions), engine.g, engine.space, params, engine.stopping)
+    return len(calls)
+
+
 @pytest.mark.parametrize("dim", [1, 2, 3])
 @pytest.mark.parametrize("norm", list(Norm))
 def test_run_to_stop_equals_step_by_step_oracle(norm, dim):
-    # One run_to_stop call keeps the engine's state in locals over many events
-    # and writes it back at the end; it must leave what the pure operations
-    # reach one event at a time. Cases stop, or hit the cap; tau just above the
-    # radius makes eps tiny, and dyadic atoms put edges exactly on tau.
+    # One run_to_stop call keeps the engine's state in locals over many events,
+    # writes it back at the end, and skips the edge rule in the certified phase;
+    # it must leave what step(), which never enters the phase, and the pure
+    # operations reach one event at a time. Cases stop, or hit the cap; tau just
+    # above the radius makes eps tiny, and dyadic atoms put edges exactly on tau.
+    # The consensus cases (tau 1.5 radius, uniform opinions) run to their stop,
+    # and again with caps one event before it and halfway to it.
     space = OpinionSpace(Box((0.0,) * dim, (1.0,) * dim), norm)
     atoms = PointMasses(tuple(((c / 4,) + (0.0,) * (dim - 1), 0.2) for c in range(5)))
     cases = [(UniformShape(), space.radius * 0.6), (UniformShape(), space.radius + 1e-9)] + [(atoms, 0.5)] * 3
@@ -584,36 +630,145 @@ def test_run_to_stop_equals_step_by_step_oracle(norm, dim):
     rng = random.Random(100 * dim + len(norm.value))
     outcomes = set()
     on_tau = 0  # recomputed edges exactly on tau
-    for g in (path(5), cycle(6), complete(5)):
+    for g in (path(5), cycle(6), complete(5), grid(3, 3), erdos_renyi(6, 0.6, random.Random(dim))):
         for alpha in (0.0, 0.5):
             for dist, tau in cases:
                 params = ModelParams(tau=tau, alpha=alpha)
                 stopping = default_stopping(g, space, params, max_events=300)
-                seen = []  # (event, time) as passed to on_event and as the engine holds them then
+                # (event, time) as passed to on_event and as the engine holds them then, and is_stopped()
+                seen = []
 
                 def on_event(event, time, *_):
-                    seen.append(((event, time), (engine.events, engine.time)))
+                    seen.append(((event, time), (engine.events, engine.time), engine.is_stopped()))
 
+                twin = random.Random()
+                twin.setstate(rng.getstate())
                 # an observer only at alpha 0.5, so the write-back on exit is tested alone too
                 engine = TrialEngine(g, space, dist, params, stopping, rng,
                                      on_event=on_event if alpha else None)
+                stepped = TrialEngine(g, space, dist, params, stopping, twin)
                 # the pure operations alone, one event at a time, to the stop or the cap
                 for events, (config, _, time, x) in enumerate(replay(engine, rng, params, step=False)):
                     if x is not None:
                         on_tau += sum(kernel(config[x], config[y]) == params.tau for y in g.adjacency[x])
                     if events == 300 or stop_reached(config, g, stopping, params.tau, space.norm):
                         break
-                engine.run_to_stop()
+                _run_to_stop_as_stepped(engine, stepped, params, stopping.max_events)
                 assert repr(tuple(engine.opinions)) == repr(config)
                 assert (engine.time, engine.events) == (time, events)
                 assert len(seen) == (events if alpha else 0)
-                assert all(passed == held for passed, held in seen)
-                assert (engine._state, engine._tree, engine._banded_count) == _oracle_table(
-                    config, g, space, params, stopping
-                )
+                assert all(passed == held for passed, held, _ in seen)
+                # in the certified phase too, is_stopped() is False until the event that stops the trial
+                assert [s for *_, s in seen] == [i == events and engine.is_stopped() for i in range(1, len(seen) + 1)]
                 outcomes.add(engine.is_stopped())
     assert outcomes == {True, False}
     assert on_tau > 0
+    runs = phase_ran = 0  # the edge rule ran fewer times than there were events
+    for gi, g in enumerate((path(6), cycle(6), complete(6), grid(2, 3), erdos_renyi(7, 0.5, random.Random(dim)))):
+        for alpha in (0.0, 0.5):
+            params = ModelParams(tau=space.radius * 1.5, alpha=alpha)
+            stopping = default_stopping(g, space, params, max_events=50_000)
+            seed = 1000 * dim + 100 * len(norm.value) + 10 * gi + (alpha > 0)
+
+            def twins():
+                return [TrialEngine(g, space, UniformShape(), params, stopping, random.Random(seed))
+                        for _ in range(2)]
+
+            engine, stepped = twins()
+            calls = _run_to_stop_as_stepped(engine, stepped, params, stopping.max_events)
+            assert engine.is_stopped() and engine.outcome().consensus
+            stop = engine.events
+            runs += 1
+            phase_ran += calls < stop
+            for cap in (stop // 2, stop - 1):
+                engine, stepped = twins()
+                calls = _run_to_stop_as_stepped(engine, stepped, params, cap)
+                assert engine.events == cap and not engine.is_stopped()
+                runs += 1
+                phase_ran += calls < cap
+    assert phase_ran >= runs * 2 // 3
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("norm", list(Norm))
+def test_certified_phase_left_on_box_growth(norm, dim):
+    # An update that lands beyond tau of the opinions' box voids the certificate:
+    # run_to_stop must leave the phase, run the edge rule at every event again, and
+    # end as step() does. Both runs replace the same update, two events after
+    # run_to_stop entered the phase, by an opinion 2 tau past the box in the first
+    # coordinate, which leaves that vertex incompatible with all its neighbors.
+    space = OpinionSpace(Box((0.0,) * dim, (1.0,) * dim), norm)
+    g = complete(6)
+    params = ModelParams(tau=space.radius * 1.5, alpha=0.5)
+    stopping = default_stopping(g, space, params, max_events=50_000)
+
+    def engine(at):
+        """An engine whose update number `at` (from 0) returns the far opinion, and the number
+        of edge-rule calls made before each of its updates."""
+        e = TrialEngine(g, space, UniformShape(), params, stopping, random.Random(7 * dim + len(norm.value)))
+        update, calls, log = e._update, _count_edge_rule(e), []
+
+        def perturbed(ys, old):
+            log.append(len(calls))
+            if len(log) - 1 == at:
+                hi = [max(c) for c in zip(*e.opinions)]
+                return (hi[0] + 2 * params.tau, *hi[1:])
+            return update(ys, old)
+
+        e._update = perturbed
+        return e, log
+
+    plain, log = engine(None)
+    plain.run_to_stop()
+    # the first event that ran without the edge rule, which the general loop runs at every event
+    entered = next(i for i in range(len(log) - 1) if log[i + 1] == log[i])
+    at = entered + 2
+    (fast, log), (stepped, _) = engine(at), engine(at)
+    _run_to_stop_as_stepped(fast, stepped, params, stopping.max_events)
+    assert fast.events > at + 1
+    assert log[at + 1] - log[at] >= g.vertex_count  # left the phase: the table was rebuilt
+    assert all(b > a for a, b in zip(log[at + 1:], log[at + 2:]))  # the edge rule at every later event
+    assert fast.is_stopped() and fast.outcome().consensus is False
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("norm", list(Norm))
+def test_box_certificate_is_sound(norm, dim):
+    # The certified phase takes kernel(hi, lo) <= tau, for the corners of the opinions'
+    # bounding box, to put every edge within tau. That holds in float: u_i - v_i <=
+    # hi_i - lo_i exactly and rounding is monotone, so |fl(u_i - v_i)| <= fl(hi_i - lo_i),
+    # and each kernel is monotone in every |d_i| (rounded sums, squares, sqrt and max
+    # are). So kernel(u, v) <= kernel(hi, lo) with no tolerance, for every form of the
+    # edge rule, the inline 2-D L2 form among them.
+    kernel = distance_fn(norm, dim)
+    rng = random.Random(60 + 10 * dim + len(norm.value))
+
+    def clamp(c, a, b):
+        return min(max(c, a), b)
+
+    for batch in range(60):
+        if batch % 2:
+            lo = [rng.randint(-16, 16) / 16 for _ in range(dim)]
+            hi = [a + rng.randint(0, 32) / 16 for a in lo]
+        else:
+            lo = [rng.uniform(-1, 1) * 2.0 ** rng.randint(-30, 30) for _ in range(dim)]
+            hi = [a + rng.random() * 2.0 ** rng.randint(-30, 30) for a in lo]
+        box = list(zip(lo, hi))
+        points = []
+        for _ in range(4):
+            points.append(tuple(clamp(a + (b - a) * rng.random(), a, b) for a, b in box))  # random
+            points.append(tuple(clamp(a + (b - a) * (rng.randint(0, 8) / 8), a, b) for a, b in box))  # dyadic
+            face = list(points[-2])
+            i = rng.randrange(dim)
+            face[i] = box[i][rng.randrange(2)]
+            points.append(tuple(face))
+            points.append(tuple(c[rng.randrange(2)] for c in box))  # corner
+        bound = kernel(hi, lo)
+        for u, v in itertools.product(points, repeat=2):
+            assert kernel(u, v) <= bound, (u, v, lo, hi)
+        states = edge_states(points, bound, bound / 2, norm, dim)
+        for u in points:
+            assert 0 not in states(u, range(len(points)))
 
 
 def _ulps_around(x: float, k: int) -> list[float]:
