@@ -21,14 +21,15 @@ variables.
 Both rules pick a form once, by (norm, dim), before any event. On the 2-D L2
 space the forms are straight-line code with no kernel call per edge or per
 coordinate: the edge rule computes each distance inline, by the expression of
-the straight-line kernel `distance_fn(Norm.L2, 2)`, and the update keeps one
-accumulator per coordinate over a single pass of the neighbors (in any 2-D
-space). Each is bitwise equal to the loop form: the same float operations on
-the same operands in the same order, every sum taken left to right from 0.0.
-For that reason no form uses `sum()` (compensated from Python 3.12),
-`math.fsum`, `math.hypot` or `math.dist` (rounded differently), or numpy. The
-1-D edge rule compares |u - v|; every other space calls the kernel
-`distance_fn(norm, dim)` and loops over coordinates in the update.
+the loop kernel `distance_fn(Norm.L2)` less its leading 0.0 (exact, as every
+term is >= +0.0), and the update keeps one accumulator per coordinate over a
+single pass of the neighbors (in any 2-D space). Each is bitwise equal to the
+loop form: the same float operations on the same operands in the same order,
+every sum taken left to right. For that reason no form uses `sum()`
+(compensated from Python 3.12), `math.fsum`, `math.hypot` or `math.dist`
+(rounded differently), or numpy. The 1-D edge rule compares |u - v|; every
+other space calls the loop kernel `distance_fn(norm)` per edge and loops over
+coordinates in the update.
 
 A trial stops at the first time every edge's opinion distance falls strictly
 outside [eps, tau] (either near-agreement or frozen), or when an event cap is
@@ -48,13 +49,15 @@ of the hull; the phase ends if that takes the box beyond tau. The stop is
 found exactly by one banded witness edge, examined again only when one of
 its ends moves. When it is no longer banded, a scan of the adjacency rows
 from its end finds another, or finds none, which is the stop at that same
-event. Every exit (stop, cap or box growth) rebuilds the edge-state table,
-the banded count and the Fenwick tree with the builder `__init__` uses. The
-phase only skips work: each event draws the same numbers, picks the same
-vertex, and averages the same neighbors in the same order as the general
-loop, and the trial stops at the same event, so no report, trace or pinned
-byte changes. Inside an `on_event` callback during the phase, `is_stopped()`
-is False until the event that stops the trial, as in the general loop.
+event. A cap or box-growth exit rebuilds the edge-state table, the banded
+count and the Fenwick tree with the builder `__init__` uses. At a stop every
+edge is compatible and none is banded, so every entry is near and the tree
+holds the full rates. The phase only skips work: each event draws the same
+numbers, picks the same vertex, and averages the same neighbors in the same
+order as the general loop, and the trial stops at the same event, so no
+report, trace or pinned byte changes. Inside an `on_event` callback during
+the phase, `is_stopped()` is False until the event that stops the trial, as
+in the general loop.
 
 At a stop every compatible edge (distance <= tau) is a near-agreement edge
 (distance < eps), and a stopped trial is classified as consensus exactly
@@ -235,7 +238,7 @@ def edge_states(opinions: Rows, tau: float, eps: float, norm: Norm, dim: int) ->
 
     The form is chosen once, by (norm, dim). In one dimension it compares |u - v|, as the kernel does
     on the shapes `OpinionSpace` accepts (`MIN_L2_EXTENT`). Under L2 in two it computes the distance
-    inline, by the expression of `distance_fn(Norm.L2, 2)`; otherwise it calls `distance_fn(norm, dim)`.
+    inline, by the expression of the loop kernel `distance_fn(Norm.L2)`; otherwise it calls `distance_fn(norm)`.
     """
     if dim == 1:
         def states(op: tuple[float, ...], nbrs: Sequence[int]) -> list[int]:
@@ -253,7 +256,7 @@ def edge_states(opinions: Rows, tau: float, eps: float, norm: Norm, dim: int) ->
                 out.append(0 if d > tau else 1 if d < eps else 2)
             return out
     else:
-        kernel = distance_fn(norm, dim)
+        kernel = distance_fn(norm)
 
         def states(op: tuple[float, ...], nbrs: Sequence[int]) -> list[int]:
             return [0 if (d := kernel(op, opinions[y])) > tau else 1 if d < eps else 2 for y in nbrs]
@@ -305,7 +308,7 @@ class TrialEngine:
     `tests/oracles.py`. `step` and `run_to_stop` both run the one event loop,
     `_run`; only `run_to_stop` enters the certified phase (module docstring),
     which skips the edge rule and the table with the same events and bytes,
-    and rebuilds the table with `_build` on leaving it. Inside
+    and restores the table on leaving it. Inside
     an `on_event` callback during the phase, `is_stopped()` is False until the
     event that stops the trial and `compat` is exact (every edge is
     compatible); only the near and banded entries of `_state` and the value
@@ -330,7 +333,7 @@ class TrialEngine:
         self.space = space
         self.stopping = stopping
         self.rng = rng
-        self._kernel = kernel = distance_fn(space.norm, space.dim)
+        self._kernel = kernel = distance_fn(space.norm)
         self._tau = tau = params.tau
         self._center = center = space.center
         n = g.vertex_count
@@ -386,8 +389,8 @@ class TrialEngine:
         Returns the last updated vertex, or None when absorbed. The engine's
         state lives in locals for the whole run; the counters are written back
         on exit and before each observation. Unless `once`, the loop runs the
-        certified phase (module docstring) while it holds, and rebuilds the
-        table with `_build` whenever it leaves it.
+        certified phase (module docstring) while it holds, and restores the
+        table whenever it leaves it.
         """
         tree, size, state, states, update = self._tree, self._size, self._state, self._states, self._update
         expovariate, rand = self.rng.expovariate, self.rng.random
@@ -489,10 +492,12 @@ class TrialEngine:
                     samples.append((time, xc))
                 if on_event is not None:
                     on_event(events, time, x, xc, opinions)
-        if certified:  # stopped or capped in the phase
+        if certified and banded:  # capped in the phase
             state = self._state = None
             self._build()
             banded = self._banded_count
+        elif certified:  # stopped in the phase: every entry is near (module docstring)
+            self._state = [[1] * len(nbrs) for nbrs in adjacency]
         self.events, self.time, self._banded_count = events, time, banded
         return x
 

@@ -37,7 +37,7 @@ def generator_drift(
     if len(opinions) != g.vertex_count:
         raise ValueError("configuration does not match the graph")
     dim = len(opinions[0])
-    kernel = distance_fn(norm, dim)
+    kernel = distance_fn(norm)
     states = edge_states(opinions, tau, 0.0, norm, dim)  # eps = 0: only compatible or not matters
     mean = update_rule(opinions, 0.0, dim)
     drift = 0.0

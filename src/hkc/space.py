@@ -61,48 +61,9 @@ def _dist_linf(u, v) -> float:
 _KERNELS = {Norm.L1: _dist_l1, Norm.L2: _dist_l2, Norm.LINF: _dist_linf}
 
 
-def _dist_abs_1(u, v) -> float:
-    return abs(u[0] - v[0])
-
-
-def _dist_l2_1(u, v) -> float:
-    d = u[0] - v[0]
-    return math.sqrt(d * d)
-
-
-def _dist_l1_2(u, v) -> float:
-    return abs(u[0] - v[0]) + abs(u[1] - v[1])
-
-
-def _dist_l2_2(u, v) -> float:
-    d0 = u[0] - v[0]
-    d1 = u[1] - v[1]
-    return math.sqrt(d0 * d0 + d1 * d1)
-
-
-def _dist_linf_2(u, v) -> float:
-    return max(abs(u[0] - v[0]), abs(u[1] - v[1]))
-
-
-# Straight-line kernels for dims 1 and 2: the loop kernels without their leading
-# 0.0 (the start of the sum or of the running max). Dropping it is exact because
-# every term is >= +0.0, so each returns the loop kernel's bits. Two loops that
-# take one distance per element inline the 2-D L2 expression, with the form chosen
-# once by (norm, dim): the edge rule (`dynamics.edge_states`), and the box Monte
-# Carlo bound (`_box_total_l2_2`, which also fuses the uniform draw). The 2-D
-# update (`dynamics.update_rule`) likewise keeps one accumulator per coordinate.
-# Each performs the loop form's float operations on the same operands in the same
-# order, so each is bitwise equal to it. None may use sum() (compensated from
-# Python 3.12), math.fsum, math.hypot or math.dist, which round differently.
-_UNROLLED = {
-    (Norm.L1, 1): _dist_abs_1, (Norm.L2, 1): _dist_l2_1, (Norm.LINF, 1): _dist_abs_1,
-    (Norm.L1, 2): _dist_l1_2, (Norm.L2, 2): _dist_l2_2, (Norm.LINF, 2): _dist_linf_2,
-}
-
-
 # The sum of expected_center_distance's box Monte Carlo on the 2-D L2 box: each
 # coordinate difference is (a + w * random()) - c, the draw and then the kernel's
-# subtraction, taken for coordinate 0 and then 1 as the generic loop takes them.
+# subtraction, for coordinate 0 and then 1 as `_dist_l2` takes them, so the same bits (see `dynamics`).
 def _box_total_l2_2(box, center, rand, samples: int) -> float:
     (a0, w0), (a1, w1) = box
     c0, c1 = center
@@ -114,14 +75,9 @@ def _box_total_l2_2(box, center, rand, samples: int) -> float:
     return total
 
 
-def distance_fn(norm: Norm, dim: int | None = None):
-    """Unchecked scalar distance kernel for hot loops (works on tuples or array rows).
-
-    With `dim`, the kernel may assume vectors of exactly that length; for any
-    `dim` it returns bitwise the same value as the loop kernel, which is the
-    definition and is what `dim=None` gives.
-    """
-    return _UNROLLED.get((norm, dim), _KERNELS[norm])
+def distance_fn(norm: Norm):
+    """The norm's distance kernel, unchecked, for hot loops (works on tuples or array rows)."""
+    return _KERNELS[norm]
 
 
 def coordinate_ulp(shape: ConvexShape) -> float:
@@ -157,7 +113,7 @@ class Ball:
         return len(self.center)
 
     def contains(self, point: Sequence[float], norm: Norm) -> bool:
-        return _KERNELS[norm](point, self.center) - self.radius <= CONTAINS_ULPS * coordinate_ulp(self)
+        return distance_fn(norm)(point, self.center) - self.radius <= CONTAINS_ULPS * coordinate_ulp(self)
 
     def bounding_box(self) -> tuple[Vector, Vector]:
         r = self.radius
@@ -216,7 +172,7 @@ class OpinionSpace:
         if not 1 <= self.dim <= MAX_DIM:
             raise ValueError(f"supported dimensions are 1..{MAX_DIM}, got {self.dim}")
         shape = self.shape
-        kernel = distance_fn(self.norm, self.dim)
+        kernel = distance_fn(self.norm)
         # sampling and every distance stay finite iff the bounding-box diameter does
         lo, hi = shape.bounding_box()
         extent = kernel(hi, lo)
@@ -296,7 +252,7 @@ def sample_initial(dist: InitialDistribution, space: OpinionSpace, rng: random.R
     if isinstance(shape, Box):
         return tuple(rng.uniform(a, b) for a, b in zip(shape.lo, shape.hi))
     lo, hi = shape.bounding_box()
-    kernel = _KERNELS[space.norm]
+    kernel = distance_fn(space.norm)
     for _ in range(_MAX_REJECTION):
         point = tuple(rng.uniform(a, b) for a, b in zip(lo, hi))
         if kernel(point, shape.center) <= shape.radius:
@@ -320,7 +276,7 @@ def expected_center_distance(
     """
     if isinstance(dist, PointMasses):
         validate_distribution(dist, space)
-        kernel = _KERNELS[space.norm]
+        kernel = distance_fn(space.norm)
         return math.fsum(w * kernel(p, space.center) for p, w in dist.atoms)
     if isinstance(space.shape, Ball) or space.dim == 1:
         n, r = space.dim, space.radius
@@ -336,7 +292,7 @@ def expected_center_distance(
     rand = rng.random
     if space.norm is Norm.L2 and space.dim == 2:
         return _box_total_l2_2(box, center, rand, samples) / samples
-    kernel = distance_fn(space.norm, space.dim)
+    kernel = distance_fn(space.norm)
     total = 0.0
     for _ in range(samples):
         total += kernel(tuple([a + w * rand() for a, w in box]), center)
@@ -351,7 +307,7 @@ def max_pairwise_distance(rows: Sequence[Sequence[float]], norm: Norm) -> float:
     Float subtraction is monotone, so that equals the pair scan bitwise. L1 and
     L2 in two or more dimensions scan all pairs in O(n^2).
     """
-    kernel = distance_fn(norm, len(rows[0]) if len(rows) else None)
+    kernel = distance_fn(norm)
     if len(rows) and (norm is Norm.LINF or len(rows[0]) == 1):
         cols = tuple(zip(*rows))
         return float(kernel(tuple(map(max, cols)), tuple(map(min, cols))))

@@ -1,5 +1,6 @@
 """`hkc` holds no dead code: every name a module imports is used in that
-module, and every top-level function and class is reached from the package.
+module, every top-level function and class is reached from the package, and
+every name a module assigns at top level is read in the package.
 
 `__init__.py` is left out of the import check: its imports are the package's
 public names.
@@ -68,6 +69,39 @@ def _unreached_definitions(modules: dict[str, ast.Module], exported: set[str]) -
         unreached += dead
 
 
+def _assigned(tree: ast.Module) -> list[str]:
+    """Names bound by the module's top-level assignments."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                names += [sub.id for sub in ast.walk(target) if isinstance(sub, ast.Name)]
+    return names
+
+
+def _unread_assignments(modules: dict[str, ast.Module], exported: set[str]) -> list[str]:
+    """Names assigned at the top level of a module that no node of the package reads
+    and `exported` does not name.
+
+    A read is a bare name loaded, an attribute (`space.MAX_DIM`) or a name imported
+    from a module. A name that only unreached code reads passes here; the definition
+    check reports that code, and once it is deleted this check reports the name.
+    """
+    reads = set()
+    for tree in modules.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                reads.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                reads.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                reads |= {alias.name for alias in node.names}
+    return sorted(
+        f"{module}:{name}" for module, tree in modules.items() for name in _assigned(tree)
+        if name not in reads and name not in exported
+    )
+
+
 def test_every_import_is_used():
     unused = {}
     for path in sorted(PACKAGE.glob("*.py")):
@@ -121,3 +155,28 @@ def test_definition_check_sees_unreached_names():
         "engine.py:classify", "engine.py:recursive", "engine.py:settled", "kernels.py:slow",
     ]
     assert _unreached_definitions(modules, {"Engine", "classify", "recursive", "slow"}) == []
+
+
+def test_every_assignment_is_read_or_exported():
+    modules = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in PACKAGE.glob("*.py")}
+    init = modules["__init__.py"]
+    # the package's public names: those __init__ imports and those it assigns (__version__)
+    assert _unread_assignments(modules, set(_imported(init)) | set(_assigned(init))) == []
+
+
+def test_assignment_check_sees_unread_names():
+    engine = (
+        "from . import kernels\n"
+        "from .kernels import SCALE\n"
+        "LIMIT = 10\n"
+        "UNUSED, PAIR = 1, 2\n"
+        "TABLE: dict = {}\n"
+        "VERSION = '1'\n"
+        "def step(n):\n"
+        "    LIMIT_LOCAL = n\n"
+        "    return LIMIT + SCALE + PAIR + kernels.WIDTH + LIMIT_LOCAL\n"
+    )
+    kernels = "SCALE = 2.0\nWIDTH = 3\nOFFSET = 1\nSTALE = OFFSET\n"
+    modules = {"engine.py": ast.parse(engine), "kernels.py": ast.parse(kernels)}
+    assert _unread_assignments(modules, {"VERSION"}) == ["engine.py:TABLE", "engine.py:UNUSED", "kernels.py:STALE"]
+    assert _unread_assignments(modules, {"VERSION", "TABLE", "UNUSED", "STALE"}) == []

@@ -21,7 +21,6 @@ from hkc.dynamics import (
 from hkc.graph import complete, cycle, erdos_renyi, grid, path
 from hkc.montecarlo import ExperimentSpec, run_single_trial
 from hkc.space import (
-    _KERNELS,
     MIN_L2_EXTENT,
     Ball,
     Box,
@@ -419,9 +418,9 @@ def test_engine_matches_pure_operations_step_by_step():
 @pytest.mark.parametrize("dim", [1, 2, 3])
 @pytest.mark.parametrize("norm", list(Norm))
 def test_engine_matches_pure_operations_every_norm_and_dim(norm, dim):
-    # The engine runs the straight-line kernel of its space (dims 1 and 2) and
-    # the oracles the loop kernel; every event must agree bit for bit, and the
-    # trials must end in both stop outcomes.
+    # The engine runs the 1-D edge rule, the 2-D L2 inline edge rule and the 2-D
+    # update where its space has them, and the oracles the loop forms; every event
+    # must agree bit for bit, and the trials must end in both stop outcomes.
     space = OpinionSpace(Box((0.0,) * dim, (1.0,) * dim), norm)
     rng_engine = random.Random(1000 * dim + len(norm.value))
     consensus_seen = set()
@@ -464,12 +463,13 @@ def _bits(values) -> bytes:
 @pytest.mark.parametrize("dim", [1, 2, 3])
 @pytest.mark.parametrize("norm", list(Norm))
 def test_edge_rule_and_update_equal_loop_forms_bitwise(norm, dim):
-    # edge_states and update_rule take straight-line forms in dims 1 and 2. Every
-    # pair's loop-kernel distance d serves as tau and as eps, and tau one ulp below
-    # d, so a form that misses d by one ulp (math.hypot, say) flips a state. Dyadic
-    # rows put many distances exactly on tau and eps; rows of mixed magnitude make a
-    # sum taken out of order, or with compensation, change its bits.
-    kernel = _KERNELS[norm]
+    # edge_states and update_rule take straight-line forms: the 1-D edge rule, the
+    # 2-D L2 edge rule and the 2-D update. Every pair's loop-kernel distance d serves
+    # as tau and as eps, and tau one ulp below d, so a form that misses d by one ulp
+    # (math.hypot, say) flips a state. Dyadic rows put many distances exactly on tau
+    # and eps; rows of mixed magnitude make a sum taken out of order, or with
+    # compensation, change its bits.
+    kernel = distance_fn(norm)
     rng = random.Random(40 + 10 * dim + len(norm.value))
     n = 7
     g = complete(n)
@@ -733,6 +733,42 @@ def test_certified_phase_left_on_box_growth(norm, dim):
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
 @pytest.mark.parametrize("norm", list(Norm))
+def test_certified_stop_needs_no_rebuild(norm, dim):
+    # At a stop in the certified phase every edge is compatible (the certificate) and
+    # none is banded (the stop), so run_to_stop sets every entry near without calling
+    # _build; the table must still be the oracle's and step()'s. A cap in the phase
+    # still rebuilds, once.
+    space = OpinionSpace(Box((0.0,) * dim, (1.0,) * dim), norm)
+    g = complete(6)
+    params = ModelParams(tau=space.radius * 1.5)
+    stopping = default_stopping(g, space, params, max_events=50_000)
+
+    def twins():
+        engine, stepped = (TrialEngine(g, space, UniformShape(), params, stopping, random.Random(dim))
+                           for _ in range(2))
+        builds, build = [], engine._build
+
+        def counted():
+            builds.append(None)
+            build()
+
+        engine._build = counted
+        return engine, stepped, builds
+
+    engine, stepped, builds = twins()
+    calls = _run_to_stop_as_stepped(engine, stepped, params, stopping.max_events)
+    stop = engine.events
+    # stopped with fewer edge-rule calls than events, and no _build: the phase was entered and never left
+    assert engine.is_stopped() and calls < stop
+    assert builds == []
+    engine, stepped, builds = twins()
+    calls = _run_to_stop_as_stepped(engine, stepped, params, stop - 1)
+    assert not engine.is_stopped() and calls < stop - 1
+    assert len(builds) == 1
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("norm", list(Norm))
 def test_box_certificate_is_sound(norm, dim):
     # The certified phase takes kernel(hi, lo) <= tau, for the corners of the opinions'
     # bounding box, to put every edge within tau. That holds in float: u_i - v_i <=
@@ -740,7 +776,7 @@ def test_box_certificate_is_sound(norm, dim):
     # and each kernel is monotone in every |d_i| (rounded sums, squares, sqrt and max
     # are). So kernel(u, v) <= kernel(hi, lo) with no tolerance, for every form of the
     # edge rule, the inline 2-D L2 form among them.
-    kernel = distance_fn(norm, dim)
+    kernel = distance_fn(norm)
     rng = random.Random(60 + 10 * dim + len(norm.value))
 
     def clamp(c, a, b):
@@ -790,7 +826,7 @@ def test_cut_points_are_exact(norm, tau, eps):
     # comparisons, at tau and eps and on 6 ulps either side, so tau and eps are
     # the exact cut points. Where an l2 square underflows, the eps is below the
     # stop floor of the smallest l2 shape, so no trial compares with it.
-    kernel = distance_fn(norm, 1)
+    kernel = distance_fn(norm)
     if norm is Norm.L2 and eps < 2.0**-511:
         space = OpinionSpace(Box((0.0,), (MIN_L2_EXTENT,)), norm)
         with pytest.raises(ValueError, match="ulps of the largest coordinate"):

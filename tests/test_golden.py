@@ -39,7 +39,7 @@ CYCLE_TRACE = {
 }
 
 # the geometry the configs above leave out: a 2-D L1 ball (rejection sampling, the
-# unrolled L1 kernel) with alpha > 0; event A is true in 4 of the 20 trials
+# L1 loop kernel in the edge rule) with alpha > 0; event A is true in 4 of the 20 trials
 L1_BALL_2D = {
     "graph": {"kind": "path", "n": 6},
     "space": {"dim": 2, "norm": "l1", "shape": {"ball": {"center": [0.0, 0.0], "radius": 1.0}}},

@@ -10,7 +10,6 @@ from hkc.dynamics import MIN_EPS_ULPS
 from hkc.space import (
     MAX_DIM,
     MIN_L2_EXTENT,
-    _KERNELS,
     Ball,
     Box,
     Norm,
@@ -81,28 +80,6 @@ def test_distance_zero_iff_equal():
             assert distance_fn(norm)(u, v) > 0.0
 
 
-def _kernel_pairs(rng: random.Random, dim: int, count: int) -> list:
-    # signed zeros, values whose square underflows (< 1e-154), values whose
-    # square overflows to inf, and random magnitudes across the float range
-    special = (0.0, -0.0, 1e-160, -1e-160, 5e-324, -5e-324, 1e-154, 1e200, -1e200, 1.0, -1.0)
-    pool = list(special) * 40 + [rng.uniform(-1, 1) * 10.0 ** rng.randint(-320, 300) for _ in range(1000)]
-    return [(tuple(rng.choices(pool, k=dim)), tuple(rng.choices(pool, k=dim))) for _ in range(count)]
-
-
-def test_unrolled_kernels_equal_loop_kernels_bitwise():
-    rng = random.Random(77)
-    for dim in (1, 2):
-        us, vs = zip(*_kernel_pairs(rng, dim, 100_000))
-        for norm in Norm:
-            fast, loop = distance_fn(norm, dim), _KERNELS[norm]
-            assert fast is not loop
-            # the float64 bytes, so that -0.0 and 0.0 would differ
-            assert array("d", map(fast, us, vs)).tobytes() == array("d", map(loop, us, vs)).tobytes()
-    for norm in Norm:
-        assert distance_fn(norm, 3) is _KERNELS[norm]
-        assert distance_fn(norm) is _KERNELS[norm]
-
-
 def test_l2_distance_in_1d_is_abs_from_2_to_minus_511_to_2_to_511():
     # The engine's 1-D edge test compares |d| with tau and eps in place of the
     # kernel. Every eps the stop floor admits on an l2 shape exceeds 2**-511,
@@ -110,7 +87,7 @@ def test_l2_distance_in_1d_is_abs_from_2_to_minus_511_to_2_to_511():
     low, high = 2.0**-511, 2.0**511
     # the largest coordinate M of a shape is at least its l2 extent / (2 * sqrt(dim))
     assert MIN_EPS_ULPS * math.ulp(MIN_L2_EXTENT / (2 * math.sqrt(MAX_DIM))) > low
-    kernel = distance_fn(Norm.L2, 1)
+    kernel = distance_fn(Norm.L2)
     rng = random.Random(511)
     ds = [math.ldexp(rng.uniform(0.5, 1.0), rng.randint(-510, 511)) for _ in range(100_000)]
     ds += [b for c in (low, high) for b in (math.nextafter(c, 0.0), c, math.nextafter(c, math.inf))]
@@ -300,7 +277,7 @@ def test_expected_center_distance_box_equals_sampling_loop_bitwise():
         rng = random.Random(11)
         total = 0.0
         for _ in range(5000):
-            total += _KERNELS[norm](sample_initial(UniformShape(), space, rng), space.center)
+            total += distance_fn(norm)(sample_initial(UniformShape(), space, rng), space.center)
         oracle_rng, rng = random.Random(11), random.Random(11)
         want = box_center_distance(space, 5000, oracle_rng)
         assert want == total / 5000, (shape, norm)
