@@ -8,28 +8,32 @@ replaces the vertex opinion with
 
 Event scheduling is the exact direct method: the holding time is exponential
 at the total rate and the updating vertex is chosen with probability
-proportional to its own rate. The engine finds that vertex with an O(log n)
-descent of a Fenwick tree over the integer rates, which picks the same vertex
-as the direct method's linear scan for every draw (`gillespie_step` in
-`tests/oracles.py`, the reference implementation of the dynamics). Edge
-state lives in one table aligned with the adjacency lists, with a count of
-in-band edges (`TrialEngine`). The edge rule (`edge_states`) and the update
-(`update_rule`) are each stated once; the engine and `hkc.invariants` both run
-them. One event loop runs every event, with the engine's state in local
-variables.
+proportional to its own rate. The holding time is drawn inline by the body of
+`random.expovariate`, -log(1 - random()) / total, which gives its bits from
+the same stream. While every edge is compatible each rate is the vertex's
+degree, so the engine finds the vertex by bisection in the fixed prefix sums
+of the degrees; otherwise it descends a Fenwick tree over the integer rates in
+O(log n). Both pick the same vertex as the direct method's linear scan for
+every draw (`gillespie_step` in `tests/oracles.py`, the reference
+implementation of the dynamics). Edge state lives in one table aligned with
+the adjacency lists, with a count of in-band edges (`TrialEngine`). The edge
+rule (`edge_states`) and the update (`update_rule`) are each stated once; the
+engine and `hkc.invariants` both run them. One event loop runs every event,
+with the engine's state in local variables.
 
 Both rules pick a form once, by (norm, dim), before any event. On the 2-D L2
 space the forms are straight-line code with no kernel call per edge or per
 coordinate: the edge rule computes each distance inline, by the expression of
 the loop kernel `distance_fn(Norm.L2)` less its leading 0.0 (exact, as every
 term is >= +0.0), and the update keeps one accumulator per coordinate over a
-single pass of the neighbors (in any 2-D space). Each is bitwise equal to the
-loop form: the same float operations on the same operands in the same order,
-every sum taken left to right. For that reason no form uses `sum()`
-(compensated from Python 3.12), `math.fsum`, `math.hypot` or `math.dist`
-(rounded differently), or numpy. The 1-D edge rule compares |u - v|; every
-other space calls the loop kernel `distance_fn(norm)` per edge and loops over
-coordinates in the update.
+single pass of the neighbors (in any 2-D space). In one dimension the edge
+rule compares |u - v|, and the update adds the neighbors' one coordinate into
+a single accumulator from 0.0. Each is bitwise equal to the loop form: the
+same float operations on the same operands in the same order, every sum taken
+left to right. For that reason no form uses `sum()` (compensated from Python
+3.12), `math.fsum`, `math.hypot` or `math.dist` (rounded differently), or
+numpy. Every other space calls the loop kernel `distance_fn(norm)` per edge
+and loops over coordinates in the update.
 
 A trial stops at the first time every edge's opinion distance falls strictly
 outside [eps, tau] (either near-agreement or frozen), or when an event cap is
@@ -76,8 +80,8 @@ import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import reduce
-from itertools import chain, compress
-from math import sqrt
+from itertools import accumulate, chain, compress
+from math import log, sqrt
 from operator import add, itemgetter
 from typing import Callable, Sequence
 
@@ -267,11 +271,18 @@ def update_rule(opinions: Rows, alpha: float, dim: int) -> Callable[..., tuple[f
     """The update rule: `update(ys, old)` is alpha * old + (1 - alpha) * (the sum of the rows ys,
     taken left to right in the order of ys, / len(ys)), coordinate by coordinate.
 
-    The form is chosen once, by dim: in two dimensions one pass over ys keeps an accumulator per
-    coordinate, which adds the same terms in the same order as the loop over coordinates.
+    The form is chosen once, by dim: in one dimension a single accumulator adds the rows' only
+    coordinate, and in two one pass over ys keeps an accumulator per coordinate; each adds the same
+    terms in the same order as the loop over coordinates.
     """
     a, b = alpha, 1.0 - alpha
-    if dim == 2:
+    if dim == 1:
+        def update(ys: Sequence[int], old: tuple[float, ...]) -> tuple[float, ...]:
+            m = 0.0
+            for y in ys:
+                m += opinions[y][0]
+            return (a * old[0] + b * (m / len(ys)),)
+    elif dim == 2:
         def update(ys: Sequence[int], old: tuple[float, ...]) -> tuple[float, ...]:
             m0 = m1 = 0.0
             for y in ys:
@@ -303,9 +314,10 @@ class TrialEngine:
     bitwise), and the row of each updated vertex. Adjacency rows are
     sorted, so a changed edge's mirror entry is found by bisection. A vertex's
     rate, its number of nonzero entries, sits in a Fenwick tree whose root is
-    the total rate. After an update only the edges at the updated vertex are
-    recomputed; tests pin equivalence with full recomputation by the oracles in
-    `tests/oracles.py`. `step` and `run_to_stop` both run the one event loop,
+    the total rate; when that is the degree sum, selection bisects the degrees'
+    prefix sums, `_degree_sums`, built once here. After an update only the
+    edges at the updated vertex are recomputed; tests pin equivalence with
+    full recomputation by the oracles in `tests/oracles.py`. `step` and `run_to_stop` both run the one event loop,
     `_run`; only `run_to_stop` enters the certified phase (module docstring),
     which skips the edge rule and the table with the same events and bytes,
     and restores the table on leaving it. Inside
@@ -343,7 +355,8 @@ class TrialEngine:
         # Fenwick tree over rates, zero-padded to a power-of-two size so the descent
         # needs no bounds check and the root tree[size] is the total
         self._size = 1 << (n - 1).bit_length()
-        self._full_rate = sum(map(len, g.adjacency))  # the total rate when every edge is compatible
+        # inclusive prefix sums of the degrees; the last is the total rate when every edge is compatible
+        self._degree_sums = list(accumulate(map(len, g.adjacency)))
         self._build()
         self.time = 0.0
         self.events = 0
@@ -393,12 +406,12 @@ class TrialEngine:
         table whenever it leaves it.
         """
         tree, size, state, states, update = self._tree, self._size, self._state, self._states, self._update
-        expovariate, rand = self.rng.expovariate, self.rng.random
+        rand, degree_sums = self.rng.random, self._degree_sums
         opinions, adjacency = self.opinions, self.g.adjacency
         banded, events, time = self._banded_count, self.events, self.time
         samples, on_event, dists = self._samples, self._on_event, self._center_dists
         kernel, center, tau = self._kernel, self._center, self._tau
-        full, n, dim = self._full_rate, len(opinions), self.space.dim
+        full, n, dim = degree_sums[-1], len(opinions), self.space.dim
         # in the certified phase lo and hi bound every opinion with kernel(hi, lo) <= tau,
         # and (wu, wv) is a banded edge; the box is tested again from event `check` on
         certified = False
@@ -419,20 +432,25 @@ class TrialEngine:
                     wv = adjacency[wu][state[wu].index(2)]
                 else:
                     check = events + n
-            dt = expovariate(total)
+            dt = -log(1.0 - rand()) / total  # the body of random.expovariate(total), inline
             # x is the first vertex whose inclusive rate prefix sum exceeds rand() * total, as in
             # the scan of gillespie_step (tests/oracles.py). Prefix sums are ints, and an int is
-            # <= a nonnegative float exactly when it is <= the float's floor k, so the descent
-            # finds the longest prefix with sum <= k, taking each node it passes off k.
+            # <= a nonnegative float exactly when it is <= the float's floor k. When every edge
+            # is compatible each rate is the degree, so x is the bisection of k in the degree
+            # sums; otherwise the descent finds the longest prefix with sum <= k, taking each
+            # node it passes off k.
             k = int(rand() * total)
-            x = 0
-            bit = size >> 1
-            while bit:
-                s = tree[x + bit]
-                if s <= k:
-                    x += bit
-                    k -= s
-                bit >>= 1
+            if total == full:
+                x = bisect_right(degree_sums, k)
+            else:
+                x = 0
+                bit = size >> 1
+                while bit:
+                    s = tree[x + bit]
+                    if s <= k:
+                        x += bit
+                        k -= s
+                    bit >>= 1
             nbrs = adjacency[x]
             if certified:
                 new = opinions[x] = update(nbrs, opinions[x])

@@ -142,7 +142,8 @@ def cycle(n: int) -> SocialGraph:
 def complete(n: int) -> SocialGraph:
     if n < 1:
         raise GraphValidationError("complete graph needs n >= 1")
-    return SocialGraph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+    r = tuple(range(n))
+    return SocialGraph(n, tuple(r[:x] + r[x + 1:] for x in range(n)))
 
 
 def grid(w: int, h: int) -> SocialGraph:
@@ -167,9 +168,17 @@ def erdos_renyi(n: int, p: float, rng: random.Random) -> SocialGraph:
         raise GraphValidationError(f"erdos_renyi needs 0 < p <= 1, got {p}")
     pairs = n * (n - 1) // 2
     attempts = min(_ER_MAX_ATTEMPTS, max(1, _ER_MAX_DRAWS // max(pairs, 1)))
+    rand = rng.random
     for _ in range(attempts):
-        edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
-        adjacency = _adjacency(n, edges)
+        # one draw per pair (i, j), i < j, in lexicographic order; row j gets its lower
+        # neighbors i in ascending order before its own upper hits, so every row is sorted
+        rows: list[list[int]] = [[] for _ in range(n)]
+        for i, row in enumerate(rows):
+            hits = [j for j in range(i + 1, n) if rand() < p]
+            row += hits
+            for j in hits:
+                rows[j].append(i)
+        adjacency = tuple(map(tuple, rows))
         if is_connected(adjacency):
             return SocialGraph(n, adjacency)
     raise GraphValidationError(f"no connected sample in {attempts} attempts; increase p (n={n}, p={p})")

@@ -7,7 +7,8 @@ these operations side by side on one random stream. `compatibility` and
 `_neighbor_mean` are also the reference for `hkc.invariants.generator_drift`,
 which runs the engine's own edge rule and update, and `check_event_a` is the
 reference for the near-center trigger that `TrialEngine.outcome` decides.
-`box_center_distance` is the reference for the box Monte Carlo bound.
+`box_center_distance` is the reference for the box Monte Carlo bound, and
+`erdos_renyi_pairs` for the draw order of `hkc.graph.erdos_renyi`.
 """
 
 from __future__ import annotations
@@ -74,7 +75,9 @@ def gillespie_step(view: CompatibilityView, rng: random.Random) -> tuple[float, 
     with probability len(view[x]) / total rate. Consumes the stream in that order.
     The scan always stops: for an integer total below 2**53,
     random() * total < total holds exactly in float64. Test oracle for the
-    Fenwick descent in `TrialEngine.step`, which must pick the same vertex.
+    engine's selection, the bisection of the degree sums while every edge is
+    compatible and the Fenwick descent otherwise, which must pick the same
+    vertex, and for its inline holding time, which must have the same bits.
     """
     total = sum(map(len, view))
     if total == 0:
@@ -138,6 +141,25 @@ def components(adjacency) -> tuple[tuple[int, ...], ...]:
                     queue.append(y)
         comps.append(tuple(sorted(comp)))
     return tuple(comps)
+
+
+def erdos_renyi_pairs(n: int, p: float, rng: random.Random) -> tuple[tuple[int, ...], ...]:
+    """G(n, p) conditioned on connectivity, one pair at a time; the oracle for `hkc.graph.erdos_renyi`.
+
+    Each attempt visits the pairs (i, j), i < j, in lexicographic order and keeps
+    an edge iff `rng.random() < p`; a disconnected sample is drawn again. Returns
+    the sorted adjacency.
+    """
+    while True:
+        nbrs: list[set[int]] = [set() for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                if rng.random() < p:
+                    nbrs[i].add(j)
+                    nbrs[j].add(i)
+        adjacency = tuple(tuple(sorted(s)) for s in nbrs)
+        if len(components(adjacency)) == 1:
+            return adjacency
 
 
 def agreement_components(

@@ -464,11 +464,11 @@ def _bits(values) -> bytes:
 @pytest.mark.parametrize("norm", list(Norm))
 def test_edge_rule_and_update_equal_loop_forms_bitwise(norm, dim):
     # edge_states and update_rule take straight-line forms: the 1-D edge rule, the
-    # 2-D L2 edge rule and the 2-D update. Every pair's loop-kernel distance d serves
-    # as tau and as eps, and tau one ulp below d, so a form that misses d by one ulp
-    # (math.hypot, say) flips a state. Dyadic rows put many distances exactly on tau
-    # and eps; rows of mixed magnitude make a sum taken out of order, or with
-    # compensation, change its bits.
+    # 2-D L2 edge rule, the 1-D update and the 2-D update. Every pair's loop-kernel
+    # distance d serves as tau and as eps, and tau one ulp below d, so a form that
+    # misses d by one ulp (math.hypot, say) flips a state. Dyadic rows put many
+    # distances exactly on tau and eps; rows of mixed magnitude make a sum taken out
+    # of order, or with compensation, change its bits.
     kernel = distance_fn(norm)
     rng = random.Random(40 + 10 * dim + len(norm.value))
     n = 7
@@ -889,27 +889,47 @@ class _EighthsRandom(random.Random):
 def test_engine_selection_matches_scan_at_exact_prefix_boundaries():
     # Replay the engine's vertex choice against gillespie_step's linear scan on
     # graphs whose sizes are 1, 2 and non-powers of two, where targets often
-    # equal a prefix sum exactly and small tau leaves zero-rate vertices.
+    # equal a prefix sum exactly and small tau leaves zero-rate vertices. While
+    # every edge is compatible the engine bisects the degree sums, and otherwise
+    # descends its Fenwick tree: exact targets must reach both, through step()
+    # and through run_to_stop, whose certified phase tau = 1.0 enters at once.
     graphs = [path(1), path(2), cycle(37), grid(10, 10), complete(33), cycle(129)]
-    exact_targets = 0
+    exact_targets = {}  # (by step(), every edge compatible) -> events whose target is an integer
     zero_rate_seen = False
     for gi, g in enumerate(graphs):
+        full = sum(map(len, g.adjacency))
         for tau in (0.15, 1.0):
-            params = ModelParams(tau=tau)
-            stopping = default_stopping(g, BOX01, params, max_events=200)
-            rng_engine = _EighthsRandom(1000 + gi)
-            engine = TrialEngine(g, BOX01, UniformShape(), params, stopping, rng_engine)
-            rng_engine.eighths = True
-            total = 0  # the total rate before the event just run
-            for _, view, _, _ in replay(engine, rng_engine, params):
-                if engine.events:  # the last event's target, rng_engine.last * total
-                    exact_targets += (rng_engine.last * total).is_integer()
-                total = sum(map(len, view))
-                zero_rate_seen |= total > 0 and () in view
-                if engine.events == 200:
-                    break
+            for by_step in (True, False):
+                params = ModelParams(tau=tau)
+                stopping = default_stopping(g, BOX01, params, max_events=200)
+                rng_engine = _EighthsRandom(1000 + gi)
+                seen = []  # (vertex, opinions, selection draw) after each event
+
+                def record(i, t, x, xc, opinions):
+                    seen.append((x, repr(tuple(opinions)), rng_engine.last))
+
+                engine = TrialEngine(g, BOX01, UniformShape(), params, stopping, rng_engine, on_event=record)
+                rng_engine.eighths = True
+                oracle = []  # (config, view, moved) before each event, from the engine's start
+                for config, view, _, moved in replay(engine, rng_engine, params, step=False):
+                    oracle.append((config, view, moved))
+                    zero_rate_seen |= sum(map(len, view)) > 0 and () in view
+                    if len(oracle) > 200:
+                        break
+                if by_step:
+                    while engine.events < 200 and engine.step() is not None:
+                        pass
+                else:
+                    engine.run_to_stop()
+                assert len(seen) == engine.events < len(oracle)
+                for (x, opinions, last), (_, view, _), (config, _, moved) in zip(seen, oracle, oracle[1:]):
+                    assert (x, opinions) == (moved, repr(config))
+                    total = sum(map(len, view))
+                    key = (by_step, total == full)
+                    exact_targets[key] = exact_targets.get(key, 0) + (last * total).is_integer()
     assert zero_rate_seen
-    assert exact_targets > 100
+    assert sorted(exact_targets) == [(False, False), (False, True), (True, False), (True, True)]
+    assert all(count > 100 for count in exact_targets.values()), exact_targets
 
 
 def _in_convex_hull(point, hull_points, tol=1e-9) -> bool:

@@ -16,7 +16,7 @@ from hkc.graph import (
     parse_edge_list,
     path,
 )
-from oracles import components
+from oracles import components, erdos_renyi_pairs
 
 
 def test_parse_simple_path():
@@ -66,6 +66,8 @@ def test_complete_graph_shape():
     g = complete(4)
     assert g.edge_count == 6
     assert all(len(g.adjacency[x]) == 3 for x in range(4))
+    for n in range(1, 8):
+        assert complete(n) == SocialGraph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
 
 
 def test_path_graph_shape():
@@ -93,6 +95,28 @@ def test_erdos_renyi_deterministic_per_seed():
     b = erdos_renyi(10, 0.5, random.Random(7))
     assert a == b
     assert a.vertex_count == 10
+
+
+class _CountingRandom(random.Random):
+    draws = 0
+
+    def random(self):
+        self.draws += 1
+        return super().random()
+
+
+def test_erdos_renyi_equals_per_pair_oracle():
+    # the same draws in the same pair order give the same graph and leave the stream
+    # at the same place; the small sparse cases reject disconnected samples first
+    cases = [(1, 0.5, 1), (2, 1.0, 2), (10, 0.5, 7), (12, 0.25, 3), (8, 0.25, 2), (10, 0.2, 3), (60, 0.1, 11)]
+    resampled = 0
+    for n, p, seed in cases:
+        got_rng, want_rng = _CountingRandom(seed), random.Random(seed)
+        got = erdos_renyi(n, p, got_rng)
+        assert got.adjacency == erdos_renyi_pairs(n, p, want_rng)
+        resampled += got_rng.draws > n * (n - 1) // 2
+        assert got_rng.random() == want_rng.random()
+    assert resampled >= 2
 
 
 def test_erdos_renyi_gives_up_when_p_too_small():
