@@ -216,7 +216,9 @@ def build_experiment(raw: dict, seed_override: int | None = None) -> ExperimentS
     if "eps_prime" in raw:
         eps_prime = _real(raw["eps_prime"], "eps_prime")
     with _at("tau" if eps_prime is None else "eps_prime"):  # the input that set eps
-        stopping = default_stopping(graph, space, params, eps_prime=eps_prime, max_events=max_events)
+        stopping = default_stopping(graph, space, ModelParams(tau=tau), eps_prime=eps_prime, max_events=max_events)
+    with _at("alpha"):  # the floor on (1 - alpha) * eps; at alpha = 0 the eps floor implies it
+        stopping.validate_for(graph, space, params)
     with _at("config"):
         return ExperimentSpec(
             graph=graph,

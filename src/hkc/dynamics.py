@@ -11,15 +11,15 @@ at the total rate and the updating vertex is chosen with probability
 proportional to its own rate. The holding time is drawn inline by the body of
 `random.expovariate`, -log(1 - random()) / total, which gives its bits from
 the same stream. While every edge is compatible each rate is the vertex's
-degree, so the engine finds the vertex by bisection in the fixed prefix sums
-of the degrees; otherwise it descends a Fenwick tree over the integer rates in
-O(log n). Both pick the same vertex as the direct method's linear scan for
-every draw (`gillespie_step` in `tests/oracles.py`, the reference
-implementation of the dynamics). Edge state lives in one table aligned with
-the adjacency lists, with a count of in-band edges (`TrialEngine`). The edge
-rule (`edge_states`) and the update (`update_rule`) are each stated once; the
-engine and `hkc.invariants` both run them. One event loop runs every event,
-with the engine's state in local variables.
+degree, so the engine reads the vertex in O(1) from an owner table, deg(v)
+copies of each vertex v (O(m) memory); otherwise it descends a Fenwick tree
+over the integer rates in O(log n). Both pick the same vertex as the direct
+method's linear scan for every draw (`gillespie_step` in `tests/oracles.py`,
+the reference implementation of the dynamics). Edge state lives in one table
+aligned with the adjacency lists, with a count of in-band edges
+(`TrialEngine`). The edge rule (`edge_states`) and the update (`update_rule`)
+are each stated once; the engine and `hkc.invariants` both run them. One event
+loop runs every event, with the engine's state in local variables.
 
 Both rules pick a form once, by (norm, dim), before any event. On the 2-D L2
 space the forms are straight-line code with no kernel call per edge or per
@@ -64,11 +64,12 @@ the phase, `is_stopped()` is False until the event that stops the trial, as
 in the general loop.
 
 At a stop every compatible edge (distance <= tau) is a near-agreement edge
-(distance < eps), and a stopped trial is classified as consensus exactly
-when its compatible-neighbor graph is connected. A consensus stop is final.
-A dissensus stop is a proxy and may not be: a near-agreement component moves
-as it contracts, which can bring a frozen edge back within tau and merge two
-components later, so p_hat can be biased low (open item 1 in ROADMAP.md).
+(distance < eps), so a stopped trial is consensus exactly when every edge is
+compatible, read in O(1) from the total rate (`TrialEngine.outcome`). A
+consensus stop is final. A dissensus stop is a proxy and may not be: a
+near-agreement component moves as it contracts, which can bring a frozen edge
+back within tau and merge two components later, so p_hat can be biased low
+(open item 1 in ROADMAP.md).
 
 Trials are deterministic functions of their random stream: the stream is
 consumed in a fixed order (holding time, then vertex choice, per event).
@@ -80,14 +81,14 @@ import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import reduce
-from itertools import accumulate, chain, compress
+from itertools import chain, compress, repeat
 from math import log, sqrt
 from operator import add, itemgetter
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .graph import SocialGraph, is_connected
+from .graph import SocialGraph
 from .space import (
     InitialDistribution,
     Norm,
@@ -102,6 +103,7 @@ DEFAULT_MAX_EVENTS = 10**7
 # averaging need not bring two opinions closer than a few float spacings, so an eps
 # this many ulps of the largest coordinate or below may never let a trial stop
 MIN_EPS_ULPS = 64
+MIN_STEP_ULPS = 1.5  # the floor on (1 - alpha) * eps / dim, in the same ulps (`StoppingSpec.validate_for`)
 
 # a configuration: one opinion vector per vertex, as the engine stores it
 Rows = Sequence[tuple[float, ...]]
@@ -166,7 +168,12 @@ class StoppingSpec:
             raise ValueError("max_events must be >= 1")
 
     def validate_for(self, g: SocialGraph, space: OpinionSpace, params: ModelParams) -> None:
-        """Check the spec against its trial; eps must exceed MIN_EPS_ULPS ulps of the largest coordinate."""
+        """Check the spec against its trial: eps must exceed MIN_EPS_ULPS ulps U of the largest coordinate, and
+        (1 - alpha) * eps / dim MIN_STEP_ULPS = 3/2 of them. Per coordinate the update fl(fl(a * old) + fl(b *
+        mean)), a = alpha, b = 1 - alpha, rounds each product by at most U/2, and the sum to old only from within
+        U/2 of it. For alpha >= 1/2, b is exact and a + b = 1 (below, the eps floor implies this one, as dim <= 8),
+        so a coordinate that stays put has b * |mean - old| <= 3U/2. An opinion eps or more from the mean under L1,
+        L2 or Linf has a coordinate eps / dim or more from it, so above the floor it moves."""
         if self.eps != self.eps_prime / g.vertex_count:
             raise ValueError(
                 f"eps must equal eps_prime / vertex_count = "
@@ -174,12 +181,16 @@ class StoppingSpec:
             )
         if not self.eps_prime < params.tau / 2:
             raise ValueError(f"eps_prime must be < tau/2 = {params.tau / 2}, got {self.eps_prime}")
-        floor = MIN_EPS_ULPS * coordinate_ulp(space.shape)
+        floor = MIN_EPS_ULPS * (ulp := coordinate_ulp(space.shape))
         if not self.eps > floor:
             raise ValueError(
                 f"eps = eps_prime / vertex_count = {self.eps!r} is not above {MIN_EPS_ULPS} ulps of the largest "
                 f"coordinate ({floor!r}), so trials may never stop"
             )
+        step, floor = (1.0 - params.alpha) * self.eps / space.dim, MIN_STEP_ULPS * ulp
+        if not step > floor:
+            raise ValueError(f"(1 - alpha) * eps / dim = {step!r} is not above {MIN_STEP_ULPS} ulps of the largest "
+                             f"coordinate ({floor!r}), so an update may not move an opinion")
 
 
 def default_stopping(
@@ -207,7 +218,7 @@ def default_stopping(
     except ValueError as exc:
         if not rule:
             raise
-        # the rule keeps eps_prime below tau/2, so only the eps floor can fail here
+        # the rule keeps eps_prime below tau/2, so only a floor can fail here
         raise ValueError(f"{exc}; the default rule derived eps_prime = {eps_prime!r} from tau = {tau!r}") from None
     return spec
 
@@ -311,21 +322,22 @@ class TrialEngine:
     `edge_states`, and the trial is stopped when `_banded_count`, the number of
     edges in state 2, is zero. `_states(op, nbrs)` builds every row of the
     initial table, from both ends of each edge (the kernels are symmetric
-    bitwise), and the row of each updated vertex. Adjacency rows are
-    sorted, so a changed edge's mirror entry is found by bisection. A vertex's
-    rate, its number of nonzero entries, sits in a Fenwick tree whose root is
-    the total rate; when that is the degree sum, selection bisects the degrees'
-    prefix sums, `_degree_sums`, built once here. After an update only the
-    edges at the updated vertex are recomputed; tests pin equivalence with
-    full recomputation by the oracles in `tests/oracles.py`. `step` and `run_to_stop` both run the one event loop,
+    bitwise), and the row of each updated vertex. Adjacency rows are sorted, so
+    a changed edge's mirror entry is found by bisection. A vertex's rate, its
+    number of nonzero entries, sits in a Fenwick tree whose root is the total
+    rate; when that is the degree sum, selection reads the owner table `_owner`
+    (2m entries, built once here), and a stop is consensus exactly then
+    (`outcome`). After an update only the edges at the updated vertex are
+    recomputed; tests pin equivalence with full recomputation by the oracles in
+    `tests/oracles.py`. `step` and `run_to_stop` both run the one event loop,
     `_run`; only `run_to_stop` enters the certified phase (module docstring),
-    which skips the edge rule and the table with the same events and bytes,
-    and restores the table on leaving it. Inside
-    an `on_event` callback during the phase, `is_stopped()` is False until the
-    event that stops the trial and `compat` is exact (every edge is
-    compatible); only the near and banded entries of `_state` and the value
-    of `_banded_count` are stale. `outcome` decides event A with the engine's
-    own kernel and center. Not thread-safe; one engine and one stream per trial.
+    which skips the edge rule and the table with the same events and bytes, and
+    restores the table on leaving it. Inside an `on_event` callback during the
+    phase, `is_stopped()` is False until the event that stops the trial and
+    `compat` is exact (every edge is compatible); only the near and banded
+    entries of `_state` and the value of `_banded_count` are stale. `outcome`
+    decides event A with the engine's own kernel and center. Not thread-safe;
+    one engine and one stream per trial.
     """
 
     def __init__(
@@ -355,8 +367,8 @@ class TrialEngine:
         # Fenwick tree over rates, zero-padded to a power-of-two size so the descent
         # needs no bounds check and the root tree[size] is the total
         self._size = 1 << (n - 1).bit_length()
-        # inclusive prefix sums of the degrees; the last is the total rate when every edge is compatible
-        self._degree_sums = list(accumulate(map(len, g.adjacency)))
+        # deg(v) copies of each vertex v in order: while every edge is compatible, the scan's pick for target k
+        self._owner = list(chain.from_iterable(repeat(v, len(nbrs)) for v, nbrs in enumerate(g.adjacency)))
         self._build()
         self.time = 0.0
         self.events = 0
@@ -406,12 +418,12 @@ class TrialEngine:
         table whenever it leaves it.
         """
         tree, size, state, states, update = self._tree, self._size, self._state, self._states, self._update
-        rand, degree_sums = self.rng.random, self._degree_sums
+        rand, owner = self.rng.random, self._owner
         opinions, adjacency = self.opinions, self.g.adjacency
         banded, events, time = self._banded_count, self.events, self.time
         samples, on_event, dists = self._samples, self._on_event, self._center_dists
         kernel, center, tau = self._kernel, self._center, self._tau
-        full, n, dim = degree_sums[-1], len(opinions), self.space.dim
+        full, n, dim = len(owner), len(opinions), self.space.dim
         # in the certified phase lo and hi bound every opinion with kernel(hi, lo) <= tau,
         # and (wu, wv) is a banded edge; the box is tested again from event `check` on
         certified = False
@@ -436,12 +448,11 @@ class TrialEngine:
             # x is the first vertex whose inclusive rate prefix sum exceeds rand() * total, as in
             # the scan of gillespie_step (tests/oracles.py). Prefix sums are ints, and an int is
             # <= a nonnegative float exactly when it is <= the float's floor k. When every edge
-            # is compatible each rate is the degree, so x is the bisection of k in the degree
-            # sums; otherwise the descent finds the longest prefix with sum <= k, taking each
-            # node it passes off k.
+            # is compatible each rate is the degree, so x is the owner table's entry k; otherwise
+            # the descent finds the longest prefix with sum <= k, taking each node it passes off k.
             k = int(rand() * total)
             if total == full:
-                x = bisect_right(degree_sums, k)
+                x = owner[k]
             else:
                 x = 0
                 bit = size >> 1
@@ -454,14 +465,19 @@ class TrialEngine:
             nbrs = adjacency[x]
             if certified:
                 new = opinions[x] = update(nbrs, opinions[x])
-                grew = False
-                for i, c in enumerate(new):
-                    if c > hi[i]:
-                        hi[i] = c
-                        grew = True
-                    elif c < lo[i]:
-                        lo[i] = c
-                        grew = True
+                if dim == 1:  # one compare pair: the loop below costs about four times as much
+                    c = new[0]
+                    if grew := not lo[0] <= c <= hi[0]:
+                        lo[0], hi[0] = min(lo[0], c), max(hi[0], c)
+                else:
+                    grew = False
+                    for i, c in enumerate(new):
+                        if c > hi[i]:
+                            hi[i] = c
+                            grew = True
+                        elif c < lo[i]:
+                            lo[i] = c
+                            grew = True
                 if grew and kernel(hi, lo) > tau:
                     # the update rounded out of the hull far enough to void the certificate
                     certified = False
@@ -522,16 +538,18 @@ class TrialEngine:
     def outcome(self) -> TrialOutcome:
         """Freeze the current state into a TrialOutcome, classifying if stopped.
 
-        A stopped trial is consensus iff its compatible-neighbor graph is
-        connected; a dissensus verdict may not be final (see the module
-        docstring). Event A, some opinion strictly within tau - radius - eps_prime
-        of the center under the engine's kernel, is decided where `event_a_applicable`.
+        A stopped trial is consensus iff every edge is compatible (total rate = degree sum), read with no
+        search: at a stop every compatible edge is near (< eps), so a connected compatible graph would put all
+        pairs within (n - 1) * eps < eps_prime < tau / 2 (`StoppingSpec.validate_for`), making every edge
+        compatible, and `SocialGraph` is connected. A dissensus verdict may not be final (module docstring).
+        Event A, some opinion strictly within tau - radius - eps_prime of the center under the engine's kernel,
+        is decided where `event_a_applicable`.
         """
         stopped = self.is_stopped()
         consensus: bool | None = None
         event_a: bool | None = None
         if stopped:
-            consensus = is_connected(self.compat)
+            consensus = self._tree[self._size] == len(self._owner)
             eps_prime = self.stopping.eps_prime
             if event_a_applicable(self.space, self._tau, eps_prime):
                 threshold = self._tau - self.space.radius - eps_prime

@@ -75,7 +75,7 @@ def gillespie_step(view: CompatibilityView, rng: random.Random) -> tuple[float, 
     with probability len(view[x]) / total rate. Consumes the stream in that order.
     The scan always stops: for an integer total below 2**53,
     random() * total < total holds exactly in float64. Test oracle for the
-    engine's selection, the bisection of the degree sums while every edge is
+    engine's selection, the owner table's entry while every edge is
     compatible and the Fenwick descent otherwise, which must pick the same
     vertex, and for its inline holding time, which must have the same bits.
     """

@@ -526,6 +526,21 @@ def test_bad_init_atom_names_point_masses(tmp_path, capsys, point, message):
     assert err == f"config error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "overrides, label",
+    [
+        # 1 - 2**-53: an update toward a neighbor eps away rounds back to the old opinion
+        ({"alpha": 0.9999999999999999}, "alpha: (1 - alpha) * eps / dim = "),
+        ({"alpha": 0.5, "tau": 0.5000000000000002}, "tau: eps = eps_prime / vertex_count = "),
+    ],
+)
+def test_stop_floors_name_the_input_that_fails_them(tmp_path, capsys, overrides, label):
+    cfg = write_config(tmp_path, seed=7, max_events=200_000, trials=3, **overrides)
+    code, out, err = run_cli(capsys, "estimate", cfg)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"config error: {label}") and err.count("\n") == 1, err
+
+
 @pytest.mark.parametrize("init", ["UNIFORM", 5, ["uniform"]])
 def test_bad_init_names_the_accepted_forms(tmp_path, capsys, init):
     code, out, err = run_cli(capsys, "bound", write_config(tmp_path, init=init))

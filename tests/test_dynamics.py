@@ -9,6 +9,7 @@ from scipy.optimize import linprog
 
 from hkc.dynamics import (
     MIN_EPS_ULPS,
+    MIN_STEP_ULPS,
     Configuration,
     ModelParams,
     StoppingSpec,
@@ -18,7 +19,7 @@ from hkc.dynamics import (
     event_a_applicable,
     update_rule,
 )
-from hkc.graph import complete, cycle, erdos_renyi, grid, path
+from hkc.graph import complete, cycle, erdos_renyi, grid, is_connected, path
 from hkc.montecarlo import ExperimentSpec, run_single_trial
 from hkc.space import (
     MIN_L2_EXTENT,
@@ -259,6 +260,60 @@ def test_hand_built_stopping_spec_below_float_resolution_is_rejected():
     with pytest.raises(ValueError, match="ulps of the largest coordinate"):
         ExperimentSpec(graph=g, space=BOX01, init=UniformShape(), params=params, stopping=stopping,
                        trials=1, master_seed=0)
+
+
+def test_alpha_whose_update_cannot_move_an_opinion_is_rejected():
+    # With alpha = 1 - 2**-53 an update toward a neighbor eps = 0.0015 away rounds
+    # back to the old opinion, so no banded edge could close: this config ran every
+    # trial to its cap. The engine, the experiment and default_stopping refuse it.
+    g = path(2)
+    params = ModelParams(tau=0.8, alpha=1 - 2.0**-53)
+    floor = r"^\(1 - alpha\) \* eps / dim = .* is not above 1.5 ulps of the largest coordinate"
+    with pytest.raises(ValueError, match=floor):
+        default_stopping(g, BOX01, params)
+    stopping = default_stopping(g, BOX01, ModelParams(tau=0.8))
+    with pytest.raises(ValueError, match=floor):
+        TrialEngine(g, BOX01, UniformShape(), params, stopping, random.Random(5))
+    with pytest.raises(ValueError, match=floor):
+        ExperimentSpec(graph=g, space=BOX01, init=UniformShape(), params=params, stopping=stopping,
+                       trials=1, master_seed=7)
+    ops = [(0.75,), (0.75 + stopping.eps,)]
+    assert update_rule(ops, params.alpha, 1)((1,), ops[0]) == ops[0]
+
+
+@pytest.mark.parametrize("dim", [1, 3, 8])
+def test_step_floor_on_both_sides(dim):
+    # (1 - alpha) * eps / dim at MIN_STEP_ULPS ulps U of the largest coordinate is
+    # rejected, and one ulp above it accepted. There an update toward a neighbor at
+    # L1 distance eps, spread evenly over the coordinates (so the largest coordinate
+    # gap is as small as it can be under any norm), moves every coordinate of any
+    # opinion in the box, as the rounding bound in StoppingSpec.validate_for says;
+    # at a sixth of that gap a coordinate can round back to the old one.
+    space = OpinionSpace(Box((0.0,) * dim, (1.0,) * dim), Norm.L1)
+    g, u, rng = path(2), coordinate_ulp(space.shape), random.Random(dim)
+    stalled = 0
+    for j in (7, 20, 40, 46):
+        params = ModelParams(tau=0.8, alpha=1.0 - 2.0**-j)  # 1 - alpha = 2**-j, exactly
+        at_floor = MIN_STEP_ULPS * u * 2.0**j * dim
+        with pytest.raises(ValueError, match=r"^\(1 - alpha\) \* eps / dim"):
+            StoppingSpec(2 * at_floor, at_floor).validate_for(g, space, params)
+        eps = math.nextafter(at_floor, 1.0)
+        StoppingSpec(2 * eps, eps).validate_for(g, space, params)
+        for gap, moves in ((eps / dim, True), (at_floor / dim / 6, False)):
+            for _ in range(2000):
+                old = tuple(rng.choice((rng.random(), 1.0 - rng.random() * 1e-3)) for _ in range(dim))
+                nbr = []
+                for o in old:
+                    c = o - gap if o - gap >= 0.0 else o + gap
+                    if abs(c - o) < gap:  # rounded toward o: one ulp further
+                        c = math.nextafter(c, 2 * c - o)
+                    nbr.append(c)
+                new = update_rule([old, tuple(nbr)], params.alpha, dim)((1,), old)
+                if moves:
+                    assert all(a != b for a, b in zip(new, old)), (j, old, nbr)
+                else:
+                    stalled += sum(a == b for a, b in zip(new, old))
+    assert stalled > 1000
 
 
 def test_run_trial_compatible_pair_merges_in_one_event():
@@ -689,14 +744,13 @@ def test_run_to_stop_equals_step_by_step_oracle(norm, dim):
     assert phase_ran >= runs * 2 // 3
 
 
-@pytest.mark.parametrize("dim", [1, 2, 3])
-@pytest.mark.parametrize("norm", list(Norm))
-def test_certified_phase_left_on_box_growth(norm, dim):
+def _left_on_box_growth(norm, dim, side):
     # An update that lands beyond tau of the opinions' box voids the certificate:
     # run_to_stop must leave the phase, run the edge rule at every event again, and
     # end as step() does. Both runs replace the same update, two events after
     # run_to_stop entered the phase, by an opinion 2 tau past the box in the first
-    # coordinate, which leaves that vertex incompatible with all its neighbors.
+    # coordinate, above hi or below lo, which leaves that vertex incompatible with
+    # all its neighbors. Each side of the box has its own branch to grow it.
     space = OpinionSpace(Box((0.0,) * dim, (1.0,) * dim), norm)
     g = complete(6)
     params = ModelParams(tau=space.radius * 1.5, alpha=0.5)
@@ -711,8 +765,11 @@ def test_certified_phase_left_on_box_growth(norm, dim):
         def perturbed(ys, old):
             log.append(len(calls))
             if len(log) - 1 == at:
-                hi = [max(c) for c in zip(*e.opinions)]
-                return (hi[0] + 2 * params.tau, *hi[1:])
+                if side == "hi":
+                    hi = [max(c) for c in zip(*e.opinions)]
+                    return (hi[0] + 2 * params.tau, *hi[1:])
+                lo = [min(c) for c in zip(*e.opinions)]
+                return (lo[0] - 2 * params.tau, *lo[1:])
             return update(ys, old)
 
         e._update = perturbed
@@ -729,6 +786,18 @@ def test_certified_phase_left_on_box_growth(norm, dim):
     assert log[at + 1] - log[at] >= g.vertex_count  # left the phase: the table was rebuilt
     assert all(b > a for a, b in zip(log[at + 1:], log[at + 2:]))  # the edge rule at every later event
     assert fast.is_stopped() and fast.outcome().consensus is False
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("norm", list(Norm))
+def test_certified_phase_left_on_box_growth(norm, dim):
+    _left_on_box_growth(norm, dim, "hi")
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("norm", list(Norm))
+def test_certified_phase_left_on_low_box_growth(norm, dim):
+    _left_on_box_growth(norm, dim, "lo")
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -765,6 +834,34 @@ def test_certified_stop_needs_no_rebuild(norm, dim):
     calls = _run_to_stop_as_stepped(engine, stepped, params, stop - 1)
     assert not engine.is_stopped() and calls < stop - 1
     assert len(builds) == 1
+
+
+def test_consensus_shortcut_agrees_with_search_at_every_stop():
+    # outcome() calls a stop consensus exactly when every edge is compatible (total
+    # rate = degree sum), with no search: at a stop a connected compatible graph puts
+    # every pair within (n - 1) * eps < tau, so no edge can be incompatible. Over
+    # seeded stops of both kinds, from the general loop (step()) and from run_to_stop,
+    # whose complete(50) trials at tau = 1.0 stop in the certified phase, its verdict
+    # must be the search's and the stop-time classifier's.
+    seen = {}
+    for g, tau, by_step in ((cycle(100), 0.3, False), (complete(50), 0.3, False), (complete(50), 0.3, True),
+                            (complete(50), 1.0, False), (complete(50), 1.0, True)):
+        params = ModelParams(tau=tau)
+        stopping = default_stopping(g, BOX01, params, max_events=100_000)
+        for seed in range(8):
+            engine = TrialEngine(g, BOX01, UniformShape(), params, stopping, random.Random(seed))
+            if by_step:
+                while not engine.is_stopped():
+                    engine.step()
+            else:
+                engine.run_to_stop()
+            assert engine.is_stopped()
+            consensus = engine.outcome().consensus
+            assert consensus == is_connected(engine.compat)
+            assert consensus == classify_consensus(engine.opinions, g, stopping, tau, Norm.L2)
+            key = (consensus, engine._tree[engine._size] == 2 * g.edge_count)
+            seen[key] = seen.get(key, 0) + 1
+    assert seen[True, True] >= 8 and seen[False, False] >= 8, seen
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -890,7 +987,7 @@ def test_engine_selection_matches_scan_at_exact_prefix_boundaries():
     # Replay the engine's vertex choice against gillespie_step's linear scan on
     # graphs whose sizes are 1, 2 and non-powers of two, where targets often
     # equal a prefix sum exactly and small tau leaves zero-rate vertices. While
-    # every edge is compatible the engine bisects the degree sums, and otherwise
+    # every edge is compatible the engine reads its owner table, and otherwise
     # descends its Fenwick tree: exact targets must reach both, through step()
     # and through run_to_stop, whose certified phase tau = 1.0 enters at once.
     graphs = [path(1), path(2), cycle(37), grid(10, 10), complete(33), cycle(129)]
@@ -930,6 +1027,24 @@ def test_engine_selection_matches_scan_at_exact_prefix_boundaries():
     assert zero_rate_seen
     assert sorted(exact_targets) == [(False, False), (False, True), (True, False), (True, True)]
     assert all(count > 100 for count in exact_targets.values()), exact_targets
+
+
+def test_owner_table_is_the_scan_at_every_target():
+    # While every edge is compatible the engine picks owner[k] for the target
+    # k = int(random() * total), total being the degree sum. gillespie_step's scan
+    # picks the first vertex whose inclusive degree prefix sum exceeds the target,
+    # and an int prefix sum exceeds a float target exactly when it exceeds its floor
+    # k, so the two agree on every draw when they agree at every integer k.
+    graphs = [path(1), path(2), cycle(37), grid(10, 10), complete(33), erdos_renyi(60, 0.08, random.Random(3))]
+    for g in graphs:
+        params = ModelParams(tau=1.0)
+        engine = TrialEngine(g, BOX01, UniformShape(), params, default_stopping(g, BOX01, params), random.Random(0))
+        owner, full = engine._owner, 2 * g.edge_count
+        assert len(owner) == full
+        sums = list(itertools.accumulate(map(len, g.adjacency)))
+        for k in range(full):
+            assert owner[k] == next(x for x, acc in enumerate(sums) if acc > k), (g.vertex_count, k)
+    assert graphs[0].edge_count == 0 and graphs[-1].edge_count > 60
 
 
 def _in_convex_hull(point, hull_points, tol=1e-9) -> bool:
