@@ -16,7 +16,7 @@ copies of each vertex v (O(m) memory); otherwise it descends a Fenwick tree
 over the integer rates in O(log n). Both pick the same vertex as the direct
 method's linear scan for every draw (`gillespie_step` in `tests/oracles.py`,
 the reference implementation of the dynamics). Edge state lives in one table
-aligned with the adjacency lists, with a count of in-band edges
+aligned with the adjacency lists, with one banded witness edge
 (`TrialEngine`). The edge rule (`edge_states`) and the update (`update_rule`)
 are each stated once; the engine and `hkc.invariants` both run them. One event
 loop runs every event, with the engine's state in local variables.
@@ -39,29 +39,35 @@ A trial stops at the first time every edge's opinion distance falls strictly
 outside [eps, tau] (either near-agreement or frozen), or when an event cap is
 hit.
 
-`run_to_stop` (not `step`) skips the edge rule in a certified phase. It
-enters it when every edge is compatible (the total rate is twice the edge
-count, an O(1) test) and the kernel distance between the corners of the
-opinions' bounding box is at most tau (O(n * dim), tested at most once every
-n events). Every pair of points in the box is then within tau: rounding is
-monotone, so |fl(u_i - v_i)| <= fl(hi_i - lo_i), and each kernel is monotone
-in every |d_i|. An update is a convex combination of compatible opinions, so
-the hull only shrinks (Moreau 2005) and no edge can become incompatible.
-Each event then runs only the selection and the update from all neighbors,
-and grows the box by the new opinion, since an update can round an ulp out
-of the hull; the phase ends if that takes the box beyond tau. The stop is
-found exactly by one banded witness edge, examined again only when one of
-its ends moves. When it is no longer banded, a scan of the adjacency rows
-from its end finds another, or finds none, which is the stop at that same
-event. A cap or box-growth exit rebuilds the edge-state table, the banded
-count and the Fenwick tree with the builder `__init__` uses. At a stop every
-edge is compatible and none is banded, so every entry is near and the tree
-holds the full rates. The phase only skips work: each event draws the same
-numbers, picks the same vertex, and averages the same neighbors in the same
-order as the general loop, and the trial stops at the same event, so no
-report, trace or pinned byte changes. Inside an `on_event` callback during
-the phase, `is_stopped()` is False until the event that stops the trial, as
-in the general loop.
+After an update only the edges at the moved vertex x can change state, and
+where it can the engine decides them by a box [lo, hi] that bounds every
+opinion. The box is exact at the start, grows by each new opinion (an update can
+round an ulp out of the hull, which a convex combination otherwise never
+leaves, Moreau 2005), and is recomputed exactly at most once every n events
+while the kernel distance between its corners exceeds tau. Rounding is
+monotone, so no opinion v in the box has a larger |fl(new_i - v_i)| than x's
+far corner (`far_corner`: per coordinate the bound with the larger
+|fl(new_i - bound)|), and each kernel is monotone in every |d_i|. So if the
+box's corners are within tau, or x's far corner is by the edge rule's own
+form, every edge at x is compatible, with no tolerance; only otherwise does
+the rule run on x's row. While the corners are farther apart than 2 tau no
+far corner can be within tau (each coordinate's farther end is at least half
+its extent away), so the test and the growth are skipped; the box then bounds
+the opinions only from its next recompute on, when its span is exact. Either
+way the zero entries of the edge-state table, and so the rates, are exact; a
+nonzero entry means only "compatible".
+
+The stop is found exactly by one banded witness edge, taken from the initial
+table and examined again only when one of its ends moves. When it is no
+longer banded, a scan of the upper-triangle adjacency rows from its end,
+wrapping, finds another, or finds none, which is the stop at that same
+event. `step` may go on past a stop: it then runs the rule on each moved row
+and takes any banded edge there as the new witness, since no other edge can
+change. `step` and `run_to_stop` do the same work per event, and the box only
+skips work: each event draws the same numbers, picks the same vertex and
+averages the same neighbors in the same order as the direct method, so no
+report, trace or pinned byte depends on it. Inside an `on_event` callback,
+`is_stopped()` is False until the event that stops the trial.
 
 At a stop every compatible edge (distance <= tau) is a near-agreement edge
 (distance < eps), so a stopped trial is consensus exactly when every edge is
@@ -315,29 +321,41 @@ def update_rule(opinions: Rows, alpha: float, dim: int) -> Callable[..., tuple[f
     return update
 
 
+def far_corner(op: Sequence[float], lo: Sequence[float], hi: Sequence[float]) -> list[float]:
+    """The corner of the box [lo, hi], which holds op, that is farthest from op in every coordinate:
+    per coordinate the bound with the larger |fl(op_i - bound)|. Subtraction rounds monotonically, so
+    no point of the box has a larger |fl(op_i - v_i)|, and every kernel is monotone in each |d_i|."""
+    return [a if c - a >= b - c else b for c, a, b in zip(op, lo, hi)]
+
+
+def _bounds(opinions: Rows, dim: int) -> tuple[list[float], list[float]]:
+    """Each coordinate's least and greatest value over the rows, by a pass per coordinate: zip(*opinions)
+    would allocate an iterator per row, n objects that set off the cyclic garbage collector in a trial."""
+    return ([min(map(itemgetter(i), opinions)) for i in range(dim)],
+            [max(map(itemgetter(i), opinions)) for i in range(dim)])
+
+
 class TrialEngine:
     """Single-trial state machine with incremental edge bookkeeping.
 
-    `_state[x][j]` is the state of the edge from x to `adjacency[x][j]` under
-    `edge_states`, and the trial is stopped when `_banded_count`, the number of
-    edges in state 2, is zero. `_states(op, nbrs)` builds every row of the
-    initial table, from both ends of each edge (the kernels are symmetric
-    bitwise), and the row of each updated vertex. Adjacency rows are sorted, so
-    a changed edge's mirror entry is found by bisection. A vertex's rate, its
-    number of nonzero entries, sits in a Fenwick tree whose root is the total
-    rate; when that is the degree sum, selection reads the owner table `_owner`
-    (2m entries, built once here), and a stop is consensus exactly then
-    (`outcome`). After an update only the edges at the updated vertex are
-    recomputed; tests pin equivalence with full recomputation by the oracles in
-    `tests/oracles.py`. `step` and `run_to_stop` both run the one event loop,
-    `_run`; only `run_to_stop` enters the certified phase (module docstring),
-    which skips the edge rule and the table with the same events and bytes, and
-    restores the table on leaving it. Inside an `on_event` callback during the
-    phase, `is_stopped()` is False until the event that stops the trial and
-    `compat` is exact (every edge is compatible); only the near and banded
-    entries of `_state` and the value of `_banded_count` are stale. `outcome`
-    decides event A with the engine's own kernel and center. Not thread-safe;
-    one engine and one stream per trial.
+    `_state[x][j]` is 0 exactly when the edge from x to `adjacency[x][j]` is
+    incompatible; a nonzero entry, 1 (near) or 2 (banded) as last set, means
+    only "compatible". `_states(op, nbrs)` builds every row of the initial
+    table, from both ends of each edge (the kernels are symmetric bitwise),
+    and the row of an updated vertex that the box `_lo`, `_hi` cannot decide
+    (module docstring). Adjacency rows are
+    sorted, so a flipped edge's mirror entry is found by bisection. A vertex's
+    rate, its number of nonzero entries, sits in a Fenwick tree whose root is
+    the total rate; when that is the degree sum, selection reads the owner
+    table `_owner` (2m entries, built once here), and a stop is consensus
+    exactly then (`outcome`). `_witness` is a banded edge, or None when the
+    trial is stopped. The table is built only here; tests pin equivalence with
+    full recomputation by the oracles in `tests/oracles.py`. `step` and
+    `run_to_stop` both run the one event loop, `_run`, with the same work per
+    event. Inside an `on_event` callback `is_stopped()` is False until the
+    event that stops the trial, and `compat` is exact. `outcome` decides event
+    A with the engine's own kernel and center. Not thread-safe; one engine and
+    one stream per trial.
     """
 
     def __init__(
@@ -370,6 +388,9 @@ class TrialEngine:
         # deg(v) copies of each vertex v in order: while every edge is compatible, the scan's pick for target k
         self._owner = list(chain.from_iterable(repeat(v, len(nbrs)) for v, nbrs in enumerate(g.adjacency)))
         self._build()
+        # the opinions' box, exact here; the loop recomputes it, if wider than tau, once every n events from `_check`
+        self._lo, self._hi = _bounds(opinions, space.dim)
+        self._check = n
         self.time = 0.0
         self.events = 0
         self._on_event = on_event
@@ -388,7 +409,7 @@ class TrialEngine:
         )
 
     def is_stopped(self) -> bool:
-        return not self._banded_count
+        return self._witness is None
 
     def step(self) -> int | None:
         """Execute one event; returns the updated vertex, or None when absorbed."""
@@ -399,51 +420,40 @@ class TrialEngine:
         self._run(self.stopping.max_events if max_events is None else max_events, False)
 
     def _build(self) -> None:
-        """Build the edge-state table, the banded count and the Fenwick tree (in O(n)) from the opinions."""
+        """Build the edge-state table, the Fenwick tree (in O(n)) and the witness from the opinions."""
         states, size = self._states, self._size
         self._state = state = [states(op, nbrs) for op, nbrs in zip(self.opinions, self.g.adjacency)]
-        self._banded_count = sum(row.count(2) for row in state) // 2
         tree = [0] + [len(row) - row.count(0) for row in state] + [0] * (size - len(state))
         for i in range(1, size):
             tree[i + (i & -i)] += tree[i]
         self._tree = tree
+        # the first banded entry of the first row that has one: its row holds a 2 too, so v < its end
+        v = next((v for v, row in enumerate(state) if 2 in row), None)
+        self._witness = None if v is None else (v, self.g.adjacency[v][state[v].index(2)])
 
     def _run(self, cap: int, once: bool) -> int | None:
         """The event loop: events until `cap`, and while edges are banded unless `once`.
 
         Returns the last updated vertex, or None when absorbed. The engine's
         state lives in locals for the whole run; the counters are written back
-        on exit and before each observation. Unless `once`, the loop runs the
-        certified phase (module docstring) while it holds, and restores the
-        table whenever it leaves it.
+        on exit and before each observation. Each event keeps the box, decides
+        the moved vertex's edges by it or by the edge rule, and re-examines the
+        witness (module docstring).
         """
         tree, size, state, states, update = self._tree, self._size, self._state, self._states, self._update
         rand, owner = self.rng.random, self._owner
         opinions, adjacency = self.opinions, self.g.adjacency
-        banded, events, time = self._banded_count, self.events, self.time
+        witness, events, time = self._witness, self.events, self.time
         samples, on_event, dists = self._samples, self._on_event, self._center_dists
         kernel, center, tau = self._kernel, self._center, self._tau
+        lo, hi, check = self._lo, self._hi, self._check
         full, n, dim = len(owner), len(opinions), self.space.dim
-        # in the certified phase lo and hi bound every opinion with kernel(hi, lo) <= tau,
-        # and (wu, wv) is a banded edge; the box is tested again from event `check` on
-        certified = False
-        check = events
+        span, tau2 = kernel(hi, lo), 2 * tau
         x = None
-        while events < cap and (banded or once):
+        while events < cap and (witness or once):
             total = tree[size]
             if not total:
                 break  # absorbed; banded edges imply compatible ones, so only under `once`
-            if total == full and not certified and not once and events >= check:
-                # a pass per coordinate: zip(*opinions) would allocate an iterator per row, n objects
-                # that the cyclic garbage collector counts, and set off its collections inside the trial
-                lo = [min(map(itemgetter(i), opinions)) for i in range(dim)]
-                hi = [max(map(itemgetter(i), opinions)) for i in range(dim)]
-                if kernel(hi, lo) <= tau:
-                    certified = True
-                    wu = next(v for v, row in enumerate(state) if 2 in row)
-                    wv = adjacency[wu][state[wu].index(2)]
-                else:
-                    check = events + n
             dt = -log(1.0 - rand()) / total  # the body of random.expovariate(total), inline
             # x is the first vertex whose inclusive rate prefix sum exceeds rand() * total, as in
             # the scan of gillespie_step (tests/oracles.py). Prefix sums are ints, and an int is
@@ -453,6 +463,8 @@ class TrialEngine:
             k = int(rand() * total)
             if total == full:
                 x = owner[k]
+                nbrs = ys = adjacency[x]
+                row = state[x]
             else:
                 x = 0
                 bit = size >> 1
@@ -462,83 +474,81 @@ class TrialEngine:
                         x += bit
                         k -= s
                     bit >>= 1
-            nbrs = adjacency[x]
-            if certified:
-                new = opinions[x] = update(nbrs, opinions[x])
-                if dim == 1:  # one compare pair: the loop below costs about four times as much
-                    c = new[0]
-                    if grew := not lo[0] <= c <= hi[0]:
-                        lo[0], hi[0] = min(lo[0], c), max(hi[0], c)
-                else:
-                    grew = False
-                    for i, c in enumerate(new):
-                        if c > hi[i]:
-                            hi[i] = c
-                            grew = True
-                        elif c < lo[i]:
-                            lo[i] = c
-                            grew = True
-                if grew and kernel(hi, lo) > tau:
-                    # the update rounded out of the hull far enough to void the certificate
-                    certified = False
-                    check = events + n
-                    state = self._state = None  # drop the old table first, so the rebuild adds no peak memory
-                    self._build()
-                    tree, state, banded = self._tree, self._state, self._banded_count
-                elif (x == wu or x == wv) and states(opinions[wu], (wv,))[0] != 2:
-                    # the witness is no longer banded: scan the rows from its end for another edge
-                    # of the upper triangle that is; none left is the stop
-                    for v in chain(range(wu, n), range(wu)):
-                        ys = adjacency[v]
-                        ys = ys[bisect_right(ys, v):]
-                        row = states(opinions[v], ys)
-                        if 2 in row:
-                            wu, wv = v, ys[row.index(2)]
-                            break
-                    else:
-                        banded = 0
+                nbrs, row = adjacency[x], state[x]
+                ys = list(compress(nbrs, row))
+            new = opinions[x] = update(ys, opinions[x])
+            if events >= check:  # once every n events: recompute the box if it is wider than tau
+                if span > tau:
+                    lo, hi = _bounds(opinions, dim)
+                    span = kernel(hi, lo)
+                check = events + n
+            if span > tau2:
+                fresh = states(new, nbrs)  # no far corner can be within tau: the rule decides, the box is not grown
             else:
-                row = state[x]
-                new = opinions[x] = update(list(compress(nbrs, row)), opinions[x])
-                fresh = states(new, nbrs)
-                if fresh != row:
-                    for j, s in enumerate(fresh):
-                        was = row[j]
-                        if s != was:
-                            y = nbrs[j]
-                            state[y][bisect_left(adjacency[y], x)] = s
-                            banded += (s == 2) - (was == 2)
-                            if not (s and was):  # compatibility flipped: both rates move
-                                delta = 1 if s else -1
-                                for v in (x, y):
-                                    i = v + 1
-                                    while i <= size:
-                                        tree[i] += delta
-                                        i += i & -i
-                    state[x] = fresh
+                if dim == 1:  # the box bounds every opinion: grow it by the new one, here by one compare pair
+                    c = new[0]
+                    if not lo[0] <= c <= hi[0]:
+                        lo[0], hi[0] = min(lo[0], c), max(hi[0], c)
+                        span = kernel(hi, lo)
+                else:  # a loop: any() over a generator costs about twice as much
+                    for a, c, b in zip(lo, new, hi):
+                        if c < a or c > b:
+                            lo, hi = list(map(min, lo, new)), list(map(max, hi, new))
+                            span = kernel(hi, lo)
+                            break
+                if witness and (span <= tau or (
+                        max(new[0] - lo[0], hi[0] - new[0]) if dim == 1 else kernel(new, far_corner(new, lo, hi))
+                ) <= tau):
+                    # the box, or x's far corner in it (in one dimension the farther end), is within tau, so
+                    # every edge at x is compatible. Past a stop the rule runs instead, to find banded edges
+                    fresh = [s or 1 for s in row] if total != full and 0 in row else row
+                else:
+                    fresh = states(new, nbrs)
+            if fresh is not row and fresh != row:
+                for j, (s, was) in enumerate(zip(fresh, row)):
+                    if s != was and not (s and was):  # compatibility flipped: mirror it, move both rates
+                        y = nbrs[j]
+                        state[y][bisect_left(adjacency[y], x)] = s
+                        delta = 1 if s else -1
+                        for v in (x, y):
+                            i = v + 1
+                            while i <= size:
+                                tree[i] += delta
+                                i += i & -i
+                state[x] = fresh
+            if not witness:
+                if 2 in fresh:
+                    witness = x, nbrs[fresh.index(2)]
+            elif x in witness and states(opinions[witness[0]], witness[1:])[0] != 2:
+                # the witness is no longer banded: scan the rows from its end for another edge
+                # of the upper triangle that is; none left is the stop
+                for v in chain(range(witness[0], n), range(witness[0])):
+                    ys = adjacency[v]
+                    ys = ys[bisect_right(ys, v):]
+                    if 2 in (r := states(opinions[v], ys)):
+                        witness = v, ys[r.index(2)]
+                        break
+                else:
+                    witness = None
             time += dt
             events += 1
             if dists is not None:
-                self.events, self.time, self._banded_count = events, time, banded
+                self.events, self.time, self._witness = events, time, witness
                 dists[x] = kernel(new, center)
                 xc = reduce(add, dists, 0.0)
                 if samples is not None:
                     samples.append((time, xc))
                 if on_event is not None:
                     on_event(events, time, x, xc, opinions)
-        if certified and banded:  # capped in the phase
-            state = self._state = None
-            self._build()
-            banded = self._banded_count
-        elif certified:  # stopped in the phase: every entry is near (module docstring)
-            self._state = [[1] * len(nbrs) for nbrs in adjacency]
-        self.events, self.time, self._banded_count = events, time, banded
+        self.events, self.time, self._witness = events, time, witness
+        self._lo, self._hi, self._check = lo, hi, check
         return x
 
     def outcome(self) -> TrialOutcome:
         """Freeze the current state into a TrialOutcome, classifying if stopped.
 
-        A stopped trial is consensus iff every edge is compatible (total rate = degree sum), read with no
+        Stopped means no banded witness is left. A stopped trial is consensus iff every edge is compatible (total
+        rate = degree sum; the table's zero entries, and so the rates, are exact at every event), read with no
         search: at a stop every compatible edge is near (< eps), so a connected compatible graph would put all
         pairs within (n - 1) * eps < eps_prime < tau / 2 (`StoppingSpec.validate_for`), making every edge
         compatible, and `SocialGraph` is connected. A dissensus verdict may not be final (module docstring).

@@ -94,7 +94,7 @@ def gillespie_step(view: CompatibilityView, rng: random.Random) -> tuple[float, 
 def stop_reached(opinions: Rows, g: SocialGraph, spec: StoppingSpec, tau: float, norm: Norm) -> bool:
     """True iff every edge's opinion distance is strictly outside [eps, tau].
 
-    Test oracle for `TrialEngine.is_stopped`, which counts the in-band edges.
+    Test oracle for `TrialEngine.is_stopped`, which keeps one banded witness edge.
     """
     kernel = distance_fn(norm)
     eps = spec.eps

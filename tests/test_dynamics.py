@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+from hkc import dynamics
 from hkc.dynamics import (
     MIN_EPS_ULPS,
     MIN_STEP_ULPS,
@@ -17,10 +18,12 @@ from hkc.dynamics import (
     default_stopping,
     edge_states,
     event_a_applicable,
+    far_corner,
     update_rule,
 )
 from hkc.graph import complete, cycle, erdos_renyi, grid, is_connected, path
 from hkc.montecarlo import ExperimentSpec, run_single_trial
+from hkc.seeding import trial_rng
 from hkc.space import (
     MIN_L2_EXTENT,
     Ball,
@@ -580,29 +583,32 @@ def test_observed_center_distance_equals_total_center_distance(dim):
 
 
 def _oracle_table(config, g, space, params, stopping):
-    """The edge-state table, Fenwick tree and banded count, each from scratch."""
+    """Each edge's compatibility, the Fenwick tree of the rates and whether the trial is stopped
+    (`stop_reached`), each from scratch."""
     kernel = distance_fn(space.norm)
-    tau, eps = params.tau, stopping.eps
-    state = [
-        [0 if d > tau else 1 if d < eps else 2 for d in (kernel(config[x], config[y]) for y in ys)]
-        for x, ys in enumerate(g.adjacency)
-    ]
+    compat = [[kernel(config[x], config[y]) <= params.tau for y in ys] for x, ys in enumerate(g.adjacency)]
     size = 1 << (g.vertex_count - 1).bit_length()
     tree = [0] * (size + 1)
-    for v, row in enumerate(state):
+    for v, row in enumerate(compat):
         i = v + 1
         while i <= size:
-            tree[i] += sum(map(bool, row))
+            tree[i] += sum(row)
             i += i & -i
-    return state, tree, sum(row.count(2) for row in state) // 2
+    return compat, tree, stop_reached(config, g, stopping, params.tau, space.norm)
+
+
+def _table(engine):
+    """The engine's edge-state table by zero-ness (a nonzero entry means only compatible), its
+    Fenwick tree and is_stopped(), to compare with `_oracle_table`."""
+    return [[s != 0 for s in row] for row in engine._state], engine._tree, engine.is_stopped()
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
 @pytest.mark.parametrize("norm", list(Norm))
 def test_initial_edge_table_equals_oracle(norm, dim):
-    # The table is built from both ends of every edge; it must hold the states,
-    # rates and banded count of the kernel's classification, also where dyadic
-    # atoms put an edge exactly on tau (banded) and exactly on eps (banded).
+    # The table is built from both ends of every edge; its zero entries, its rates
+    # and is_stopped() (a banded witness found in it, or none) must be the kernel's,
+    # also where dyadic atoms put an edge exactly on tau and exactly on eps (banded).
     space = OpinionSpace(Box((0.0,) * dim, (1.0,) * dim), norm)
     tau, eps = 0.5, 1 / 64
     axis = [(c,) + (0.0,) * (dim - 1) for c in (0.0, 1 / 64, 0.5, 33 / 64, 1.0)]
@@ -615,9 +621,7 @@ def test_initial_edge_table_equals_oracle(norm, dim):
         for seed in range(10):
             engine = TrialEngine(g, space, dist, params, stopping, random.Random(seed))
             config = tuple(engine.opinions)
-            assert (engine._state, engine._tree, engine._banded_count) == _oracle_table(
-                config, g, space, params, stopping
-            )
+            assert _table(engine) == _oracle_table(config, g, space, params, stopping)
             for u, v in g.edges():
                 d = kernel(config[u], config[v])
                 if d in on:
@@ -625,55 +629,58 @@ def test_initial_edge_table_equals_oracle(norm, dim):
     assert min(on.values()) > 0
 
 
-def _count_edge_rule(engine) -> list:
-    """Wrap the engine's edge rule; the returned list grows by one entry per call."""
-    calls = []
-    states = engine._states
-
-    def counted(op, nbrs):
-        calls.append(None)
-        return states(op, nbrs)
-
-    engine._states = counted
-    return calls
-
-
-def _run_to_stop_as_stepped(engine, stepped, params, cap) -> int:
+def _run_to_stop_as_stepped(engine, stepped, params, cap) -> list[tuple[int, bool]]:
     """Run `engine` by run_to_stop(cap) and its twin `stepped` by step() to the same stop or cap.
 
     Asserts that the two end bitwise equal, with the table the oracles build from
-    scratch, and that every event run_to_stop ran without the edge rule found the
-    opinions' bounding box within tau; returns the number of edge-rule calls it made.
+    scratch, and that every event run_to_stop ran without the edge rule on the moved
+    vertex's row left every edge at that vertex compatible under the oracle kernel.
+    Returns (moved vertex, whether the rule ran on its row) for each event.
     """
-    calls = _count_edge_rule(engine)
-    update, kernel, log = engine._update, distance_fn(engine.space.norm), []
+    rows, states, update = [], engine._states, engine._update
+    kernel, adjacency, opinions = distance_fn(engine.space.norm), engine.g.adjacency, engine.opinions
+    log, pending = [], []  # pending: (rule calls before the last update, its new opinion)
+
+    def counted(op, nbrs):
+        rows.append(nbrs)  # an updated vertex's row is passed as its adjacency list itself
+        return states(op, nbrs)
+
+    def settle():
+        # the last event is over: find its vertex by the new opinion's identity, and check it
+        if pending:
+            before, new = pending.pop()
+            x = next(v for v, op in enumerate(opinions) if op is new)
+            ran = any(nbrs is adjacency[x] for nbrs in rows[before:])
+            assert ran or all(kernel(new, opinions[y]) <= params.tau for y in adjacency[x]), (len(log), x)
+            log.append((x, ran))
 
     def logged(ys, old):
-        # (edge-rule calls so far, whether the box's corners are farther apart than tau)
-        corners = [(max(c), min(c)) for c in zip(*engine.opinions)]
-        log.append((len(calls), kernel(*zip(*corners)) > params.tau))
-        return update(ys, old)
+        settle()
+        new = update(ys, old)
+        pending.append((len(rows), new))
+        return new
 
-    engine._update = logged
+    engine._states, engine._update = counted, logged
+    start = engine.events
     engine.run_to_stop(cap)
-    log.append((len(calls), None))
-    assert not any(wide for (before, wide), (after, _) in zip(log, log[1:]) if before == after)
+    settle()
+    assert len(log) == engine.events - start
     while stepped.events < cap and not stepped.is_stopped():
         stepped.step()
     assert repr(tuple(engine.opinions)) == repr(tuple(stepped.opinions))
     assert (engine.time, engine.events) == (stepped.time, stepped.events)
-    table = (engine._state, engine._tree, engine._banded_count)
-    assert table == (stepped._state, stepped._tree, stepped._banded_count)
-    assert table == _oracle_table(tuple(engine.opinions), engine.g, engine.space, params, engine.stopping)
-    return len(calls)
+    # step() does the same work per event as run_to_stop, so even the stale nonzero entries agree
+    assert (engine._state, engine._tree, engine._witness) == (stepped._state, stepped._tree, stepped._witness)
+    assert _table(engine) == _oracle_table(tuple(engine.opinions), engine.g, engine.space, params, engine.stopping)
+    return log
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
 @pytest.mark.parametrize("norm", list(Norm))
 def test_run_to_stop_equals_step_by_step_oracle(norm, dim):
     # One run_to_stop call keeps the engine's state in locals over many events,
-    # writes it back at the end, and skips the edge rule in the certified phase;
-    # it must leave what step(), which never enters the phase, and the pure
+    # writes it back at the end, and skips the edge rule where the opinions' box
+    # decides the moved vertex's edges; it must leave what step() and the pure
     # operations reach one event at a time. Cases stop, or hit the cap; tau just
     # above the radius makes eps tiny, and dyadic atoms put edges exactly on tau.
     # The consensus cases (tau 1.5 radius, uniform opinions) run to their stop,
@@ -713,12 +720,12 @@ def test_run_to_stop_equals_step_by_step_oracle(norm, dim):
                 assert (engine.time, engine.events) == (time, events)
                 assert len(seen) == (events if alpha else 0)
                 assert all(passed == held for passed, held, _ in seen)
-                # in the certified phase too, is_stopped() is False until the event that stops the trial
+                # is_stopped() is False until the event that stops the trial
                 assert [s for *_, s in seen] == [i == events and engine.is_stopped() for i in range(1, len(seen) + 1)]
                 outcomes.add(engine.is_stopped())
     assert outcomes == {True, False}
     assert on_tau > 0
-    runs = phase_ran = 0  # the edge rule ran fewer times than there were events
+    runs = skipped = 0  # runs in which the edge rule skipped the moved vertex's row at some event
     for gi, g in enumerate((path(6), cycle(6), complete(6), grid(2, 3), erdos_renyi(7, 0.5, random.Random(dim)))):
         for alpha in (0.0, 0.5):
             params = ModelParams(tau=space.radius * 1.5, alpha=alpha)
@@ -730,61 +737,73 @@ def test_run_to_stop_equals_step_by_step_oracle(norm, dim):
                         for _ in range(2)]
 
             engine, stepped = twins()
-            calls = _run_to_stop_as_stepped(engine, stepped, params, stopping.max_events)
+            log = _run_to_stop_as_stepped(engine, stepped, params, stopping.max_events)
             assert engine.is_stopped() and engine.outcome().consensus
             stop = engine.events
             runs += 1
-            phase_ran += calls < stop
+            skipped += not all(ran for _, ran in log)
             for cap in (stop // 2, stop - 1):
                 engine, stepped = twins()
-                calls = _run_to_stop_as_stepped(engine, stepped, params, cap)
+                log = _run_to_stop_as_stepped(engine, stepped, params, cap)
                 assert engine.events == cap and not engine.is_stopped()
                 runs += 1
-                phase_ran += calls < cap
-    assert phase_ran >= runs * 2 // 3
+                skipped += not all(ran for _, ran in log)
+    assert skipped >= runs * 2 // 3
+
+
+def _counted_builds(engine) -> list:
+    """Wrap the engine's table builder; the returned list grows by one entry per call."""
+    builds, build = [], engine._build
+
+    def counted():
+        builds.append(None)
+        build()
+
+    engine._build = counted
+    return builds
 
 
 def _left_on_box_growth(norm, dim, side):
-    # An update that lands beyond tau of the opinions' box voids the certificate:
-    # run_to_stop must leave the phase, run the edge rule at every event again, and
-    # end as step() does. Both runs replace the same update, two events after
-    # run_to_stop entered the phase, by an opinion 2 tau past the box in the first
-    # coordinate, above hi or below lo, which leaves that vertex incompatible with
-    # all its neighbors. Each side of the box has its own branch to grow it.
+    # An update that lands 2 tau past the opinions' box in the first coordinate, above
+    # hi or below lo, leaves that vertex incompatible with all its neighbors. The box
+    # must grow to hold it, so that the vertex's far corner is beyond tau and the edge
+    # rule runs on its row; each side of the box has its own branch to grow it. The
+    # perturbed event comes once the engine's box is within tau, where the rule is
+    # otherwise skipped outright. The run goes on with no _build, runs the rule at every
+    # later event (the box is now wider than 2 tau), and ends as step() and the oracles do.
     space = OpinionSpace(Box((0.0,) * dim, (1.0,) * dim), norm)
     g = complete(6)
     params = ModelParams(tau=space.radius * 1.5, alpha=0.5)
     stopping = default_stopping(g, space, params, max_events=50_000)
+    kernel = distance_fn(norm)
 
     def engine(at):
-        """An engine whose update number `at` (from 0) returns the far opinion, and the number
-        of edge-rule calls made before each of its updates."""
+        """An engine whose update number `at` (from 0) returns the far opinion."""
         e = TrialEngine(g, space, UniformShape(), params, stopping, random.Random(7 * dim + len(norm.value)))
-        update, calls, log = e._update, _count_edge_rule(e), []
+        update, count = e._update, itertools.count()
 
         def perturbed(ys, old):
-            log.append(len(calls))
-            if len(log) - 1 == at:
-                if side == "hi":
-                    hi = [max(c) for c in zip(*e.opinions)]
-                    return (hi[0] + 2 * params.tau, *hi[1:])
-                lo = [min(c) for c in zip(*e.opinions)]
-                return (lo[0] - 2 * params.tau, *lo[1:])
-            return update(ys, old)
+            new = update(ys, old)
+            if next(count) == at:  # run_to_stop writes e.events back only on exit
+                lo, hi = [min(c) for c in zip(*e.opinions)], [max(c) for c in zip(*e.opinions)]
+                new = (hi[0] + 2 * params.tau, *hi[1:]) if side == "hi" else (lo[0] - 2 * params.tau, *lo[1:])
+                lo, hi = [min(c) for c in zip(new, *e.opinions)], [max(c) for c in zip(new, *e.opinions)]
+                assert kernel(new, far_corner(new, lo, hi)) > params.tau  # the far-corner test fails
+            return new
 
         e._update = perturbed
-        return e, log
+        return e
 
-    plain, log = engine(None)
-    plain.run_to_stop()
-    # the first event that ran without the edge rule, which the general loop runs at every event
-    entered = next(i for i in range(len(log) - 1) if log[i + 1] == log[i])
-    at = entered + 2
-    (fast, log), (stepped, _) = engine(at), engine(at)
-    _run_to_stop_as_stepped(fast, stepped, params, stopping.max_events)
-    assert fast.events > at + 1
-    assert log[at + 1] - log[at] >= g.vertex_count  # left the phase: the table was rebuilt
-    assert all(b > a for a, b in zip(log[at + 1:], log[at + 2:]))  # the edge rule at every later event
+    probe = engine(None)
+    while kernel(probe._hi, probe._lo) > params.tau:  # step() writes the engine's box back
+        probe.step()
+    at = probe.events + 2
+    fast, stepped = engine(at), engine(at)
+    builds = _counted_builds(fast)
+    log = _run_to_stop_as_stepped(fast, stepped, params, stopping.max_events)
+    assert fast.events > at + 1 and builds == []
+    assert not any(ran for _, ran in log[:at])  # the box within tau decided every earlier event
+    assert all(ran for _, ran in log[at:])  # the rule on the perturbed row, and on every later one
     assert fast.is_stopped() and fast.outcome().consensus is False
 
 
@@ -803,10 +822,8 @@ def test_certified_phase_left_on_low_box_growth(norm, dim):
 @pytest.mark.parametrize("dim", [1, 2, 3])
 @pytest.mark.parametrize("norm", list(Norm))
 def test_certified_stop_needs_no_rebuild(norm, dim):
-    # At a stop in the certified phase every edge is compatible (the certificate) and
-    # none is banded (the stop), so run_to_stop sets every entry near without calling
-    # _build; the table must still be the oracle's and step()'s. A cap in the phase
-    # still rebuilds, once.
+    # _build runs only in __init__: neither a run to its stop nor one capped an event
+    # before it calls it again, and both still end with the oracle's table and step()'s.
     space = OpinionSpace(Box((0.0,) * dim, (1.0,) * dim), norm)
     g = complete(6)
     params = ModelParams(tau=space.radius * 1.5)
@@ -815,34 +832,27 @@ def test_certified_stop_needs_no_rebuild(norm, dim):
     def twins():
         engine, stepped = (TrialEngine(g, space, UniformShape(), params, stopping, random.Random(dim))
                            for _ in range(2))
-        builds, build = [], engine._build
-
-        def counted():
-            builds.append(None)
-            build()
-
-        engine._build = counted
-        return engine, stepped, builds
+        return engine, stepped, _counted_builds(engine)
 
     engine, stepped, builds = twins()
-    calls = _run_to_stop_as_stepped(engine, stepped, params, stopping.max_events)
+    log = _run_to_stop_as_stepped(engine, stepped, params, stopping.max_events)
     stop = engine.events
-    # stopped with fewer edge-rule calls than events, and no _build: the phase was entered and never left
-    assert engine.is_stopped() and calls < stop
+    # stopped with the rule skipped on some moved rows, and no _build
+    assert engine.is_stopped() and not all(ran for _, ran in log)
     assert builds == []
     engine, stepped, builds = twins()
-    calls = _run_to_stop_as_stepped(engine, stepped, params, stop - 1)
-    assert not engine.is_stopped() and calls < stop - 1
-    assert len(builds) == 1
+    log = _run_to_stop_as_stepped(engine, stepped, params, stop - 1)
+    assert not engine.is_stopped() and len(log) == stop - 1
+    assert builds == []
 
 
 def test_consensus_shortcut_agrees_with_search_at_every_stop():
     # outcome() calls a stop consensus exactly when every edge is compatible (total
     # rate = degree sum), with no search: at a stop a connected compatible graph puts
     # every pair within (n - 1) * eps < tau, so no edge can be incompatible. Over
-    # seeded stops of both kinds, from the general loop (step()) and from run_to_stop,
-    # whose complete(50) trials at tau = 1.0 stop in the certified phase, its verdict
-    # must be the search's and the stop-time classifier's.
+    # seeded stops of both kinds, through step() and through run_to_stop, whose
+    # complete(50) trials at tau = 1.0 stop with the opinions' box within tau, its
+    # verdict must be the search's and the stop-time classifier's.
     seen = {}
     for g, tau, by_step in ((cycle(100), 0.3, False), (complete(50), 0.3, False), (complete(50), 0.3, True),
                             (complete(50), 1.0, False), (complete(50), 1.0, True)):
@@ -867,7 +877,7 @@ def test_consensus_shortcut_agrees_with_search_at_every_stop():
 @pytest.mark.parametrize("dim", [1, 2, 3])
 @pytest.mark.parametrize("norm", list(Norm))
 def test_box_certificate_is_sound(norm, dim):
-    # The certified phase takes kernel(hi, lo) <= tau, for the corners of the opinions'
+    # The engine takes kernel(hi, lo) <= tau, for the corners of the opinions'
     # bounding box, to put every edge within tau. That holds in float: u_i - v_i <=
     # hi_i - lo_i exactly and rounding is monotone, so |fl(u_i - v_i)| <= fl(hi_i - lo_i),
     # and each kernel is monotone in every |d_i| (rounded sums, squares, sqrt and max
@@ -902,6 +912,106 @@ def test_box_certificate_is_sound(norm, dim):
         states = edge_states(points, bound, bound / 2, norm, dim)
         for u in points:
             assert 0 not in states(u, range(len(points)))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 8])
+@pytest.mark.parametrize("norm", list(Norm))
+def test_far_corner_bound_is_sound(norm, dim):
+    # The engine takes every edge at a moved vertex u to be compatible when u's far corner
+    # in the opinions' box, far_corner(u, lo, hi), is within tau. For every point v of the
+    # box, u_i - v_i lies between u_i - hi_i and u_i - lo_i, so |fl(u_i - v_i)| is at most
+    # the larger of their rounded sizes, and each kernel is monotone in every |d_i|. With
+    # tau the far-corner distance, every form of the edge rule must call every sampled box
+    # point compatible with u, and one ulp below it must call the far corner incompatible.
+    # The samples hold, for each u, the corner farthest from it in every coordinate, so a
+    # far corner that takes the nearer bound in some coordinate fails here.
+    kernel = distance_fn(norm)
+    rng = random.Random(70 + 10 * dim + len(norm.value))
+
+    def clamp(c, a, b):
+        return min(max(c, a), b)
+
+    for batch in range(30):
+        if batch % 2:
+            lo = [rng.randint(-16, 16) / 16 for _ in range(dim)]
+            hi = [a + rng.randint(0, 32) / 16 for a in lo]
+        else:
+            lo = [rng.uniform(-1, 1) * 2.0 ** rng.randint(-30, 30) for _ in range(dim)]
+            hi = [a + rng.random() * 2.0 ** rng.randint(-30, 30) for a in lo]
+        box = list(zip(lo, hi))
+        points = []
+        for _ in range(3):
+            points.append(tuple(clamp(a + (b - a) * rng.random(), a, b) for a, b in box))  # random
+            points.append(tuple(clamp(a + (b - a) * (rng.randint(0, 8) / 8), a, b) for a, b in box))  # dyadic
+            face = list(points[-2])
+            i = rng.randrange(dim)
+            face[i] = box[i][rng.randrange(2)]
+            points.append(tuple(face))
+            points.append(tuple(c[rng.randrange(2)] for c in box))  # corner
+        farthest = [tuple(max((a, b), key=lambda t: abs(c - t)) for c, (a, b) in zip(u, box)) for u in points]
+        rows = points + farthest
+        for u in points:
+            corner = tuple(far_corner(u, lo, hi))
+            assert all(c in ab for c, ab in zip(corner, box))
+            tau = kernel(u, corner)
+            assert 0 not in edge_states(rows, tau, tau / 2, norm, dim)(u, range(len(rows))), (u, lo, hi)
+            if tau == 0.0:  # a box of zero width: no distance lies below
+                continue
+            below = math.nextafter(tau, 0.0)
+            assert edge_states([corner], below, below / 2, norm, dim)(u, (0,)) == [0], (u, lo, hi)
+
+
+def test_stepping_past_a_stop_follows_the_oracle():
+    # Trial 0 of the seed-44 path(4) experiment stops as dissensus at event 21, and
+    # stepped on reaches consensus (test_dissensus_stop_is_final). Past a stop no witness
+    # is kept, so step() runs the edge rule on each moved row and takes a banded edge
+    # there as the new witness: is_stopped() must be the oracle's at every event, first
+    # hold at event 21, and by event 61 every edge is compatible.
+    g = path(4)
+    params = ModelParams(tau=0.3, alpha=0.5)
+    stopping = default_stopping(g, BOX01, params)
+    engine = TrialEngine(g, BOX01, UniformShape(), params, stopping, trial_rng(44, 0))
+    stopped = []
+    for event in range(1, 62):
+        assert engine.step() is not None and engine.events == event
+        assert engine.is_stopped() == stop_reached(engine.opinions, g, stopping, params.tau, Norm.L2), event
+        stopped.append(engine.is_stopped())
+        assert _table(engine) == _oracle_table(tuple(engine.opinions), g, BOX01, params, stopping)
+    assert stopped.index(True) == 20 and not all(stopped[20:])
+    assert engine.compat == compatibility(engine.opinions, g, params.tau, Norm.L2) == ((1,), (0, 2), (1, 3), (2,))
+
+
+@pytest.mark.parametrize("graph,norm,dim,tau,seed", [
+    (lambda: erdos_renyi(60, 0.1, random.Random(1)), Norm.L2, 1, 0.45, 1),  # narrows at event 275, consensus
+    (lambda: grid(6, 6), Norm.L1, 2, 0.7, 2),  # narrows at event 208, dissensus
+    (lambda: cycle(40), Norm.L2, 1, 0.45, 0),  # narrows at event 209, dissensus
+], ids=["erdos_renyi-1d", "grid-2d", "cycle-1d"])
+def test_box_is_recomputed_once_per_window_and_bounds_the_opinions_when_narrow(monkeypatch, graph, norm, dim,
+                                                                              tau, seed):
+    # Trials that start with the opinions more than 2 tau apart. Wider than 2 tau the box
+    # is neither grown nor used; it is looked at once every n events and recomputed if
+    # wider than tau. So it is recomputed at most once per n events, it notices the
+    # opinions' hull narrowing to 2 tau within n events, and whenever it is within 2 tau
+    # it bounds every opinion, as the far-corner test needs.
+    g, space = graph(), OpinionSpace(Box((0.0,) * dim, (1.0,) * dim), norm)
+    params = ModelParams(tau=tau)
+    kernel, n = distance_fn(norm), g.vertex_count
+    calls, recompute = [], dynamics._bounds
+    monkeypatch.setattr(dynamics, "_bounds", lambda rows, d: calls.append(None) or recompute(rows, d))
+    engine = TrialEngine(g, space, UniformShape(), params, default_stopping(g, space, params), random.Random(seed))
+    assert kernel(engine._hi, engine._lo) > 2 * tau
+    narrowed = None
+    while not engine.is_stopped():
+        engine.step()
+        hull = [[f(op[i] for op in engine.opinions) for i in range(dim)] for f in (max, min)]
+        if narrowed is None and kernel(*hull) <= 2 * tau:
+            narrowed = engine.events
+        if kernel(engine._hi, engine._lo) <= 2 * tau:
+            assert all(a <= c <= b for op in engine.opinions for a, c, b in zip(engine._lo, op, engine._hi))
+        else:
+            assert narrowed is None or engine.events <= narrowed + n, (narrowed, engine.events)
+        assert len(calls) <= 1 + engine.events // n
+    assert narrowed > 2 * n
 
 
 def _ulps_around(x: float, k: int) -> list[float]:
@@ -957,8 +1067,7 @@ def test_engine_on_tiny_box_matches_pure_operations(norm):
     assert max(abs(u[0] - v[0]) for u, v in itertools.combinations(config, 2)) > params.tau
     for config, view, _, _ in replay(engine, rng, params):
         assert engine.compat == view
-        table = _oracle_table(config, g, space, params, stopping)
-        assert (engine._state, engine._tree, engine._banded_count) == table
+        assert _table(engine) == _oracle_table(config, g, space, params, stopping)
         if engine.is_stopped() or engine.events == 20_000:
             break
     assert engine.is_stopped() and engine.events > 100
@@ -989,7 +1098,7 @@ def test_engine_selection_matches_scan_at_exact_prefix_boundaries():
     # equal a prefix sum exactly and small tau leaves zero-rate vertices. While
     # every edge is compatible the engine reads its owner table, and otherwise
     # descends its Fenwick tree: exact targets must reach both, through step()
-    # and through run_to_stop, whose certified phase tau = 1.0 enters at once.
+    # and through run_to_stop, where at tau = 1.0 the box is within tau at once.
     graphs = [path(1), path(2), cycle(37), grid(10, 10), complete(33), cycle(129)]
     exact_targets = {}  # (by step(), every edge compatible) -> events whose target is an integer
     zero_rate_seen = False

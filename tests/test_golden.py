@@ -67,6 +67,35 @@ LINF_MASSES_3D = {
     "seed": 17,
 }
 
+# Dissensus configs: every other config stops in consensus, so these are the byte pins of a
+# wide opinion box and of the banded-witness rescans. 0, 1 and 0 of the 6 trials end in consensus.
+CYCLE_DISSENSUS_1D = {
+    "graph": {"kind": "cycle", "n": 30},
+    "space": {"dim": 1, "norm": "l2", "shape": {"box": {"lo": [0.0], "hi": [1.0]}}},
+    "init": "uniform",
+    "tau": 0.3,
+    "trials": 6,
+    "seed": 7,
+}
+
+GRID_DISSENSUS_2D = {
+    "graph": {"kind": "grid", "w": 5, "h": 5},
+    "space": {"dim": 2, "norm": "l1", "shape": {"box": {"lo": [0.0, 0.0], "hi": [1.0, 1.0]}}},
+    "init": "uniform",
+    "tau": 0.5,
+    "trials": 6,
+    "seed": 7,
+}
+
+COMPLETE_DISSENSUS_3D = {
+    "graph": {"kind": "complete", "n": 30},
+    "space": {"dim": 3, "norm": "linf", "shape": {"box": {"lo": [0.0, 0.0, 0.0], "hi": [1.0, 1.0, 1.0]}}},
+    "init": "uniform",
+    "tau": 0.45,
+    "trials": 6,
+    "seed": 7,
+}
+
 GOLDEN = {
     "estimate_path_1d": "622afd0067d2a4de91c0513e487810cdb2e43b7e9b5c0c5f3afadf3696ce6c56",
     "estimate_box_2d": "4eb4076556d4a83241e839281af379aa715b24febef040958eb443fc3f80adb8",
@@ -76,6 +105,11 @@ GOLDEN = {
     "estimate_l1_ball_2d": "19095906be3f497638b8aa6356719428d6c16f1749a3dbd01db4580d59b0e499",
     "estimate_linf_masses_3d": "5f3450c988c2ea1099abd5c07336f5e4cc1798cc71972f7647d8c93858de5d0b",
     "bound_linf_masses_3d": "ffb54eb5f2d0ed751a407dd8abd6ab5d54a7a06c229f013b84334d1c867f9659",
+    "estimate_cycle_dissensus_1d": "de4fc6027b17a9c0de92ea7e25053ef2ea75e0938fb0582ac7821eaa241ed7df",
+    "estimate_grid_dissensus_2d": "9ba83bc57dccfbe29e79060a555bd5455f3fa60a82eaced940514af472182629",
+    "simulate_grid_dissensus_stdout": "7a4bd82c4a3c11fd57bdd4204331df907637ea2bad18ef733aaa8fdfcda4813a",
+    "simulate_grid_dissensus_trace": "ca47efc57cbfb8c3ce14a5469fa62d3b667cf5f36d7a671439d4b6ad9529d469",
+    "estimate_complete_dissensus_3d": "8baced4244d586deca3e7234ceaa5cf79c9682bbaf87b2a8ff16d1bea99f9d43",
     "check_invariants_200_3": "98f703914ced18fa0509771cce852b09ff97d7317616e734d16752924ab9663d",
 }
 
@@ -114,6 +148,20 @@ def test_simulate_trace_cycle_bytes(tmp_path, capsys):
     out = _stdout(capsys, tmp_path, CYCLE_TRACE, "simulate", "--trace", str(trace))
     assert _sha(out) == GOLDEN["simulate_cycle_stdout"]
     assert hashlib.sha256(trace.read_bytes()).hexdigest() == GOLDEN["simulate_cycle_trace"]
+
+
+def test_estimate_dissensus_bytes(tmp_path, capsys):
+    for doc, key in ((CYCLE_DISSENSUS_1D, "estimate_cycle_dissensus_1d"),
+                     (GRID_DISSENSUS_2D, "estimate_grid_dissensus_2d"),
+                     (COMPLETE_DISSENSUS_3D, "estimate_complete_dissensus_3d")):
+        assert _sha(_stdout(capsys, tmp_path, doc, "estimate")) == GOLDEN[key], key
+
+
+def test_simulate_trace_grid_dissensus_bytes(tmp_path, capsys):
+    trace = tmp_path / "trace.csv"
+    out = _stdout(capsys, tmp_path, GRID_DISSENSUS_2D, "simulate", "--trace", str(trace))
+    assert _sha(out) == GOLDEN["simulate_grid_dissensus_stdout"]
+    assert hashlib.sha256(trace.read_bytes()).hexdigest() == GOLDEN["simulate_grid_dissensus_trace"]
 
 
 def test_check_invariants_bytes(capsys):
