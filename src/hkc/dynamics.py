@@ -57,17 +57,18 @@ the opinions only from its next recompute on, when its span is exact. Either
 way the zero entries of the edge-state table, and so the rates, are exact; a
 nonzero entry means only "compatible".
 
-The stop is found exactly by one banded witness edge, taken from the initial
-table and examined again only when one of its ends moves. When it is no
-longer banded, a scan of the upper-triangle adjacency rows from its end,
-wrapping, finds another, or finds none, which is the stop at that same
-event. `step` may go on past a stop: it then runs the rule on each moved row
-and takes any banded edge there as the new witness, since no other edge can
-change. `step` and `run_to_stop` do the same work per event, and the box only
-skips work: each event draws the same numbers, picks the same vertex and
-averages the same neighbors in the same order as the direct method, so no
-report, trace or pinned byte depends on it. Inside an `on_event` callback,
-`is_stopped()` is False until the event that stops the trial.
+The stop is found exactly by one banded witness edge, examined again only when
+one of its ends moves. One search (`TrialEngine._find_witness`) runs the edge
+rule over the upper-triangle adjacency rows, wrapping, from vertex 0 at the
+start and from the witness's end once it is no longer banded; finding none is
+the stop at that same event. `step` may go on past a stop: it then runs the
+rule on each moved row and takes any banded edge there as the new witness,
+since no other edge can change. `step` and `run_to_stop` do the same work per
+event, and the box only skips work: each event draws the same numbers, picks
+the same vertex and averages the same neighbors in the same order as the
+direct method, so no report, trace or pinned byte depends on it. Inside an
+`on_event` callback, `is_stopped()` is False until the event that stops the
+trial.
 
 At a stop every compatible edge (distance <= tau) is a near-agreement edge
 (distance < eps), so a stopped trial is consensus exactly when every edge is
@@ -116,9 +117,6 @@ Rows = Sequence[tuple[float, ...]]
 
 # on_event callback: (event index, time, updated vertex, center distance total, opinions)
 EventCallback = Callable[[int, float, int, float, list[tuple[float, ...]]], None]
-
-# sorted compatible neighbors of each vertex; vertex x updates at rate len(view[x])
-CompatibilityView = tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -340,22 +338,21 @@ class TrialEngine:
 
     `_state[x][j]` is 0 exactly when the edge from x to `adjacency[x][j]` is
     incompatible; a nonzero entry, 1 (near) or 2 (banded) as last set, means
-    only "compatible". `_states(op, nbrs)` builds every row of the initial
-    table, from both ends of each edge (the kernels are symmetric bitwise),
-    and the row of an updated vertex that the box `_lo`, `_hi` cannot decide
-    (module docstring). Adjacency rows are
-    sorted, so a flipped edge's mirror entry is found by bisection. A vertex's
-    rate, its number of nonzero entries, sits in a Fenwick tree whose root is
-    the total rate; when that is the degree sum, selection reads the owner
-    table `_owner` (2m entries, built once here), and a stop is consensus
-    exactly then (`outcome`). `_witness` is a banded edge, or None when the
-    trial is stopped. The table is built only here; tests pin equivalence with
-    full recomputation by the oracles in `tests/oracles.py`. `step` and
-    `run_to_stop` both run the one event loop, `_run`, with the same work per
-    event. Inside an `on_event` callback `is_stopped()` is False until the
-    event that stops the trial, and `compat` is exact. `outcome` decides event
-    A with the engine's own kernel and center. Not thread-safe; one engine and
-    one stream per trial.
+    only "compatible". `_states(op, nbrs)` builds every row of the table here,
+    from both ends of each edge (the kernels are symmetric bitwise), and later
+    the row of an updated vertex that the box `_lo`, `_hi` cannot decide.
+    Adjacency rows are sorted, so a flipped edge's mirror entry is found by
+    bisection. A vertex's rate, its number of nonzero entries, sits in a
+    Fenwick tree whose root is the total rate; when that is the degree sum,
+    selection reads the owner table `_owner` (2m entries, built once here),
+    and a stop is consensus exactly then (`outcome`). `_witness` is a banded
+    edge, or None when the trial is stopped, and `_find_witness` its one
+    search; the module docstring argues the box and the witness, and tests pin
+    them to the oracles in `tests/oracles.py`. `step` and `run_to_stop` both
+    run the one event loop, `_run`, with the same work per event. Inside an
+    `on_event` callback `is_stopped()` is False until the event that stops the
+    trial. `outcome` decides event A with the engine's own kernel and center.
+    Not thread-safe; one engine and one stream per trial.
     """
 
     def __init__(
@@ -384,10 +381,14 @@ class TrialEngine:
         self._update = update_rule(opinions, params.alpha, space.dim)
         # Fenwick tree over rates, zero-padded to a power-of-two size so the descent
         # needs no bounds check and the root tree[size] is the total
-        self._size = 1 << (n - 1).bit_length()
+        self._size = size = 1 << (n - 1).bit_length()
         # deg(v) copies of each vertex v in order: while every edge is compatible, the scan's pick for target k
         self._owner = list(chain.from_iterable(repeat(v, len(nbrs)) for v, nbrs in enumerate(g.adjacency)))
-        self._build()
+        self._state = state = [self._states(op, nbrs) for op, nbrs in zip(opinions, g.adjacency)]
+        self._tree = tree = [0] + [len(row) - row.count(0) for row in state] + [0] * (size - n)
+        for i in range(1, size):  # built in O(n)
+            tree[i + (i & -i)] += tree[i]
+        self._witness = self._find_witness(0)
         # the opinions' box, exact here; the loop recomputes it, if wider than tau, once every n events from `_check`
         self._lo, self._hi = _bounds(opinions, space.dim)
         self._check = n
@@ -401,13 +402,6 @@ class TrialEngine:
         # (time, total center distance) pairs, from the initial state on
         self._samples = [(0.0, reduce(add, self._center_dists, 0.0))] if record_samples else None
 
-    @property
-    def compat(self) -> CompatibilityView:
-        """Sorted compatible neighbors of each vertex, read from the edge-state table."""
-        return tuple(
-            tuple(y for y, s in zip(nbrs, row) if s) for nbrs, row in zip(self.g.adjacency, self._state)
-        )
-
     def is_stopped(self) -> bool:
         return self._witness is None
 
@@ -419,17 +413,16 @@ class TrialEngine:
         """Step until the stopping band empties or the event cap is hit."""
         self._run(self.stopping.max_events if max_events is None else max_events, False)
 
-    def _build(self) -> None:
-        """Build the edge-state table, the Fenwick tree (in O(n)) and the witness from the opinions."""
-        states, size = self._states, self._size
-        self._state = state = [states(op, nbrs) for op, nbrs in zip(self.opinions, self.g.adjacency)]
-        tree = [0] + [len(row) - row.count(0) for row in state] + [0] * (size - len(state))
-        for i in range(1, size):
-            tree[i + (i & -i)] += tree[i]
-        self._tree = tree
-        # the first banded entry of the first row that has one: its row holds a 2 too, so v < its end
-        v = next((v for v, row in enumerate(state) if 2 in row), None)
-        self._witness = None if v is None else (v, self.g.adjacency[v][state[v].index(2)])
+    def _find_witness(self, start: int) -> tuple[int, int] | None:
+        """The first banded edge (v, y), v < y, by the edge rule over the upper-triangle adjacency
+        rows from vertex `start`, wrapping; None when no edge is banded, which is the stop."""
+        states, opinions, adjacency = self._states, self.opinions, self.g.adjacency
+        for v in chain(range(start, len(opinions)), range(start)):
+            ys = adjacency[v]
+            ys = ys[bisect_right(ys, v):]
+            if 2 in (r := states(opinions[v], ys)):
+                return v, ys[r.index(2)]
+        return None
 
     def _run(self, cap: int, once: bool) -> int | None:
         """The event loop: events until `cap`, and while edges are banded unless `once`.
@@ -520,16 +513,7 @@ class TrialEngine:
                 if 2 in fresh:
                     witness = x, nbrs[fresh.index(2)]
             elif x in witness and states(opinions[witness[0]], witness[1:])[0] != 2:
-                # the witness is no longer banded: scan the rows from its end for another edge
-                # of the upper triangle that is; none left is the stop
-                for v in chain(range(witness[0], n), range(witness[0])):
-                    ys = adjacency[v]
-                    ys = ys[bisect_right(ys, v):]
-                    if 2 in (r := states(opinions[v], ys)):
-                        witness = v, ys[r.index(2)]
-                        break
-                else:
-                    witness = None
+                witness = self._find_witness(witness[0])  # no longer banded: find another from its end
             time += dt
             events += 1
             if dists is not None:

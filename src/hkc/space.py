@@ -309,6 +309,7 @@ def max_pairwise_distance(rows: Sequence[Sequence[float]], norm: Norm) -> float:
     """
     kernel = distance_fn(norm)
     if len(rows) and (norm is Norm.LINF or len(rows[0]) == 1):
+        # not dynamics._bounds: a pass per coordinate took 1.1-1.4x as long in 2-3 dims (n = 36-1000, Python 3.11)
         cols = tuple(zip(*rows))
         return float(kernel(tuple(map(max, cols)), tuple(map(min, cols))))
     best = 0.0

@@ -9,6 +9,9 @@ which runs the engine's own edge rule and update, and `check_event_a` is the
 reference for the near-center trigger that `TrialEngine.outcome` decides.
 `box_center_distance` is the reference for the box Monte Carlo bound, and
 `erdos_renyi_pairs` for the draw order of `hkc.graph.erdos_renyi`.
+`engine_compat` reads the engine's compatible-neighbor sets, and `stop_reached`
+is the reference for the stop, which the engine decides by a box of the
+opinions and one banded witness edge (the `hkc.dynamics` module docstring).
 """
 
 from __future__ import annotations
@@ -17,16 +20,19 @@ import random
 from collections import deque
 from typing import Iterator, Sequence
 
-from hkc.dynamics import CompatibilityView, ModelParams, Rows, StoppingSpec, TrialEngine
+from hkc.dynamics import ModelParams, Rows, StoppingSpec, TrialEngine
 from hkc.graph import SocialGraph
 from hkc.space import Norm, OpinionSpace, distance_fn
+
+# sorted compatible neighbors of each vertex; vertex x updates at rate len(view[x])
+CompatibilityView = tuple[tuple[int, ...], ...]
 
 
 def compatibility(opinions: Rows, g: SocialGraph, tau: float, norm: Norm) -> CompatibilityView:
     """Compatible-neighbor sets: graph neighbors within opinion distance tau (closed).
 
     Symmetric by construction: y in view[x] iff x in view[y]. Also the test
-    oracle for the engine's `compat`, read from its incrementally kept
+    oracle for `engine_compat`, read from the engine's incrementally kept
     edge-state table.
     """
     if len(opinions) != g.vertex_count:
@@ -38,6 +44,13 @@ def compatibility(opinions: Rows, g: SocialGraph, tau: float, norm: Norm) -> Com
             nbrs[u].append(v)
             nbrs[v].append(u)
     return tuple(tuple(sorted(ns)) for ns in nbrs)
+
+
+def engine_compat(engine: TrialEngine) -> CompatibilityView:
+    """The engine's compatible-neighbor sets, sorted, read from the nonzero entries of its edge-state table."""
+    return tuple(
+        tuple(y for y, s in zip(nbrs, row) if s) for nbrs, row in zip(engine.g.adjacency, engine._state)
+    )
 
 
 def _neighbor_mean(opinions, neighbors, dim: int) -> tuple[float, ...]:

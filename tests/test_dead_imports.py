@@ -1,6 +1,7 @@
 """`hkc` holds no dead code: every name a module imports is used in that
-module, every top-level function and class is reached from the package, and
-every name a module assigns at top level is read in the package.
+module, every top-level function and class is reached from the package, every
+name a module assigns at top level is read in the package, and every method
+and property of a class is read as an attribute in the package.
 
 `__init__.py` is left out of the import check: its imports are the package's
 public names.
@@ -102,6 +103,22 @@ def _unread_assignments(modules: dict[str, ast.Module], exported: set[str]) -> l
     )
 
 
+def _unread_methods(modules: dict[str, ast.Module], exempt: set[str]) -> list[str]:
+    """Methods and properties of the classes that no attribute load in the package reads
+    and `exempt` does not name (as `Class.method`). Dunder methods run by protocol, not by name."""
+    reads = {
+        node.attr for tree in modules.values() for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    return sorted(
+        f"{module}:{cls.name}.{node.name}"
+        for module, tree in modules.items() for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+        for node in cls.body if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+        and node.name not in reads and f"{cls.name}.{node.name}" not in exempt
+    )
+
+
 def test_every_import_is_used():
     unused = {}
     for path in sorted(PACKAGE.glob("*.py")):
@@ -180,3 +197,42 @@ def test_assignment_check_sees_unread_names():
     modules = {"engine.py": ast.parse(engine), "kernels.py": ast.parse(kernels)}
     assert _unread_assignments(modules, {"VERSION"}) == ["engine.py:TABLE", "engine.py:UNUSED", "kernels.py:STALE"]
     assert _unread_assignments(modules, {"VERSION", "TABLE", "UNUSED", "STALE"}) == []
+
+
+def test_every_method_is_read():
+    modules = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in PACKAGE.glob("*.py")}
+    # step() is the public one-event interface: the benchmark's traced run and the tests
+    # that run it beside run_to_stop drive it, and no code in the package does
+    assert _unread_methods(modules, {"TrialEngine.step"}) == []
+
+
+def test_method_check_sees_unread_names():
+    engine = (
+        "class Engine:\n"
+        "    def __init__(self):\n"
+        "        self._build()\n"
+        "        self.step = None\n"
+        "    def _build(self):\n"
+        "        return self.size\n"
+        "    @property\n"
+        "    def size(self):\n"
+        "        return 1\n"
+        "    @property\n"
+        "    def view(self):\n"
+        "        return 2\n"
+        "    def step(self):\n"
+        "        return 3\n"
+    )
+    kernels = (
+        "class Kernel:\n"
+        "    def fast(self, engine):\n"
+        "        return engine.view\n"
+        "    def step(self):\n"
+        "        return 4\n"
+    )
+    modules = {"engine.py": ast.parse(engine), "kernels.py": ast.parse(kernels)}
+    # a store (self.step = None) is no read, and exempting Engine.step leaves Kernel.step reported
+    assert _unread_methods(modules, set()) == ["engine.py:Engine.step", "kernels.py:Kernel.fast",
+                                               "kernels.py:Kernel.step"]
+    assert _unread_methods(modules, {"Engine.step"}) == ["kernels.py:Kernel.fast", "kernels.py:Kernel.step"]
+    assert _unread_methods(modules, {"Engine.step", "Kernel.fast", "Kernel.step"}) == []

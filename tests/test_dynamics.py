@@ -36,8 +36,8 @@ from hkc.space import (
     distance_fn,
 )
 from oracles import (
-    apply_update, check_event_a, classify_consensus, compatibility, gillespie_step, replay, stop_reached,
-    total_disagreement,
+    apply_update, check_event_a, classify_consensus, compatibility, engine_compat, gillespie_step, replay,
+    stop_reached, total_disagreement,
 )
 
 
@@ -451,12 +451,12 @@ def test_engine_matches_pure_operations_step_by_step():
         for config, view, _, _ in replay(engine, rng_engine, params):
             # engine bookkeeping must equal full recomputation
             rates = [len(nbrs) for nbrs in view]
-            assert [len(s) for s in engine.compat] == rates
+            assert [len(s) for s in engine_compat(engine)] == rates
             assert engine._tree[engine._size] == sum(rates)
             assert [_fenwick_prefix(engine._tree, i) for i in range(1, len(rates) + 1)] == list(
                 itertools.accumulate(rates)
             )
-            assert tuple(tuple(sorted(s)) for s in engine.compat) == view
+            assert tuple(tuple(sorted(s)) for s in engine_compat(engine)) == view
             assert engine.is_stopped() == stop_reached(config, g, stopping, params.tau, space.norm)
             if engine.is_stopped():
                 out = engine.outcome()
@@ -488,7 +488,7 @@ def test_engine_matches_pure_operations_every_norm_and_dim(norm, dim):
         stopping = default_stopping(g, space, params, max_events=2000)
         engine = TrialEngine(g, space, UniformShape(), params, stopping, rng_engine)
         for config, view, _, _ in replay(engine, rng_engine, params):
-            assert engine.compat == view
+            assert engine_compat(engine) == view
             assert engine.is_stopped() == stop_reached(config, g, stopping, params.tau, space.norm)
             if engine.is_stopped() or engine.events == stopping.max_events:
                 break
@@ -508,7 +508,7 @@ def test_engine_edges_closed_at_tau_after_updates():
                              random.Random(seed))
         while engine.events < 50 and engine.step() is not None:
             config = tuple(engine.opinions)
-            assert engine.compat == compatibility(config, g, params.tau, Norm.L2)
+            assert engine_compat(engine) == compatibility(config, g, params.tau, Norm.L2)
             on_tau += sum(abs(config[u][0] - config[v][0]) == 0.5 for u, v in g.edges())
     assert on_tau > 0
 
@@ -607,8 +607,10 @@ def _table(engine):
 @pytest.mark.parametrize("norm", list(Norm))
 def test_initial_edge_table_equals_oracle(norm, dim):
     # The table is built from both ends of every edge; its zero entries, its rates
-    # and is_stopped() (a banded witness found in it, or none) must be the kernel's,
-    # also where dyadic atoms put an edge exactly on tau and exactly on eps (banded).
+    # and is_stopped() must be the kernel's, also where dyadic atoms put an edge
+    # exactly on tau and exactly on eps (banded). The witness, searched for from
+    # vertex 0, is None exactly at a stop, and otherwise the first upper-triangle
+    # edge, in row-major order, that the kernel puts in [eps, tau].
     space = OpinionSpace(Box((0.0,) * dim, (1.0,) * dim), norm)
     tau, eps = 0.5, 1 / 64
     axis = [(c,) + (0.0,) * (dim - 1) for c in (0.0, 1 / 64, 0.5, 33 / 64, 1.0)]
@@ -622,6 +624,9 @@ def test_initial_edge_table_equals_oracle(norm, dim):
             engine = TrialEngine(g, space, dist, params, stopping, random.Random(seed))
             config = tuple(engine.opinions)
             assert _table(engine) == _oracle_table(config, g, space, params, stopping)
+            assert (engine._witness is None) == stop_reached(config, g, stopping, tau, norm)
+            assert engine._witness == next(
+                ((u, v) for u, v in g.edges() if eps <= kernel(config[u], config[v]) <= tau), None)
             for u, v in g.edges():
                 d = kernel(config[u], config[v])
                 if d in on:
@@ -751,26 +756,14 @@ def test_run_to_stop_equals_step_by_step_oracle(norm, dim):
     assert skipped >= runs * 2 // 3
 
 
-def _counted_builds(engine) -> list:
-    """Wrap the engine's table builder; the returned list grows by one entry per call."""
-    builds, build = [], engine._build
-
-    def counted():
-        builds.append(None)
-        build()
-
-    engine._build = counted
-    return builds
-
-
 def _left_on_box_growth(norm, dim, side):
     # An update that lands 2 tau past the opinions' box in the first coordinate, above
     # hi or below lo, leaves that vertex incompatible with all its neighbors. The box
     # must grow to hold it, so that the vertex's far corner is beyond tau and the edge
     # rule runs on its row; each side of the box has its own branch to grow it. The
     # perturbed event comes once the engine's box is within tau, where the rule is
-    # otherwise skipped outright. The run goes on with no _build, runs the rule at every
-    # later event (the box is now wider than 2 tau), and ends as step() and the oracles do.
+    # otherwise skipped outright. The run goes on, runs the rule at every later event
+    # (the box is now wider than 2 tau), and ends as step() and the oracles do.
     space = OpinionSpace(Box((0.0,) * dim, (1.0,) * dim), norm)
     g = complete(6)
     params = ModelParams(tau=space.radius * 1.5, alpha=0.5)
@@ -799,9 +792,8 @@ def _left_on_box_growth(norm, dim, side):
         probe.step()
     at = probe.events + 2
     fast, stepped = engine(at), engine(at)
-    builds = _counted_builds(fast)
     log = _run_to_stop_as_stepped(fast, stepped, params, stopping.max_events)
-    assert fast.events > at + 1 and builds == []
+    assert fast.events > at + 1
     assert not any(ran for _, ran in log[:at])  # the box within tau decided every earlier event
     assert all(ran for _, ran in log[at:])  # the rule on the perturbed row, and on every later one
     assert fast.is_stopped() and fast.outcome().consensus is False
@@ -817,33 +809,6 @@ def test_certified_phase_left_on_box_growth(norm, dim):
 @pytest.mark.parametrize("norm", list(Norm))
 def test_certified_phase_left_on_low_box_growth(norm, dim):
     _left_on_box_growth(norm, dim, "lo")
-
-
-@pytest.mark.parametrize("dim", [1, 2, 3])
-@pytest.mark.parametrize("norm", list(Norm))
-def test_certified_stop_needs_no_rebuild(norm, dim):
-    # _build runs only in __init__: neither a run to its stop nor one capped an event
-    # before it calls it again, and both still end with the oracle's table and step()'s.
-    space = OpinionSpace(Box((0.0,) * dim, (1.0,) * dim), norm)
-    g = complete(6)
-    params = ModelParams(tau=space.radius * 1.5)
-    stopping = default_stopping(g, space, params, max_events=50_000)
-
-    def twins():
-        engine, stepped = (TrialEngine(g, space, UniformShape(), params, stopping, random.Random(dim))
-                           for _ in range(2))
-        return engine, stepped, _counted_builds(engine)
-
-    engine, stepped, builds = twins()
-    log = _run_to_stop_as_stepped(engine, stepped, params, stopping.max_events)
-    stop = engine.events
-    # stopped with the rule skipped on some moved rows, and no _build
-    assert engine.is_stopped() and not all(ran for _, ran in log)
-    assert builds == []
-    engine, stepped, builds = twins()
-    log = _run_to_stop_as_stepped(engine, stepped, params, stop - 1)
-    assert not engine.is_stopped() and len(log) == stop - 1
-    assert builds == []
 
 
 def test_consensus_shortcut_agrees_with_search_at_every_stop():
@@ -867,7 +832,7 @@ def test_consensus_shortcut_agrees_with_search_at_every_stop():
                 engine.run_to_stop()
             assert engine.is_stopped()
             consensus = engine.outcome().consensus
-            assert consensus == is_connected(engine.compat)
+            assert consensus == is_connected(engine_compat(engine))
             assert consensus == classify_consensus(engine.opinions, g, stopping, tau, Norm.L2)
             key = (consensus, engine._tree[engine._size] == 2 * g.edge_count)
             seen[key] = seen.get(key, 0) + 1
@@ -978,7 +943,8 @@ def test_stepping_past_a_stop_follows_the_oracle():
         stopped.append(engine.is_stopped())
         assert _table(engine) == _oracle_table(tuple(engine.opinions), g, BOX01, params, stopping)
     assert stopped.index(True) == 20 and not all(stopped[20:])
-    assert engine.compat == compatibility(engine.opinions, g, params.tau, Norm.L2) == ((1,), (0, 2), (1, 3), (2,))
+    assert engine_compat(engine) == compatibility(engine.opinions, g, params.tau, Norm.L2)
+    assert engine_compat(engine) == ((1,), (0, 2), (1, 3), (2,))
 
 
 @pytest.mark.parametrize("graph,norm,dim,tau,seed", [
@@ -1066,7 +1032,7 @@ def test_engine_on_tiny_box_matches_pure_operations(norm):
     config = tuple(engine.opinions)
     assert max(abs(u[0] - v[0]) for u, v in itertools.combinations(config, 2)) > params.tau
     for config, view, _, _ in replay(engine, rng, params):
-        assert engine.compat == view
+        assert engine_compat(engine) == view
         assert _table(engine) == _oracle_table(config, g, space, params, stopping)
         if engine.is_stopped() or engine.events == 20_000:
             break
