@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .dynamics import DEFAULT_MAX_EVENTS, ModelParams, default_stopping
 from .graph import KINDS, SocialGraph, generate, parse_edge_list
-from .montecarlo import ExperimentSpec
+from .montecarlo import MAX_TRIALS, ExperimentSpec
 from .space import Ball, Box, Norm, OpinionSpace, PointMasses, UniformShape, validate_distribution
 from . import seeding
 
@@ -204,8 +204,8 @@ def build_experiment(raw: dict, seed_override: int | None = None) -> ExperimentS
         with _at("alpha"):
             params = ModelParams(tau=tau, alpha=alpha)
     trials = _integer(raw["trials"], "trials")
-    if trials < 1:
-        _fail("trials", "must be >= 1")
+    if not 1 <= trials <= MAX_TRIALS:
+        _fail("trials", f"must be in [1, {MAX_TRIALS}], got {trials}")
     max_events = _integer(raw.get("max_events", DEFAULT_MAX_EVENTS), "max_events")
     if max_events < 1:
         _fail("max_events", "must be >= 1")

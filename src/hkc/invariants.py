@@ -101,7 +101,7 @@ def drift_case_batch(rng: random.Random, max_vertices: int = 20) -> list[DriftCa
     return [DriftCase(g, rows, tau, norm, c) for c in points]
 
 
-def shrink_case(case: DriftCase, tol: float = DRIFT_TOLERANCE) -> DriftCase:
+def shrink_case(case: DriftCase) -> DriftCase:
     """Greedily drop vertices while the drift violation persists on a connected subgraph."""
     current = case
     changed = True
@@ -122,7 +122,7 @@ def shrink_case(case: DriftCase, tol: float = DRIFT_TOLERANCE) -> DriftCase:
                 continue
             rows = current.opinions[:drop] + current.opinions[drop + 1:]
             candidate = DriftCase(sub, rows, current.tau, current.norm, current.c)
-            if candidate.drift() > tol:
+            if candidate.drift() > DRIFT_TOLERANCE:
                 current = candidate
                 changed = True
                 break

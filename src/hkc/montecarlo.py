@@ -23,6 +23,7 @@ from .dynamics import (
 )
 from .graph import SocialGraph
 from .space import (
+    BOUND_MC_SAMPLES,
     Ball,
     InitialDistribution,
     OpinionSpace,
@@ -34,7 +35,7 @@ from . import seeding
 
 WILSON_Z = 1.96  # 95% two-sided
 UNDETERMINED_WARN_FRACTION = 0.05
-BOUND_MC_SAMPLES = 100_000
+MAX_TRIALS = 10**6  # a fixed limit: 10**6 path(2) trials run about a minute and keep about 0.4 GiB
 
 
 @dataclass(frozen=True)
@@ -51,8 +52,8 @@ class ExperimentSpec:
     graph_info: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+        if not 1 <= self.trials <= MAX_TRIALS:
+            raise ValueError(f"trials must be in [1, {MAX_TRIALS}], got {self.trials}")
         if not 0 <= self.master_seed < 2**64:
             raise ValueError("seed must be a 64-bit nonnegative integer")
         self.stopping.validate_for(self.graph, self.space, self.params)

@@ -26,6 +26,7 @@ CONTAINS_ULPS = 16
 # With a bounding-box diameter at least this large, every eps the stop floor admits
 # exceeds 2**-511, and sqrt(fl(d*d)) == |d| for every |d| >= 2**-511
 MIN_L2_EXTENT = 1e-100
+BOUND_MC_SAMPLES = 100_000  # draws of the bound's Monte Carlo mean center distance on a box of dim >= 2
 
 
 class Norm(Enum):
@@ -263,7 +264,7 @@ def sample_initial(dist: InitialDistribution, space: OpinionSpace, rng: random.R
 def expected_center_distance(
     dist: InitialDistribution,
     space: OpinionSpace,
-    samples: int = 100_000,
+    samples: int = BOUND_MC_SAMPLES,
     rng: random.Random | None = None,
 ) -> float:
     """Mean distance of an initial opinion from the space center.

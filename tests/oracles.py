@@ -9,17 +9,27 @@ which runs the engine's own edge rule and update, and `check_event_a` is the
 reference for the near-center trigger that `TrialEngine.outcome` decides.
 `box_center_distance` is the reference for the box Monte Carlo bound, and
 `erdos_renyi_pairs` for the draw order of `hkc.graph.erdos_renyi`.
-`engine_compat` reads the engine's compatible-neighbor sets, and `stop_reached`
-is the reference for the stop, which the engine decides by a box of the
-opinions and one banded witness edge (the `hkc.dynamics` module docstring).
+`stop_reached` is the reference for the stop, which the engine decides by a
+box of the opinions and one banded witness edge (the `hkc.dynamics` module
+docstring).
+
+This module is the one reader of the engine's private state, as
+`tests/test_dead_imports.py` checks: `engine_view` (the record `View` that
+`oracle_view` computes from scratch), `raw_state` (what `run_to_stop` and its
+`step()` twin share bitwise), the readers `rows`, `box`, `witness` and
+`owner_table`, and `instrument` (wraps the edge rule and the update, and
+counts box recomputes).
 """
 
 from __future__ import annotations
 
 import random
 from collections import deque
-from typing import Iterator, Sequence
+from functools import partial
+from itertools import compress
+from typing import Iterator, NamedTuple, Sequence
 
+from hkc import dynamics
 from hkc.dynamics import ModelParams, Rows, StoppingSpec, TrialEngine
 from hkc.graph import SocialGraph
 from hkc.space import Norm, OpinionSpace, distance_fn
@@ -32,8 +42,8 @@ def compatibility(opinions: Rows, g: SocialGraph, tau: float, norm: Norm) -> Com
     """Compatible-neighbor sets: graph neighbors within opinion distance tau (closed).
 
     Symmetric by construction: y in view[x] iff x in view[y]. Also the test
-    oracle for `engine_compat`, read from the engine's incrementally kept
-    edge-state table.
+    oracle for the compatible sets of `engine_view`, read from the engine's
+    incrementally kept edge-state table.
     """
     if len(opinions) != g.vertex_count:
         raise ValueError("configuration does not match the graph")
@@ -44,13 +54,6 @@ def compatibility(opinions: Rows, g: SocialGraph, tau: float, norm: Norm) -> Com
             nbrs[u].append(v)
             nbrs[v].append(u)
     return tuple(tuple(sorted(ns)) for ns in nbrs)
-
-
-def engine_compat(engine: TrialEngine) -> CompatibilityView:
-    """The engine's compatible-neighbor sets, sorted, read from the nonzero entries of its edge-state table."""
-    return tuple(
-        tuple(y for y, s in zip(nbrs, row) if s) for nbrs, row in zip(engine.g.adjacency, engine._state)
-    )
 
 
 def _neighbor_mean(opinions, neighbors, dim: int) -> tuple[float, ...]:
@@ -258,7 +261,7 @@ def replay(
     pure.setstate(rng.getstate())
     vars(pure).update(vars(rng))  # attributes of a Random subclass too
     g, norm = engine.g, engine.space.norm
-    config = tuple(engine.opinions)
+    config = rows(engine)
     time = 0.0
     moved = None
     while True:
@@ -273,4 +276,74 @@ def replay(
         config = apply_update(config, view, moved, params.alpha)
         time += dt
         if step:
-            assert repr(tuple(engine.opinions)) == repr(config)
+            assert repr(rows(engine)) == repr(config)
+
+
+class View(NamedTuple):
+    """The engine's bookkeeping as `engine_view` reads it and `oracle_view` computes it."""
+
+    compat: CompatibilityView  # sorted compatible neighbors of each vertex
+    rates: tuple[int, ...]  # each vertex's rate, as the Fenwick tree holds it
+    stopped: bool
+
+
+def engine_view(engine: TrialEngine) -> View:
+    """The nonzero entries of the engine's edge-state table, the rates by differences of its Fenwick tree's
+    prefix sums, which read every node (those of the zero padding are kept only if nonzero), and `is_stopped()`."""
+    tree = engine._tree
+
+    def prefix(i: int) -> int:
+        return tree[i] + prefix(i - (i & -i)) if i else 0
+
+    rates = [prefix(i) - prefix(i - 1) for i in range(1, len(tree))]
+    while len(rates) > engine.g.vertex_count and not rates[-1]:
+        rates.pop()
+    compat = tuple(tuple(compress(nbrs, row)) for nbrs, row in zip(engine.g.adjacency, engine._state))
+    return View(compat, tuple(rates), engine.is_stopped())
+
+
+def oracle_view(config: Rows, g: SocialGraph, spec: StoppingSpec, tau: float, norm: Norm) -> View:
+    """`compatibility`, each vertex's number of compatible neighbors and `stop_reached`, from scratch."""
+    compat = compatibility(config, g, tau, norm)
+    return View(compat, tuple(map(len, compat)), stop_reached(config, g, spec, tau, norm))
+
+
+def raw_state(engine: TrialEngine) -> tuple:
+    """What `run_to_stop` and its `step()` twin must share bitwise: the rows (by repr, so that -0.0 and 0.0
+    differ), time, events, the edge-state table with its stale nonzero entries, the Fenwick tree and the witness."""
+    return repr(rows(engine)), engine.time, engine.events, engine._state, engine._tree, engine._witness
+
+
+def rows(engine: TrialEngine) -> Rows:
+    """The engine's opinions, one row per vertex."""
+    return tuple(engine.opinions)
+
+
+def box(engine: TrialEngine) -> tuple[list[float], list[float]]:
+    """The corners (lo, hi) of the engine's box of the opinions, as the event loop last left it."""
+    return engine._lo, engine._hi
+
+
+def witness(engine: TrialEngine) -> tuple[int, int] | None:
+    """The engine's banded witness edge (v, y), or None when it is stopped."""
+    return engine._witness
+
+
+def owner_table(engine: TrialEngine) -> list[int]:
+    """The engine's owner table: deg(v) copies of each vertex v, in order."""
+    return engine._owner
+
+
+def instrument(engine: TrialEngine, states=None, update=None, monkeypatch=None) -> list[None]:
+    """Wrap the engine's edge rule `rule(op, nbrs)` as `states(rule, op, nbrs)` and its update `rule(ys, old)` as
+    `update(rule, ys, old)`, where given. With the `monkeypatch` fixture, the returned list gains an entry each
+    time the opinions' box is recomputed from the rows (by an event loop, or a later engine's constructor)."""
+    if states is not None:
+        engine._states = partial(states, engine._states)
+    if update is not None:
+        engine._update = partial(update, engine._update)
+    recomputes: list[None] = []
+    if monkeypatch is not None:
+        bounds = dynamics._bounds
+        monkeypatch.setattr(dynamics, "_bounds", lambda ops, dim: recomputes.append(None) or bounds(ops, dim))
+    return recomputes

@@ -10,6 +10,8 @@ from pathlib import Path
 import pytest
 
 from hkc.cli import main
+from hkc.config import ConfigError, build_experiment
+from hkc.montecarlo import MAX_TRIALS
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -473,6 +475,19 @@ def test_box_midpoint_overflow_exits_2(tmp_path, capsys, norm):
     assert code == 2
     assert out == ""
     assert err == "config error: space: center must lie inside the shape\n"
+
+
+def test_trials_are_bounded(tmp_path, capsys):
+    # 2**64 trials were accepted and a serial estimate never ended; only build and
+    # `bound` run here, since an estimate of an accepted count this large would not end
+    doc = json.loads(Path(write_config(tmp_path)).read_text(encoding="utf-8"))
+    assert build_experiment({**doc, "trials": MAX_TRIALS}).trials == MAX_TRIALS
+    for trials in (2**64, MAX_TRIALS + 1):
+        with pytest.raises(ConfigError, match=rf"^trials: must be in \[1, {MAX_TRIALS}\], got {trials}$"):
+            build_experiment({**doc, "trials": trials})
+    code, out, err = run_cli(capsys, "bound", write_config(tmp_path, trials=18446744073709551616))
+    assert (code, out) == (2, "")
+    assert err.startswith("config error: trials: ") and err.count("\n") == 1 and err.endswith("\n")
 
 
 def test_alpha_one_exits_2(tmp_path, capsys):

@@ -1,7 +1,9 @@
 """`hkc` holds no dead code: every name a module imports is used in that
 module, every top-level function and class is reached from the package, every
 name a module assigns at top level is read in the package, and every method
-and property of a class is read as an attribute in the package.
+and property of a class is read as an attribute in the package. And only
+`tests/oracles.py` reads private state: no other test module touches a name
+with a leading underscore on anything but `self`.
 
 `__init__.py` is left out of the import check: its imports are the package's
 public names.
@@ -10,7 +12,8 @@ public names.
 import ast
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "hkc"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "hkc"
 
 _DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
@@ -117,6 +120,28 @@ def _unread_methods(modules: dict[str, ast.Module], exempt: set[str]) -> list[st
         and not (node.name.startswith("__") and node.name.endswith("__"))
         and node.name not in reads and f"{cls.name}.{node.name}" not in exempt
     )
+
+
+def _private_uses(tree: ast.Module, exempt: set[tuple[str, str]]) -> list[int]:
+    """Lines that read or write an attribute named with one leading underscore on anything but `self`,
+    or that name one to `getattr`, `setattr` or `delattr` (`monkeypatch.setattr(module, "_name", value)`,
+    or `monkeypatch.setattr("module._name", value)`); `exempt` holds the (object, name) pairs allowed."""
+    lines = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            owner, name = node.value, node.attr
+        elif (isinstance(node, ast.Call) and getattr(node.func, "attr", getattr(node.func, "id", None))
+              in ("getattr", "setattr", "delattr") and node.args):
+            texts = [a.value for a in node.args[:2] if isinstance(a, ast.Constant) and isinstance(a.value, str)]
+            if not texts:
+                continue
+            owner, name = node.args[0], texts[0].rpartition(".")[2]
+        else:
+            continue
+        label = owner.id if isinstance(owner, ast.Name) else None
+        if name.startswith("_") and not name.startswith("__") and label != "self" and (label, name) not in exempt:
+            lines.add(node.lineno)
+    return sorted(lines)
 
 
 def test_every_import_is_used():
@@ -236,3 +261,33 @@ def test_method_check_sees_unread_names():
                                                "kernels.py:Kernel.step"]
     assert _unread_methods(modules, {"Engine.step"}) == ["kernels.py:Kernel.fast", "kernels.py:Kernel.step"]
     assert _unread_methods(modules, {"Engine.step", "Kernel.fast", "Kernel.step"}) == []
+
+
+def test_only_the_oracles_read_private_state():
+    # graph's resampling cap: lowering the draw budget, and reading the attempt cap it
+    # meets, is the only way to test the cap without 10^4 attempts
+    exempt = {("graph", "_ER_MAX_DRAWS"), ("graph", "_ER_MAX_ATTEMPTS")}
+    found = [
+        f"{path.name}:{line}" for path in sorted(TESTS.glob("*.py")) if path.name != "oracles.py"
+        for line in _private_uses(ast.parse(path.read_text(encoding="utf-8")), exempt)
+    ]
+    assert found == []
+
+
+def test_private_check_sees_reads_and_writes():
+    source = (
+        "from hkc import dynamics, graph\n"
+        "class Probe:\n"
+        "    def __init__(self, engine):\n"
+        "        self._engine = engine.__class__\n"
+        "def test(monkeypatch, engine):\n"
+        "    total = engine._tree[engine._size]\n"
+        "    engine._update = None\n"
+        "    monkeypatch.setattr(dynamics, \"_bounds\", len)\n"
+        "    monkeypatch.setattr(\"hkc.dynamics._bounds\", len)\n"
+        "    monkeypatch.setattr(graph, \"_ER_MAX_DRAWS\", 100)\n"
+        "    return getattr(engine, \"_owner\") + graph._ER_MAX_ATTEMPTS + engine.opinions + make()._lo\n"
+    )
+    tree = ast.parse(source)
+    assert _private_uses(tree, set()) == [6, 7, 8, 9, 10, 11]
+    assert _private_uses(tree, {("graph", "_ER_MAX_DRAWS"), ("graph", "_ER_MAX_ATTEMPTS")}) == [6, 7, 8, 9, 11]

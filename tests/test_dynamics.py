@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from hkc import dynamics
 from hkc.dynamics import (
     MIN_EPS_ULPS,
     MIN_STEP_ULPS,
@@ -36,8 +35,8 @@ from hkc.space import (
     distance_fn,
 )
 from oracles import (
-    apply_update, check_event_a, classify_consensus, compatibility, engine_compat, gillespie_step, replay,
-    stop_reached, total_disagreement,
+    apply_update, box, check_event_a, classify_consensus, compatibility, engine_view, gillespie_step, instrument,
+    oracle_view, owner_table, raw_state, replay, rows, stop_reached, total_disagreement, witness,
 )
 
 
@@ -407,7 +406,7 @@ def test_engine_event_a_strict_at_threshold(norm, dim):
                 assert engine.is_stopped() and engine.events == 0
                 assert engine.outcome().event_a is want, (space, point, tau)
                 if want is not None:
-                    assert check_event_a(engine.opinions, space, tau, 0.125) is want
+                    assert check_event_a(rows(engine), space, tau, 0.125) is want
 
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
@@ -422,15 +421,6 @@ def test_dissensus_stop_is_final():
         stopping=default_stopping(g, BOX01, params), trials=1, master_seed=44,
     )
     assert run_single_trial(spec, 0).consensus is True
-
-
-def _fenwick_prefix(tree, i: int) -> int:
-    """Sum of the first i rates held by a Fenwick tree."""
-    total = 0
-    while i:
-        total += tree[i]
-        i -= i & -i
-    return total
 
 
 def test_engine_matches_pure_operations_step_by_step():
@@ -449,15 +439,8 @@ def test_engine_matches_pure_operations_step_by_step():
         stopping = default_stopping(g, space, params, max_events=400)
         engine = TrialEngine(g, space, UniformShape(), params, stopping, rng_engine)
         for config, view, _, _ in replay(engine, rng_engine, params):
-            # engine bookkeeping must equal full recomputation
-            rates = [len(nbrs) for nbrs in view]
-            assert [len(s) for s in engine_compat(engine)] == rates
-            assert engine._tree[engine._size] == sum(rates)
-            assert [_fenwick_prefix(engine._tree, i) for i in range(1, len(rates) + 1)] == list(
-                itertools.accumulate(rates)
-            )
-            assert tuple(tuple(sorted(s)) for s in engine_compat(engine)) == view
-            assert engine.is_stopped() == stop_reached(config, g, stopping, params.tau, space.norm)
+            # engine bookkeeping (compatible sets, Fenwick rates, stop) must equal full recomputation
+            assert engine_view(engine) == oracle_view(config, g, stopping, params.tau, space.norm)
             if engine.is_stopped():
                 out = engine.outcome()
                 assert out.consensus == classify_consensus(config, g, stopping, params.tau, space.norm)
@@ -488,8 +471,7 @@ def test_engine_matches_pure_operations_every_norm_and_dim(norm, dim):
         stopping = default_stopping(g, space, params, max_events=2000)
         engine = TrialEngine(g, space, UniformShape(), params, stopping, rng_engine)
         for config, view, _, _ in replay(engine, rng_engine, params):
-            assert engine_compat(engine) == view
-            assert engine.is_stopped() == stop_reached(config, g, stopping, params.tau, space.norm)
+            assert engine_view(engine) == oracle_view(config, g, stopping, params.tau, space.norm)
             if engine.is_stopped() or engine.events == stopping.max_events:
                 break
         assert engine.is_stopped(), "trial hit its event cap"
@@ -507,8 +489,8 @@ def test_engine_edges_closed_at_tau_after_updates():
         engine = TrialEngine(g, BOX01, dist, params, default_stopping(g, BOX01, params, max_events=50),
                              random.Random(seed))
         while engine.events < 50 and engine.step() is not None:
-            config = tuple(engine.opinions)
-            assert engine_compat(engine) == compatibility(config, g, params.tau, Norm.L2)
+            config = rows(engine)
+            assert engine_view(engine).compat == compatibility(config, g, params.tau, Norm.L2)
             on_tau += sum(abs(config[u][0] - config[v][0]) == 0.5 for u, v in g.edges())
     assert on_tau > 0
 
@@ -571,7 +553,7 @@ def test_observed_center_distance_equals_total_center_distance(dim):
 
         engine = TrialEngine(g, space, UniformShape(), params, stopping, random.Random(dim + len(norm.value)),
                              record_samples=True, on_event=on_event)
-        initial = total_disagreement(engine.opinions, space.center, norm)
+        initial = total_disagreement(rows(engine), space.center, norm)
         engine.run_to_stop()
         assert len(seen) == engine.events > 0
         passed = [xc for _, xc, _ in seen]
@@ -580,27 +562,6 @@ def test_observed_center_distance_equals_total_center_distance(dim):
         assert samples[0] == (0.0, initial)
         assert [t for t, _ in samples[1:]] == [t for t, _, _ in seen]
         assert _bits(xc for _, xc in samples[1:]) == _bits(passed)
-
-
-def _oracle_table(config, g, space, params, stopping):
-    """Each edge's compatibility, the Fenwick tree of the rates and whether the trial is stopped
-    (`stop_reached`), each from scratch."""
-    kernel = distance_fn(space.norm)
-    compat = [[kernel(config[x], config[y]) <= params.tau for y in ys] for x, ys in enumerate(g.adjacency)]
-    size = 1 << (g.vertex_count - 1).bit_length()
-    tree = [0] * (size + 1)
-    for v, row in enumerate(compat):
-        i = v + 1
-        while i <= size:
-            tree[i] += sum(row)
-            i += i & -i
-    return compat, tree, stop_reached(config, g, stopping, params.tau, space.norm)
-
-
-def _table(engine):
-    """The engine's edge-state table by zero-ness (a nonzero entry means only compatible), its
-    Fenwick tree and is_stopped(), to compare with `_oracle_table`."""
-    return [[s != 0 for s in row] for row in engine._state], engine._tree, engine.is_stopped()
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -622,10 +583,9 @@ def test_initial_edge_table_equals_oracle(norm, dim):
         stopping = StoppingSpec(eps * 8, eps)
         for seed in range(10):
             engine = TrialEngine(g, space, dist, params, stopping, random.Random(seed))
-            config = tuple(engine.opinions)
-            assert _table(engine) == _oracle_table(config, g, space, params, stopping)
-            assert (engine._witness is None) == stop_reached(config, g, stopping, tau, norm)
-            assert engine._witness == next(
+            config = rows(engine)
+            assert engine_view(engine) == oracle_view(config, g, stopping, tau, norm)  # is_stopped() too
+            assert witness(engine) == next(
                 ((u, v) for u, v in g.edges() if eps <= kernel(config[u], config[v]) <= tau), None)
             for u, v in g.edges():
                 d = kernel(config[u], config[v])
@@ -642,41 +602,39 @@ def _run_to_stop_as_stepped(engine, stepped, params, cap) -> list[tuple[int, boo
     vertex's row left every edge at that vertex compatible under the oracle kernel.
     Returns (moved vertex, whether the rule ran on its row) for each event.
     """
-    rows, states, update = [], engine._states, engine._update
-    kernel, adjacency, opinions = distance_fn(engine.space.norm), engine.g.adjacency, engine.opinions
-    log, pending = [], []  # pending: (rule calls before the last update, its new opinion)
+    kernel, adjacency = distance_fn(engine.space.norm), engine.g.adjacency
+    passed, log, pending = [], [], []  # pending: (rule calls before the last update, its new opinion)
 
-    def counted(op, nbrs):
-        rows.append(nbrs)  # an updated vertex's row is passed as its adjacency list itself
+    def counted(states, op, nbrs):
+        passed.append(nbrs)  # an updated vertex's row is passed as its adjacency list itself
         return states(op, nbrs)
 
     def settle():
         # the last event is over: find its vertex by the new opinion's identity, and check it
         if pending:
             before, new = pending.pop()
+            opinions = rows(engine)
             x = next(v for v, op in enumerate(opinions) if op is new)
-            ran = any(nbrs is adjacency[x] for nbrs in rows[before:])
+            ran = any(nbrs is adjacency[x] for nbrs in passed[before:])
             assert ran or all(kernel(new, opinions[y]) <= params.tau for y in adjacency[x]), (len(log), x)
             log.append((x, ran))
 
-    def logged(ys, old):
+    def logged(update, ys, old):
         settle()
         new = update(ys, old)
-        pending.append((len(rows), new))
+        pending.append((len(passed), new))
         return new
 
-    engine._states, engine._update = counted, logged
+    instrument(engine, states=counted, update=logged)
     start = engine.events
     engine.run_to_stop(cap)
     settle()
     assert len(log) == engine.events - start
     while stepped.events < cap and not stepped.is_stopped():
         stepped.step()
-    assert repr(tuple(engine.opinions)) == repr(tuple(stepped.opinions))
-    assert (engine.time, engine.events) == (stepped.time, stepped.events)
     # step() does the same work per event as run_to_stop, so even the stale nonzero entries agree
-    assert (engine._state, engine._tree, engine._witness) == (stepped._state, stepped._tree, stepped._witness)
-    assert _table(engine) == _oracle_table(tuple(engine.opinions), engine.g, engine.space, params, engine.stopping)
+    assert raw_state(engine) == raw_state(stepped)
+    assert engine_view(engine) == oracle_view(rows(engine), engine.g, engine.stopping, params.tau, engine.space.norm)
     return log
 
 
@@ -721,7 +679,7 @@ def test_run_to_stop_equals_step_by_step_oracle(norm, dim):
                     if events == 300 or stop_reached(config, g, stopping, params.tau, space.norm):
                         break
                 _run_to_stop_as_stepped(engine, stepped, params, stopping.max_events)
-                assert repr(tuple(engine.opinions)) == repr(config)
+                assert repr(rows(engine)) == repr(config)
                 assert (engine.time, engine.events) == (time, events)
                 assert len(seen) == (events if alpha else 0)
                 assert all(passed == held for passed, held, _ in seen)
@@ -773,22 +731,23 @@ def _left_on_box_growth(norm, dim, side):
     def engine(at):
         """An engine whose update number `at` (from 0) returns the far opinion."""
         e = TrialEngine(g, space, UniformShape(), params, stopping, random.Random(7 * dim + len(norm.value)))
-        update, count = e._update, itertools.count()
+        count = itertools.count()
 
-        def perturbed(ys, old):
+        def perturbed(update, ys, old):
             new = update(ys, old)
             if next(count) == at:  # run_to_stop writes e.events back only on exit
-                lo, hi = [min(c) for c in zip(*e.opinions)], [max(c) for c in zip(*e.opinions)]
+                ops = rows(e)
+                lo, hi = [min(c) for c in zip(*ops)], [max(c) for c in zip(*ops)]
                 new = (hi[0] + 2 * params.tau, *hi[1:]) if side == "hi" else (lo[0] - 2 * params.tau, *lo[1:])
-                lo, hi = [min(c) for c in zip(new, *e.opinions)], [max(c) for c in zip(new, *e.opinions)]
+                lo, hi = [min(c) for c in zip(new, *ops)], [max(c) for c in zip(new, *ops)]
                 assert kernel(new, far_corner(new, lo, hi)) > params.tau  # the far-corner test fails
             return new
 
-        e._update = perturbed
+        instrument(e, update=perturbed)
         return e
 
     probe = engine(None)
-    while kernel(probe._hi, probe._lo) > params.tau:  # step() writes the engine's box back
+    while kernel(*box(probe)) > params.tau:  # step() writes the engine's box back
         probe.step()
     at = probe.events + 2
     fast, stepped = engine(at), engine(at)
@@ -831,12 +790,38 @@ def test_consensus_shortcut_agrees_with_search_at_every_stop():
             else:
                 engine.run_to_stop()
             assert engine.is_stopped()
-            consensus = engine.outcome().consensus
-            assert consensus == is_connected(engine_compat(engine))
-            assert consensus == classify_consensus(engine.opinions, g, stopping, tau, Norm.L2)
-            key = (consensus, engine._tree[engine._size] == 2 * g.edge_count)
+            consensus, view = engine.outcome().consensus, engine_view(engine)
+            assert consensus == is_connected(view.compat)
+            assert consensus == classify_consensus(rows(engine), g, stopping, tau, Norm.L2)
+            key = (consensus, sum(view.rates) == 2 * g.edge_count)
             seen[key] = seen.get(key, 0) + 1
     assert seen[True, True] >= 8 and seen[False, False] >= 8, seen
+
+
+def _boxes_with_points(rng, dim, batches, rounds):
+    """Boxes [lo, hi], dyadic and of mixed magnitude in turn, each with `rounds` groups of four
+    points in it: random, dyadic, on a face and at a corner."""
+    def clamp(c, a, b):
+        return min(max(c, a), b)
+
+    for batch in range(batches):
+        if batch % 2:
+            lo = [rng.randint(-16, 16) / 16 for _ in range(dim)]
+            hi = [a + rng.randint(0, 32) / 16 for a in lo]
+        else:
+            lo = [rng.uniform(-1, 1) * 2.0 ** rng.randint(-30, 30) for _ in range(dim)]
+            hi = [a + rng.random() * 2.0 ** rng.randint(-30, 30) for a in lo]
+        sides = list(zip(lo, hi))
+        points = []
+        for _ in range(rounds):
+            points.append(tuple(clamp(a + (b - a) * rng.random(), a, b) for a, b in sides))  # random
+            points.append(tuple(clamp(a + (b - a) * (rng.randint(0, 8) / 8), a, b) for a, b in sides))  # dyadic
+            face = list(points[-2])
+            i = rng.randrange(dim)
+            face[i] = sides[i][rng.randrange(2)]
+            points.append(tuple(face))
+            points.append(tuple(c[rng.randrange(2)] for c in sides))  # corner
+        yield lo, hi, points
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -849,28 +834,7 @@ def test_box_certificate_is_sound(norm, dim):
     # are). So kernel(u, v) <= kernel(hi, lo) with no tolerance, for every form of the
     # edge rule, the inline 2-D L2 form among them.
     kernel = distance_fn(norm)
-    rng = random.Random(60 + 10 * dim + len(norm.value))
-
-    def clamp(c, a, b):
-        return min(max(c, a), b)
-
-    for batch in range(60):
-        if batch % 2:
-            lo = [rng.randint(-16, 16) / 16 for _ in range(dim)]
-            hi = [a + rng.randint(0, 32) / 16 for a in lo]
-        else:
-            lo = [rng.uniform(-1, 1) * 2.0 ** rng.randint(-30, 30) for _ in range(dim)]
-            hi = [a + rng.random() * 2.0 ** rng.randint(-30, 30) for a in lo]
-        box = list(zip(lo, hi))
-        points = []
-        for _ in range(4):
-            points.append(tuple(clamp(a + (b - a) * rng.random(), a, b) for a, b in box))  # random
-            points.append(tuple(clamp(a + (b - a) * (rng.randint(0, 8) / 8), a, b) for a, b in box))  # dyadic
-            face = list(points[-2])
-            i = rng.randrange(dim)
-            face[i] = box[i][rng.randrange(2)]
-            points.append(tuple(face))
-            points.append(tuple(c[rng.randrange(2)] for c in box))  # corner
+    for lo, hi, points in _boxes_with_points(random.Random(60 + 10 * dim + len(norm.value)), dim, 60, 4):
         bound = kernel(hi, lo)
         for u, v in itertools.product(points, repeat=2):
             assert kernel(u, v) <= bound, (u, v, lo, hi)
@@ -891,35 +855,15 @@ def test_far_corner_bound_is_sound(norm, dim):
     # The samples hold, for each u, the corner farthest from it in every coordinate, so a
     # far corner that takes the nearer bound in some coordinate fails here.
     kernel = distance_fn(norm)
-    rng = random.Random(70 + 10 * dim + len(norm.value))
-
-    def clamp(c, a, b):
-        return min(max(c, a), b)
-
-    for batch in range(30):
-        if batch % 2:
-            lo = [rng.randint(-16, 16) / 16 for _ in range(dim)]
-            hi = [a + rng.randint(0, 32) / 16 for a in lo]
-        else:
-            lo = [rng.uniform(-1, 1) * 2.0 ** rng.randint(-30, 30) for _ in range(dim)]
-            hi = [a + rng.random() * 2.0 ** rng.randint(-30, 30) for a in lo]
-        box = list(zip(lo, hi))
-        points = []
-        for _ in range(3):
-            points.append(tuple(clamp(a + (b - a) * rng.random(), a, b) for a, b in box))  # random
-            points.append(tuple(clamp(a + (b - a) * (rng.randint(0, 8) / 8), a, b) for a, b in box))  # dyadic
-            face = list(points[-2])
-            i = rng.randrange(dim)
-            face[i] = box[i][rng.randrange(2)]
-            points.append(tuple(face))
-            points.append(tuple(c[rng.randrange(2)] for c in box))  # corner
-        farthest = [tuple(max((a, b), key=lambda t: abs(c - t)) for c, (a, b) in zip(u, box)) for u in points]
-        rows = points + farthest
+    for lo, hi, points in _boxes_with_points(random.Random(70 + 10 * dim + len(norm.value)), dim, 30, 3):
+        sides = list(zip(lo, hi))
+        farthest = [tuple(max((a, b), key=lambda t: abs(c - t)) for c, (a, b) in zip(u, sides)) for u in points]
+        ops = points + farthest
         for u in points:
             corner = tuple(far_corner(u, lo, hi))
-            assert all(c in ab for c, ab in zip(corner, box))
+            assert all(c in ab for c, ab in zip(corner, sides))
             tau = kernel(u, corner)
-            assert 0 not in edge_states(rows, tau, tau / 2, norm, dim)(u, range(len(rows))), (u, lo, hi)
+            assert 0 not in edge_states(ops, tau, tau / 2, norm, dim)(u, range(len(ops))), (u, lo, hi)
             if tau == 0.0:  # a box of zero width: no distance lies below
                 continue
             below = math.nextafter(tau, 0.0)
@@ -939,12 +883,11 @@ def test_stepping_past_a_stop_follows_the_oracle():
     stopped = []
     for event in range(1, 62):
         assert engine.step() is not None and engine.events == event
-        assert engine.is_stopped() == stop_reached(engine.opinions, g, stopping, params.tau, Norm.L2), event
+        # compatible sets, rates, and is_stopped() against stop_reached, from scratch
+        assert engine_view(engine) == oracle_view(rows(engine), g, stopping, params.tau, Norm.L2), event
         stopped.append(engine.is_stopped())
-        assert _table(engine) == _oracle_table(tuple(engine.opinions), g, BOX01, params, stopping)
     assert stopped.index(True) == 20 and not all(stopped[20:])
-    assert engine_compat(engine) == compatibility(engine.opinions, g, params.tau, Norm.L2)
-    assert engine_compat(engine) == ((1,), (0, 2), (1, 3), (2,))
+    assert engine_view(engine).compat == ((1,), (0, 2), (1, 3), (2,))
 
 
 @pytest.mark.parametrize("graph,norm,dim,tau,seed", [
@@ -962,21 +905,21 @@ def test_box_is_recomputed_once_per_window_and_bounds_the_opinions_when_narrow(m
     g, space = graph(), OpinionSpace(Box((0.0,) * dim, (1.0,) * dim), norm)
     params = ModelParams(tau=tau)
     kernel, n = distance_fn(norm), g.vertex_count
-    calls, recompute = [], dynamics._bounds
-    monkeypatch.setattr(dynamics, "_bounds", lambda rows, d: calls.append(None) or recompute(rows, d))
     engine = TrialEngine(g, space, UniformShape(), params, default_stopping(g, space, params), random.Random(seed))
-    assert kernel(engine._hi, engine._lo) > 2 * tau
+    recomputes = instrument(engine, monkeypatch=monkeypatch)  # from here on: the constructor's is not counted
+    assert kernel(*box(engine)) > 2 * tau
     narrowed = None
     while not engine.is_stopped():
         engine.step()
-        hull = [[f(op[i] for op in engine.opinions) for i in range(dim)] for f in (max, min)]
+        hull = [[f(op[i] for op in rows(engine)) for i in range(dim)] for f in (max, min)]
         if narrowed is None and kernel(*hull) <= 2 * tau:
             narrowed = engine.events
-        if kernel(engine._hi, engine._lo) <= 2 * tau:
-            assert all(a <= c <= b for op in engine.opinions for a, c, b in zip(engine._lo, op, engine._hi))
+        lo, hi = box(engine)
+        if kernel(hi, lo) <= 2 * tau:
+            assert all(a <= c <= b for op in rows(engine) for a, c, b in zip(lo, op, hi))
         else:
             assert narrowed is None or engine.events <= narrowed + n, (narrowed, engine.events)
-        assert len(calls) <= 1 + engine.events // n
+        assert len(recomputes) <= engine.events // n
     assert narrowed > 2 * n
 
 
@@ -1029,11 +972,10 @@ def test_engine_on_tiny_box_matches_pure_operations(norm):
     assert stopping.eps == math.nextafter(floor, math.inf)
     rng = random.Random(31)
     engine = TrialEngine(g, space, UniformShape(), params, stopping, rng)
-    config = tuple(engine.opinions)
+    config = rows(engine)
     assert max(abs(u[0] - v[0]) for u, v in itertools.combinations(config, 2)) > params.tau
-    for config, view, _, _ in replay(engine, rng, params):
-        assert engine_compat(engine) == view
-        assert _table(engine) == _oracle_table(config, g, space, params, stopping)
+    for config, _, _, _ in replay(engine, rng, params):
+        assert engine_view(engine) == oracle_view(config, g, stopping, params.tau, norm)
         if engine.is_stopped() or engine.events == 20_000:
             break
     assert engine.is_stopped() and engine.events > 100
@@ -1114,7 +1056,7 @@ def test_owner_table_is_the_scan_at_every_target():
     for g in graphs:
         params = ModelParams(tau=1.0)
         engine = TrialEngine(g, BOX01, UniformShape(), params, default_stopping(g, BOX01, params), random.Random(0))
-        owner, full = engine._owner, 2 * g.edge_count
+        owner, full = owner_table(engine), 2 * g.edge_count
         assert len(owner) == full
         sums = list(itertools.accumulate(map(len, g.adjacency)))
         for k in range(full):
@@ -1123,29 +1065,14 @@ def test_owner_table_is_the_scan_at_every_target():
 
 
 def _in_convex_hull(point, hull_points, tol=1e-9) -> bool:
-    # feasibility LP: point = sum(lambda_i * hull_i), lambda >= 0, sum = 1
+    # feasibility LP: point = sum(lambda_i * hull_i), lambda >= 0, sum = 1, retried with slack
+    # for boundary/degenerate cases
     pts = np.asarray(hull_points, dtype=float)
-    dim = pts.shape[1]
     a_eq = np.vstack([pts.T, np.ones(len(pts))])
     b_eq = np.concatenate([np.asarray(point, dtype=float), [1.0]])
-    res = linprog(
-        c=np.zeros(len(pts)),
-        A_eq=a_eq,
-        b_eq=b_eq,
-        bounds=[(0, None)] * len(pts),
-        method="highs",
-    )
-    if res.success:
-        return True
-    # retry with slack for boundary/degenerate cases
-    res = linprog(
-        c=np.zeros(len(pts)),
-        A_ub=np.vstack([a_eq, -a_eq]),
-        b_ub=np.concatenate([b_eq + tol, -(b_eq - tol)]),
-        bounds=[(0, None)] * len(pts),
-        method="highs",
-    )
-    return bool(res.success)
+    lp = dict(c=np.zeros(len(pts)), bounds=[(0, None)] * len(pts), method="highs")
+    return bool(linprog(A_eq=a_eq, b_eq=b_eq, **lp).success or linprog(
+        A_ub=np.vstack([a_eq, -a_eq]), b_ub=np.concatenate([b_eq + tol, -(b_eq - tol)]), **lp).success)
 
 
 def test_updates_stay_in_shrinking_convex_hull():
@@ -1162,14 +1089,14 @@ def test_updates_stay_in_shrinking_convex_hull():
         engine = TrialEngine(
             g, space, UniformShape(), params, stopping, random.Random(1000 + trial)
         )
-        initial = [tuple(op) for op in engine.opinions]
+        initial = rows(engine)
         for _ in range(40):
-            before = [tuple(op) for op in engine.opinions]
+            before = rows(engine)
             moved = engine.step()
             if moved is None or engine.is_stopped():
                 break
-            assert _in_convex_hull(engine.opinions[moved], before)
-        for op in engine.opinions:
+            assert _in_convex_hull(rows(engine)[moved], before)
+        for op in rows(engine):
             assert _in_convex_hull(op, initial)
 
 
@@ -1181,12 +1108,12 @@ def test_frozen_state_never_changes():
     stopping = default_stopping(g, BOX01, params, max_events=100)
     atoms = PointMasses((((0.0,), 0.5), ((0.5,), 0.5)))
     engine = TrialEngine(g, BOX01, atoms, params, stopping, random.Random(1))
-    assert engine.opinions == [(0.0,), (0.5,)]
-    assert engine._tree[engine._size] == 0
+    assert rows(engine) == ((0.0,), (0.5,))
+    assert engine_view(engine).rates == (0, 0)
     assert engine.is_stopped()
     assert engine.step() is None
     assert engine.events == 0
-    assert engine.opinions == [(0.0,), (0.5,)]
+    assert rows(engine) == ((0.0,), (0.5,))
 
 
 def test_run_trial_ball_shape_two_dim():

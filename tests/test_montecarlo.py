@@ -35,6 +35,13 @@ def two_vertex_spec(tau=0.5, trials=2000, seed=0, max_events=None, alpha=0.0):
     )
 
 
+def test_trials_limit():
+    assert two_vertex_spec(trials=montecarlo.MAX_TRIALS).trials == montecarlo.MAX_TRIALS
+    for trials in (0, montecarlo.MAX_TRIALS + 1, 2**64):
+        with pytest.raises(ValueError, match=rf"^trials must be in \[1, {montecarlo.MAX_TRIALS}\], got {trials}$"):
+            two_vertex_spec(trials=trials)
+
+
 def test_wilson_interval_against_scipy():
     for k, n in [(0, 10), (3, 10), (75, 100), (1500, 2000), (10, 10)]:
         lo, hi = wilson_interval(k, n)
