@@ -14,7 +14,7 @@ import sys
 from contextlib import nullcontext
 
 from .config import ConfigError, build_experiment, load_config
-from .invariants import run_drift_check
+from .invariants import MAX_CASES, run_drift_check
 from .montecarlo import MonteCarloReport, consensus_bound, run_estimate, run_single_trial
 from .render import TRACE_HEADER, to_json, trace_row
 from .space import max_pairwise_distance
@@ -87,8 +87,8 @@ def cmd_bound(args) -> tuple[str, int]:
 
 
 def cmd_check_invariants(args) -> tuple[str, int]:
-    if args.cases < 1:
-        raise ConfigError(f"--cases must be >= 1, got {args.cases}")
+    if not 1 <= args.cases <= MAX_CASES:
+        raise ConfigError(f"--cases must be in [1, {MAX_CASES}], got {args.cases}")
     result = run_drift_check(args.cases, args.seed)
     return to_json(result), 0 if result["status"] == "pass" else 1
 

@@ -10,30 +10,35 @@ Event scheduling is the exact direct method: the holding time is exponential
 at the total rate and the updating vertex is chosen with probability
 proportional to its own rate. The holding time is drawn inline by the body of
 `random.expovariate`, -log(1 - random()) / total, which gives its bits from
-the same stream. While every edge is compatible each rate is the vertex's
-degree, so the engine reads the vertex in O(1) from an owner table, deg(v)
-copies of each vertex v (O(m) memory); otherwise it descends a Fenwick tree
-over the integer rates in O(log n). Both pick the same vertex as the direct
-method's linear scan for every draw (`gillespie_step` in `tests/oracles.py`,
-the reference implementation of the dynamics). Edge state lives in one table
-aligned with the adjacency lists, with one banded witness edge
-(`TrialEngine`). The edge rule (`edge_states`) and the update (`update_rule`)
-are each stated once; the engine and `hkc.invariants` both run them. One event
-loop runs every event, with the engine's state in local variables.
+the same stream. The vertex is the first whose inclusive rate prefix sum
+exceeds random() * total, as in the direct method's linear scan
+(`gillespie_step` in `tests/oracles.py`, the reference implementation of the
+dynamics). Prefix sums are ints, and an int is <= a nonnegative float exactly
+when it is <= the float's floor k. While every edge is compatible each rate is
+the vertex's degree, so the engine reads the vertex in O(1) as entry k of an
+owner table, deg(v) copies of each vertex v (O(m) memory); otherwise a descent
+of a Fenwick tree over the integer rates finds the longest prefix with sum
+<= k in O(log n), taking each node it passes off k. Both pick the scan's
+vertex for every draw. Edge state lives in one table aligned with the
+adjacency lists, with one banded witness edge (`TrialEngine`). The edge rule
+(`edge_states`) and the update (`update_rule`) are each stated once; the
+engine and `hkc.invariants` both run them. One event loop runs every event,
+with the engine's state in local variables.
 
-Both rules pick a form once, by (norm, dim), before any event. On the 2-D L2
-space the forms are straight-line code with no kernel call per edge or per
-coordinate: the edge rule computes each distance inline, by the expression of
-the loop kernel `distance_fn(Norm.L2)` less its leading 0.0 (exact, as every
-term is >= +0.0), and the update keeps one accumulator per coordinate over a
-single pass of the neighbors (in any 2-D space). In one dimension the edge
-rule compares |u - v|, and the update adds the neighbors' one coordinate into
-a single accumulator from 0.0. Each is bitwise equal to the loop form: the
-same float operations on the same operands in the same order, every sum taken
-left to right. For that reason no form uses `sum()` (compensated from Python
-3.12), `math.fsum`, `math.hypot` or `math.dist` (rounded differently), or
-numpy. Every other space calls the loop kernel `distance_fn(norm)` per edge
-and loops over coordinates in the update.
+Both rules pick a form once, by the norm and the rows' dimension, before any
+event. On the 2-D L2 space the forms are straight-line code with no kernel
+call per edge or per coordinate: the edge rule computes each distance inline,
+by the expression of the loop kernel `distance_fn(Norm.L2)` less its leading
+0.0 (exact, as every term is >= +0.0), and the update keeps one accumulator
+per coordinate over a single pass of the neighbors (in any 2-D space). In one
+dimension the edge rule compares |u - v|, as every kernel does on the shapes
+`OpinionSpace` accepts (`MIN_L2_EXTENT`), and the update adds the neighbors'
+one coordinate into a single accumulator from 0.0. Each is bitwise equal to
+the loop form: the same float operations on the same operands in the same
+order, every sum taken left to right. For that reason no form uses `sum()`
+(compensated from Python 3.12), `math.fsum`, `math.hypot` or `math.dist`
+(rounded differently), or numpy. Every other space calls the loop kernel
+`distance_fn(norm)` per edge and loops over coordinates in the update.
 
 A trial stops at the first time every edge's opinion distance falls strictly
 outside [eps, tau] (either near-agreement or frozen), or when an event cap is
@@ -43,19 +48,18 @@ After an update only the edges at the moved vertex x can change state, and
 where it can the engine decides them by a box [lo, hi] that bounds every
 opinion. The box is exact at the start, grows by each new opinion (an update can
 round an ulp out of the hull, which a convex combination otherwise never
-leaves, Moreau 2005), and is recomputed exactly at most once every n events
-while the kernel distance between its corners exceeds tau. Rounding is
-monotone, so no opinion v in the box has a larger |fl(new_i - v_i)| than x's
-far corner (`far_corner`: per coordinate the bound with the larger
-|fl(new_i - bound)|), and each kernel is monotone in every |d_i|. So if the
-box's corners are within tau, or x's far corner is by the edge rule's own
-form, every edge at x is compatible, with no tolerance; only otherwise does
-the rule run on x's row. While the corners are farther apart than 2 tau no
-far corner can be within tau (each coordinate's farther end is at least half
-its extent away), so the test and the growth are skipped; the box then bounds
-the opinions only from its next recompute on, when its span is exact. Either
-way the zero entries of the edge-state table, and so the rates, are exact; a
-nonzero entry means only "compatible".
+leaves, Moreau 2005), and is recomputed exactly, while the kernel distance
+between its corners exceeds tau, at each event that starts after a positive
+multiple of n completed events. Rounding is monotone, so no opinion v in the
+box has a larger |fl(new_i - v_i)| than x's far corner (`far_corner`), and
+each kernel is monotone in every |d_i|. So if the box's corners are within
+tau, or x's far corner is by the edge rule's own form, every edge at x is
+compatible, with no tolerance; only otherwise does the rule run on x's row.
+While the corners are farther apart than 2 tau no far corner can be within tau
+(each coordinate's farther end is at least half its extent away), so the test
+and the growth are skipped; the box then bounds the opinions only from its
+next recompute on, when its span is exact. Either way the zero entries of the
+edge-state table, and so the rates, are exact.
 
 The stop is found exactly by one banded witness edge, examined again only when
 one of its ends moves. One search (`TrialEngine._find_witness`) runs the edge
@@ -71,12 +75,15 @@ direct method, so no report, trace or pinned byte depends on it. Inside an
 trial.
 
 At a stop every compatible edge (distance <= tau) is a near-agreement edge
-(distance < eps), so a stopped trial is consensus exactly when every edge is
-compatible, read in O(1) from the total rate (`TrialEngine.outcome`). A
-consensus stop is final. A dissensus stop is a proxy and may not be: a
-near-agreement component moves as it contracts, which can bring a frozen edge
-back within tau and merge two components later, so p_hat can be biased low
-(open item 1 in ROADMAP.md).
+(distance < eps), so a stopped trial is consensus exactly when its compatible
+graph is connected. A connected one puts every pair within (n - 1) * eps <
+eps_prime < tau / 2 (`StoppingSpec.validate_for`), which makes every edge
+compatible, and `SocialGraph` is connected; so a stop is consensus exactly
+when the total rate is the degree sum, read with no search
+(`TrialEngine.outcome`). A consensus stop is final. A dissensus stop is a
+proxy and may not be: a near-agreement component moves as it contracts,
+which can bring a frozen edge back within tau and merge two components later,
+so p_hat can be biased low (open item 1 in ROADMAP.md).
 
 Trials are deterministic functions of their random stream: the stream is
 consumed in a fixed order (holding time, then vertex choice, per event).
@@ -251,14 +258,11 @@ def event_a_applicable(space: OpinionSpace, tau: float, eps_prime: float) -> boo
     return tau > space.radius + eps_prime
 
 
-def edge_states(opinions: Rows, tau: float, eps: float, norm: Norm, dim: int) -> Callable[..., list[int]]:
+def edge_states(opinions: Rows, tau: float, eps: float, norm: Norm) -> Callable[..., list[int]]:
     """The edge rule: `states(op, nbrs)` lists the state of the edge from opinion op to each vertex
-    of nbrs, 0 (distance > tau, incompatible), 1 (< eps, near) or 2 (in [eps, tau], banded).
-
-    The form is chosen once, by (norm, dim). In one dimension it compares |u - v|, as the kernel does
-    on the shapes `OpinionSpace` accepts (`MIN_L2_EXTENT`). Under L2 in two it computes the distance
-    inline, by the expression of the loop kernel `distance_fn(Norm.L2)`; otherwise it calls `distance_fn(norm)`.
-    """
+    of nbrs, 0 (distance > tau, incompatible), 1 (< eps, near) or 2 (in [eps, tau], banded). The form
+    is chosen once, by the norm and the rows' dimension (module docstring)."""
+    dim = len(opinions[0])
     if dim == 1:
         def states(op: tuple[float, ...], nbrs: Sequence[int]) -> list[int]:
             u = op[0]
@@ -282,15 +286,11 @@ def edge_states(opinions: Rows, tau: float, eps: float, norm: Norm, dim: int) ->
     return states
 
 
-def update_rule(opinions: Rows, alpha: float, dim: int) -> Callable[..., tuple[float, ...]]:
+def update_rule(opinions: Rows, alpha: float) -> Callable[..., tuple[float, ...]]:
     """The update rule: `update(ys, old)` is alpha * old + (1 - alpha) * (the sum of the rows ys,
-    taken left to right in the order of ys, / len(ys)), coordinate by coordinate.
-
-    The form is chosen once, by dim: in one dimension a single accumulator adds the rows' only
-    coordinate, and in two one pass over ys keeps an accumulator per coordinate; each adds the same
-    terms in the same order as the loop over coordinates.
-    """
-    a, b = alpha, 1.0 - alpha
+    taken left to right in the order of ys, / len(ys)), coordinate by coordinate. The form is
+    chosen once, by the rows' dimension (module docstring)."""
+    a, b, dim = alpha, 1.0 - alpha, len(opinions[0])
     if dim == 1:
         def update(ys: Sequence[int], old: tuple[float, ...]) -> tuple[float, ...]:
             m = 0.0
@@ -321,16 +321,16 @@ def update_rule(opinions: Rows, alpha: float, dim: int) -> Callable[..., tuple[f
 
 def far_corner(op: Sequence[float], lo: Sequence[float], hi: Sequence[float]) -> list[float]:
     """The corner of the box [lo, hi], which holds op, that is farthest from op in every coordinate:
-    per coordinate the bound with the larger |fl(op_i - bound)|. Subtraction rounds monotonically, so
-    no point of the box has a larger |fl(op_i - v_i)|, and every kernel is monotone in each |d_i|."""
+    per coordinate the bound with the larger |fl(op_i - bound)|, which no point of the box exceeds
+    (module docstring)."""
     return [a if c - a >= b - c else b for c, a, b in zip(op, lo, hi)]
 
 
-def _bounds(opinions: Rows, dim: int) -> tuple[list[float], list[float]]:
+def _bounds(opinions: Rows) -> tuple[list[float], list[float]]:
     """Each coordinate's least and greatest value over the rows, by a pass per coordinate: zip(*opinions)
     would allocate an iterator per row, n objects that set off the cyclic garbage collector in a trial."""
-    return ([min(map(itemgetter(i), opinions)) for i in range(dim)],
-            [max(map(itemgetter(i), opinions)) for i in range(dim)])
+    dims = range(len(opinions[0]))
+    return [min(map(itemgetter(i), opinions)) for i in dims], [max(map(itemgetter(i), opinions)) for i in dims]
 
 
 class TrialEngine:
@@ -342,17 +342,14 @@ class TrialEngine:
     from both ends of each edge (the kernels are symmetric bitwise), and later
     the row of an updated vertex that the box `_lo`, `_hi` cannot decide.
     Adjacency rows are sorted, so a flipped edge's mirror entry is found by
-    bisection. A vertex's rate, its number of nonzero entries, sits in a
-    Fenwick tree whose root is the total rate; when that is the degree sum,
-    selection reads the owner table `_owner` (2m entries, built once here),
-    and a stop is consensus exactly then (`outcome`). `_witness` is a banded
-    edge, or None when the trial is stopped, and `_find_witness` its one
-    search; the module docstring argues the box and the witness, and tests pin
-    them to the oracles in `tests/oracles.py`. `step` and `run_to_stop` both
-    run the one event loop, `_run`, with the same work per event. Inside an
-    `on_event` callback `is_stopped()` is False until the event that stops the
-    trial. `outcome` decides event A with the engine's own kernel and center.
-    Not thread-safe; one engine and one stream per trial.
+    bisection. A vertex's rate, its number of nonzero entries, sits in the
+    Fenwick tree `_tree`, whose root `_tree[-1]` is the total rate; `_owner` is
+    the owner table, built once here. `_witness` is a banded edge, or None when
+    the trial is stopped, and `_find_witness` its one search. `step` and
+    `run_to_stop` both run the one event loop, `_run`. The module docstring
+    argues selection, the box, the witness and the consensus verdict, and tests
+    pin them to the oracles in `tests/oracles.py`. Not thread-safe; one engine
+    and one stream per trial.
     """
 
     def __init__(
@@ -372,33 +369,29 @@ class TrialEngine:
         self.space = space
         self.stopping = stopping
         self.rng = rng
-        self._kernel = kernel = distance_fn(space.norm)
         self._tau = tau = params.tau
-        self._center = center = space.center
         n = g.vertex_count
         self.opinions = opinions = [sample_initial(dist, space, rng) for _ in range(n)]
-        self._states = edge_states(opinions, tau, stopping.eps, space.norm, space.dim)
-        self._update = update_rule(opinions, params.alpha, space.dim)
+        self._states = edge_states(opinions, tau, stopping.eps, space.norm)
+        self._update = update_rule(opinions, params.alpha)
         # Fenwick tree over rates, zero-padded to a power-of-two size so the descent
-        # needs no bounds check and the root tree[size] is the total
-        self._size = size = 1 << (n - 1).bit_length()
-        # deg(v) copies of each vertex v in order: while every edge is compatible, the scan's pick for target k
+        # needs no bounds check and the root tree[size], tree[-1], is the total
+        size = 1 << (n - 1).bit_length()
         self._owner = list(chain.from_iterable(repeat(v, len(nbrs)) for v, nbrs in enumerate(g.adjacency)))
         self._state = state = [self._states(op, nbrs) for op, nbrs in zip(opinions, g.adjacency)]
         self._tree = tree = [0] + [len(row) - row.count(0) for row in state] + [0] * (size - n)
         for i in range(1, size):  # built in O(n)
             tree[i + (i & -i)] += tree[i]
         self._witness = self._find_witness(0)
-        # the opinions' box, exact here; the loop recomputes it, if wider than tau, once every n events from `_check`
-        self._lo, self._hi = _bounds(opinions, space.dim)
-        self._check = n
+        self._lo, self._hi = _bounds(opinions)  # the opinions' box, exact here
         self.time = 0.0
         self.events = 0
         self._on_event = on_event
         # each vertex's center distance, kept while observing: an event changes one entry,
         # and the list is added left to right from 0.0, as a from-scratch sum over the rows would be
         observed = record_samples or on_event is not None
-        self._center_dists = [kernel(op, center) for op in opinions] if observed else None
+        kernel = distance_fn(space.norm)
+        self._center_dists = [kernel(op, space.center) for op in opinions] if observed else None
         # (time, total center distance) pairs, from the initial state on
         self._samples = [(0.0, reduce(add, self._center_dists, 0.0))] if record_samples else None
 
@@ -433,14 +426,15 @@ class TrialEngine:
         the moved vertex's edges by it or by the edge rule, and re-examines the
         witness (module docstring).
         """
-        tree, size, state, states, update = self._tree, self._size, self._state, self._states, self._update
+        tree, state, states, update = self._tree, self._state, self._states, self._update
         rand, owner = self.rng.random, self._owner
         opinions, adjacency = self.opinions, self.g.adjacency
         witness, events, time = self._witness, self.events, self.time
         samples, on_event, dists = self._samples, self._on_event, self._center_dists
-        kernel, center, tau = self._kernel, self._center, self._tau
-        lo, hi, check = self._lo, self._hi, self._check
+        kernel, center, tau = distance_fn(self.space.norm), self.space.center, self._tau
+        lo, hi, size = self._lo, self._hi, len(tree) - 1
         full, n, dim = len(owner), len(opinions), self.space.dim
+        check = max(n, -(-events // n) * n)  # the box's next look: the first multiple of n, from n on, >= events
         span, tau2 = kernel(hi, lo), 2 * tau
         x = None
         while events < cap and (witness or once):
@@ -448,12 +442,7 @@ class TrialEngine:
             if not total:
                 break  # absorbed; banded edges imply compatible ones, so only under `once`
             dt = -log(1.0 - rand()) / total  # the body of random.expovariate(total), inline
-            # x is the first vertex whose inclusive rate prefix sum exceeds rand() * total, as in
-            # the scan of gillespie_step (tests/oracles.py). Prefix sums are ints, and an int is
-            # <= a nonnegative float exactly when it is <= the float's floor k. When every edge
-            # is compatible each rate is the degree, so x is the owner table's entry k; otherwise
-            # the descent finds the longest prefix with sum <= k, taking each node it passes off k.
-            k = int(rand() * total)
+            k = int(rand() * total)  # selection by the floor k: the owner table, else the descent (module docstring)
             if total == full:
                 x = owner[k]
                 nbrs = ys = adjacency[x]
@@ -472,7 +461,7 @@ class TrialEngine:
             new = opinions[x] = update(ys, opinions[x])
             if events >= check:  # once every n events: recompute the box if it is wider than tau
                 if span > tau:
-                    lo, hi = _bounds(opinions, dim)
+                    lo, hi = _bounds(opinions)
                     span = kernel(hi, lo)
                 check = events + n
             if span > tau2:
@@ -492,8 +481,8 @@ class TrialEngine:
                 if witness and (span <= tau or (
                         max(new[0] - lo[0], hi[0] - new[0]) if dim == 1 else kernel(new, far_corner(new, lo, hi))
                 ) <= tau):
-                    # the box, or x's far corner in it (in one dimension the farther end), is within tau, so
-                    # every edge at x is compatible. Past a stop the rule runs instead, to find banded edges
+                    # the box, or x's far corner in it (in one dimension the farther end), is within tau: every
+                    # edge at x is compatible. Past a stop the rule runs instead (module docstring)
                     fresh = [s or 1 for s in row] if total != full and 0 in row else row
                 else:
                     fresh = states(new, nbrs)
@@ -525,29 +514,26 @@ class TrialEngine:
                 if on_event is not None:
                     on_event(events, time, x, xc, opinions)
         self.events, self.time, self._witness = events, time, witness
-        self._lo, self._hi, self._check = lo, hi, check
+        self._lo, self._hi = lo, hi
         return x
 
     def outcome(self) -> TrialOutcome:
         """Freeze the current state into a TrialOutcome, classifying if stopped.
 
-        Stopped means no banded witness is left. A stopped trial is consensus iff every edge is compatible (total
-        rate = degree sum; the table's zero entries, and so the rates, are exact at every event), read with no
-        search: at a stop every compatible edge is near (< eps), so a connected compatible graph would put all
-        pairs within (n - 1) * eps < eps_prime < tau / 2 (`StoppingSpec.validate_for`), making every edge
-        compatible, and `SocialGraph` is connected. A dissensus verdict may not be final (module docstring).
-        Event A, some opinion strictly within tau - radius - eps_prime of the center under the engine's kernel,
-        is decided where `event_a_applicable`.
+        Stopped means no banded witness is left. A stopped trial is consensus iff the total rate is the degree
+        sum, and a dissensus verdict may not be final (module docstring). Event A, some opinion strictly within
+        tau - radius - eps_prime of the center under the space's kernel, is decided where `event_a_applicable`.
         """
         stopped = self.is_stopped()
         consensus: bool | None = None
         event_a: bool | None = None
         if stopped:
-            consensus = self._tree[self._size] == len(self._owner)
+            consensus = self._tree[-1] == len(self._owner)
             eps_prime = self.stopping.eps_prime
             if event_a_applicable(self.space, self._tau, eps_prime):
                 threshold = self._tau - self.space.radius - eps_prime
-                event_a = any(self._kernel(row, self._center) < threshold for row in self.opinions)
+                kernel, center = distance_fn(self.space.norm), self.space.center
+                event_a = any(kernel(row, center) < threshold for row in self.opinions)
         return TrialOutcome(
             stopped=stopped,
             stop_time=self.time,

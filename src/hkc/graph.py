@@ -72,8 +72,7 @@ def _adjacency(n: int, edges: Iterable[tuple[int, int]]) -> tuple[tuple[int, ...
     """Sorted, duplicate-free neighbor tuples from an edge list (duplicates merge)."""
     nbrs: list[set[int]] = [set() for _ in range(n)]
     for u, v in edges:
-        if u == v:
-            raise GraphValidationError(f"self-loop ({u}, {v})")
+        # names the edge: unchecked, a negative id would index from the end and a large one raise IndexError
         if not (0 <= u < n and 0 <= v < n):
             raise GraphValidationError(f"edge ({u}, {v}) out of range for {n} vertices")
         nbrs[u].add(v)

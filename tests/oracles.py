@@ -345,5 +345,5 @@ def instrument(engine: TrialEngine, states=None, update=None, monkeypatch=None) 
     recomputes: list[None] = []
     if monkeypatch is not None:
         bounds = dynamics._bounds
-        monkeypatch.setattr(dynamics, "_bounds", lambda ops, dim: recomputes.append(None) or bounds(ops, dim))
+        monkeypatch.setattr(dynamics, "_bounds", lambda ops: recomputes.append(None) or bounds(ops))
     return recomputes

@@ -5,7 +5,9 @@ import pytest
 
 from hkc.dynamics import StoppingSpec
 from hkc.graph import complete, path
-from hkc.invariants import DriftCase, drift_case_batch, generator_drift, random_connected_graph, run_drift_check
+from hkc.invariants import (
+    MAX_CASES, DriftCase, drift_case_batch, generator_drift, random_connected_graph, run_drift_check,
+)
 from hkc.montecarlo import theoretical_bound
 from hkc.space import Ball, Norm, OpinionSpace, distance_fn
 from oracles import (
@@ -90,6 +92,12 @@ def test_generator_drift_equals_oracle_drift_bitwise():
     assert at_tau >= 100
     for case in cases:
         assert repr(case.drift()) == repr(oracle_drift(case))
+
+
+@pytest.mark.parametrize("cases", [0, MAX_CASES + 1])
+def test_drift_check_cases_are_bounded(cases):
+    with pytest.raises(ValueError, match=rf"^cases must be in \[1, {MAX_CASES}\], got {cases}$"):
+        run_drift_check(cases, seed=0)
 
 
 def test_drift_check_reports_a_violation(monkeypatch):

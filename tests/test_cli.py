@@ -11,6 +11,7 @@ import pytest
 
 from hkc.cli import main
 from hkc.config import ConfigError, build_experiment
+from hkc.invariants import MAX_CASES
 from hkc.montecarlo import MAX_TRIALS
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -325,6 +326,29 @@ def test_check_invariants_rejects_zero_cases(capsys):
     code, _, err = run_cli(capsys, "check-invariants", "--cases", "0")
     assert code == 2
     assert "cases" in err
+
+
+@pytest.mark.parametrize("cases", [MAX_CASES + 1, 10**12])
+def test_check_invariants_cases_are_bounded(capsys, monkeypatch, cases):
+    # checked before any case runs: 10**12 cases would take years
+    import hkc.cli as cli_mod
+
+    def never(cases, seed):
+        raise AssertionError("run_drift_check called")
+
+    monkeypatch.setattr(cli_mod, "run_drift_check", never)
+    code, out, err = run_cli(capsys, "check-invariants", "--cases", str(cases))
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [f"config error: --cases must be in [1, {MAX_CASES}], got {cases}"]
+
+
+def test_check_invariants_cases_limit_is_accepted(capsys, monkeypatch):
+    import hkc.cli as cli_mod
+
+    calls = []
+    monkeypatch.setattr(cli_mod, "run_drift_check", lambda cases, seed: calls.append(cases) or {"status": "pass"})
+    code, _, _ = run_cli(capsys, "check-invariants", "--cases", str(MAX_CASES))
+    assert code == 0 and calls == [MAX_CASES]
 
 
 def test_check_invariants_violation_exits_1(capsys, monkeypatch):

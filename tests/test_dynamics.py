@@ -280,7 +280,7 @@ def test_alpha_whose_update_cannot_move_an_opinion_is_rejected():
         ExperimentSpec(graph=g, space=BOX01, init=UniformShape(), params=params, stopping=stopping,
                        trials=1, master_seed=7)
     ops = [(0.75,), (0.75 + stopping.eps,)]
-    assert update_rule(ops, params.alpha, 1)((1,), ops[0]) == ops[0]
+    assert update_rule(ops, params.alpha)((1,), ops[0]) == ops[0]
 
 
 @pytest.mark.parametrize("dim", [1, 3, 8])
@@ -310,7 +310,7 @@ def test_step_floor_on_both_sides(dim):
                     if abs(c - o) < gap:  # rounded toward o: one ulp further
                         c = math.nextafter(c, 2 * c - o)
                     nbr.append(c)
-                new = update_rule([old, tuple(nbr)], params.alpha, dim)((1,), old)
+                new = update_rule([old, tuple(nbr)], params.alpha)((1,), old)
                 if moves:
                     assert all(a != b for a, b in zip(new, old)), (j, old, nbr)
                 else:
@@ -522,14 +522,14 @@ def test_edge_rule_and_update_equal_loop_forms_bitwise(norm, dim):
         for u, v in itertools.combinations(range(n), 2):
             d = kernel(rows[u], rows[v])
             for tau, eps in ((d, d), (d, math.nextafter(d, math.inf)), (math.nextafter(d, 0.0), d / 2)):
-                states = edge_states(rows, tau, eps, norm, dim)
+                states = edge_states(rows, tau, eps, norm)
                 view = compatibility(rows, g, tau, norm)
                 for x, nbrs in enumerate(g.adjacency):
                     got = states(rows[x], nbrs)
                     assert got == [0 if (e := kernel(rows[x], rows[y])) > tau else 1 if e < eps else 2 for y in nbrs]
                     assert tuple(y for y, s in zip(nbrs, got) if s) == view[x]
         for alpha in (0.0, 0.5):
-            update = update_rule(rows, alpha, dim)
+            update = update_rule(rows, alpha)
             for x in range(n):
                 ys = rng.sample(range(n), rng.randint(1, n))  # any order: the sum follows ys
                 view = tuple(tuple(ys) if v == x else () for v in range(n))
@@ -634,6 +634,7 @@ def _run_to_stop_as_stepped(engine, stepped, params, cap) -> list[tuple[int, boo
         stepped.step()
     # step() does the same work per event as run_to_stop, so even the stale nonzero entries agree
     assert raw_state(engine) == raw_state(stepped)
+    assert box(engine) == box(stepped)  # so both recompute the box at the same events
     assert engine_view(engine) == oracle_view(rows(engine), engine.g, engine.stopping, params.tau, engine.space.norm)
     return log
 
@@ -838,7 +839,7 @@ def test_box_certificate_is_sound(norm, dim):
         bound = kernel(hi, lo)
         for u, v in itertools.product(points, repeat=2):
             assert kernel(u, v) <= bound, (u, v, lo, hi)
-        states = edge_states(points, bound, bound / 2, norm, dim)
+        states = edge_states(points, bound, bound / 2, norm)
         for u in points:
             assert 0 not in states(u, range(len(points)))
 
@@ -863,11 +864,11 @@ def test_far_corner_bound_is_sound(norm, dim):
             corner = tuple(far_corner(u, lo, hi))
             assert all(c in ab for c, ab in zip(corner, sides))
             tau = kernel(u, corner)
-            assert 0 not in edge_states(ops, tau, tau / 2, norm, dim)(u, range(len(ops))), (u, lo, hi)
+            assert 0 not in edge_states(ops, tau, tau / 2, norm)(u, range(len(ops))), (u, lo, hi)
             if tau == 0.0:  # a box of zero width: no distance lies below
                 continue
             below = math.nextafter(tau, 0.0)
-            assert edge_states([corner], below, below / 2, norm, dim)(u, (0,)) == [0], (u, lo, hi)
+            assert edge_states([corner], below, below / 2, norm)(u, (0,)) == [0], (u, lo, hi)
 
 
 def test_stepping_past_a_stop_follows_the_oracle():
@@ -921,6 +922,32 @@ def test_box_is_recomputed_once_per_window_and_bounds_the_opinions_when_narrow(m
             assert narrowed is None or engine.events <= narrowed + n, (narrowed, engine.events)
         assert len(recomputes) <= engine.events // n
     assert narrowed > 2 * n
+
+
+@pytest.mark.parametrize("run", ["run_to_stop", "run_to_stop in chunks", "step"])
+def test_box_recomputes_fall_on_positive_multiples_of_n(monkeypatch, run):
+    # The box is recomputed, while wider than tau, at each event that starts after a
+    # positive multiple of n completed events. Each event loop takes that schedule from
+    # the event count, so one run_to_stop call, calls resumed at caps off the schedule
+    # (45 events apart) and one step() per event must recompute at the same events. This
+    # trial stays wider than tau to its stop, so every multiple of n below it is one.
+    g, params = erdos_renyi(60, 0.1, random.Random(1)), ModelParams(tau=0.3)
+    n, at = g.vertex_count, []  # the number of completed events at each recompute
+
+    def on_event(event, *_):
+        if len(recomputes) > len(at):  # recomputed in this event, which started after event - 1
+            at.append(event - 1)
+
+    engine = TrialEngine(g, BOX01, UniformShape(), params, default_stopping(g, BOX01, params), random.Random(0),
+                         on_event=on_event)
+    recomputes = instrument(engine, monkeypatch=monkeypatch)
+    while not engine.is_stopped():
+        if run == "step":
+            engine.step()
+        else:
+            engine.run_to_stop(engine.events + 45 if run.endswith("chunks") else None)
+    assert at and all(k > 0 and k % n == 0 for k in at)
+    assert at == list(range(n, engine.events, n)) and engine.events == 1288
 
 
 def _ulps_around(x: float, k: int) -> list[float]:

@@ -189,6 +189,21 @@ def test_construction_rejects_malformed_adjacency(adjacency, message):
         SocialGraph(3, adjacency)
 
 
+@pytest.mark.parametrize(
+    "edges, message",
+    [
+        ([(0, 1), (1, 1)], r"^self-loop at vertex 1$"),
+        ([(0, 0)], r"^self-loop at vertex 0$"),
+        # the edge itself is named; unchecked, -1 would index from the end and 3 raise IndexError
+        ([(0, 1), (-1, 2)], r"^edge \(-1, 2\) out of range for 3 vertices$"),
+        ([(0, 1), (1, 3)], r"^edge \(1, 3\) out of range for 3 vertices$"),
+    ],
+)
+def test_from_edges_rejects_bad_edge(edges, message):
+    with pytest.raises(GraphValidationError, match=message):
+        SocialGraph.from_edges(3, edges)
+
+
 def test_round_trip_idempotent_on_random_graphs():
     rng = random.Random(123)
     for _ in range(100):
