@@ -9,13 +9,14 @@ from __future__ import annotations
 import json
 import math
 import numbers
+from collections.abc import Collection
 from contextlib import contextmanager
 from pathlib import Path
 
 from .dynamics import DEFAULT_MAX_EVENTS, ModelParams, default_stopping
 from .graph import KINDS, SocialGraph, generate, parse_edge_list
 from .montecarlo import MAX_TRIALS, ExperimentSpec
-from .space import Ball, Box, Norm, OpinionSpace, PointMasses, UniformShape, validate_distribution
+from .space import SHAPES, Norm, OpinionSpace, PointMasses, UniformShape, validate_distribution
 from . import seeding
 
 
@@ -44,7 +45,7 @@ def _expect_dict(value, pointer: str) -> dict:
     return value
 
 
-def _check_keys(obj: dict, pointer: str, required: set[str], optional: set[str] = frozenset()):
+def _check_keys(obj: dict, pointer: str, required: Collection[str], optional: Collection[str] = ()):
     for key in obj:
         if key not in required and key not in optional:
             _fail(f"{pointer}.{key}" if pointer else key, "unknown key")
@@ -77,6 +78,17 @@ def _vector(value, pointer: str) -> tuple[float, ...]:
     return tuple(_real(v, f"{pointer}[{i}]") for i, v in enumerate(value))
 
 
+_PARSERS = {int: _integer, float: _real, tuple: _vector}
+
+
+def _fields(obj, pointer: str, types: dict[str, type], read: Collection[str] = ()) -> tuple:
+    """The values of an object's fields, in the order of `types` (name to int, float or tuple for a
+    vector); the object has exactly those keys and the `read` ones, which the caller has taken."""
+    obj = _expect_dict(obj, pointer)
+    _check_keys(obj, pointer, required=types.keys(), optional=read)
+    return tuple(_PARSERS[typ](obj[name], f"{pointer}.{name}") for name, typ in types.items())
+
+
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
     """json object hook that rejects a key repeated within one object."""
     obj = {}
@@ -102,7 +114,7 @@ def load_config(path: str) -> dict:
 def _build_graph(section: dict, master_seed: int) -> tuple[SocialGraph, dict]:
     section = _expect_dict(section, "graph")
     if "file" in section:
-        _check_keys(section, "graph", required={"file"})
+        _check_keys(section, "graph", required=("file",))
         path = section["file"]
         if not isinstance(path, str):
             _fail("graph.file", "expected a file path string")
@@ -117,12 +129,8 @@ def _build_graph(section: dict, master_seed: int) -> tuple[SocialGraph, dict]:
     kind = section["kind"]
     if not isinstance(kind, str) or kind not in KINDS:
         _fail("graph.kind", f"unknown kind {kind!r}")
-    names = KINDS[kind][1]
-    _check_keys(section, "graph", required={"kind", *(name for name, _ in names)})
-    params = {
-        name: (_integer if typ is int else _real)(section[name], f"graph.{name}")
-        for name, typ in names
-    }
+    types = KINDS[kind][1]
+    params = dict(zip(types, _fields(section, "graph", types, read=("kind",))))
     with _at("graph"):
         g = generate(kind, rng=seeding.graph_rng(master_seed), **params)
     return g, {"kind": kind, **params}
@@ -130,7 +138,7 @@ def _build_graph(section: dict, master_seed: int) -> tuple[SocialGraph, dict]:
 
 def _build_space(section: dict) -> OpinionSpace:
     section = _expect_dict(section, "space")
-    _check_keys(section, "space", required={"dim", "norm", "shape"})
+    _check_keys(section, "space", required=("dim", "norm", "shape"))
     dim = _integer(section["dim"], "space.dim")
     name = section["norm"]
     names = [member.value for member in Norm]
@@ -138,20 +146,13 @@ def _build_space(section: dict) -> OpinionSpace:
         _fail("space.norm", f"unknown norm {name!r}; expected one of {', '.join(names)}")
     norm = Norm(name.lower())
     shape_obj = _expect_dict(section["shape"], "space.shape")
-    if set(shape_obj) == {"ball"}:
-        ball = _expect_dict(shape_obj["ball"], "space.shape.ball")
-        _check_keys(ball, "space.shape.ball", required={"center", "radius"})
-        with _at("space.shape.ball"):
-            shape = Ball(_vector(ball["center"], "space.shape.ball.center"),
-                         _real(ball["radius"], "space.shape.ball.radius"))
-    elif set(shape_obj) == {"box"}:
-        box = _expect_dict(shape_obj["box"], "space.shape.box")
-        _check_keys(box, "space.shape.box", required={"lo", "hi"})
-        with _at("space.shape.box"):
-            shape = Box(_vector(box["lo"], "space.shape.box.lo"),
-                        _vector(box["hi"], "space.shape.box.hi"))
-    else:
-        _fail("space.shape", "expected exactly one of 'ball' or 'box'")
+    kinds = list(shape_obj)
+    if len(kinds) != 1 or kinds[0] not in SHAPES:
+        _fail("space.shape", f"expected exactly one of {' or '.join(map(repr, SHAPES))}")
+    make, types = SHAPES[kinds[0]]
+    pointer = f"space.shape.{kinds[0]}"
+    with _at(pointer):
+        shape = make(*_fields(shape_obj[kinds[0]], pointer, types))
     with _at("space"):
         space = OpinionSpace(shape, norm)
     if space.dim != dim:
@@ -164,22 +165,15 @@ def _build_init(section, space: OpinionSpace):
         return UniformShape()
     if not isinstance(section, dict):
         _fail("init", f'expected "uniform" or {{"point_masses": [...]}}, got {section!r}')
-    _check_keys(section, "init", required={"point_masses"})
+    _check_keys(section, "init", required=("point_masses",))
     atoms_raw = section["point_masses"]
     if not isinstance(atoms_raw, list) or not atoms_raw:
         _fail("init.point_masses", "expected a non-empty array of atoms")
-    atoms = []
-    for i, atom in enumerate(atoms_raw):
-        atom = _expect_dict(atom, f"init.point_masses[{i}]")
-        _check_keys(atom, f"init.point_masses[{i}]", required={"point", "prob"})
-        atoms.append(
-            (
-                _vector(atom["point"], f"init.point_masses[{i}].point"),
-                _real(atom["prob"], f"init.point_masses[{i}].prob"),
-            )
-        )
+    atoms = tuple(
+        _fields(atom, f"init.point_masses[{i}]", {"point": tuple, "prob": float}) for i, atom in enumerate(atoms_raw)
+    )
     with _at("init.point_masses"):
-        dist = PointMasses(tuple(atoms))
+        dist = PointMasses(atoms)
         validate_distribution(dist, space)
     return dist
 
@@ -189,8 +183,8 @@ def build_experiment(raw: dict, seed_override: int | None = None) -> ExperimentS
     _check_keys(
         raw,
         "",
-        required={"graph", "space", "init", "tau", "trials", "seed"},
-        optional={"alpha", "eps_prime", "max_events"},
+        required=("graph", "space", "init", "tau", "trials", "seed"),
+        optional=("alpha", "eps_prime", "max_events"),
     )
     origin = "seed" if seed_override is None else "HKC_SEED"
     seed = _integer(raw["seed"], "seed") if seed_override is None else seed_override

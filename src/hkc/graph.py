@@ -186,11 +186,11 @@ def erdos_renyi(n: int, p: float, rng: random.Random) -> SocialGraph:
 # The generated graph kinds: constructor and its ordered, typed parameters.
 # erdos_renyi also takes the random stream, after its parameters.
 KINDS = {
-    "path": (path, (("n", int),)),
-    "cycle": (cycle, (("n", int),)),
-    "complete": (complete, (("n", int),)),
-    "grid": (grid, (("w", int), ("h", int))),
-    "erdos_renyi": (erdos_renyi, (("n", int), ("p", float))),
+    "path": (path, {"n": int}),
+    "cycle": (cycle, {"n": int}),
+    "complete": (complete, {"n": int}),
+    "grid": (grid, {"w": int, "h": int}),
+    "erdos_renyi": (erdos_renyi, {"n": int, "p": float}),
 }
 
 
@@ -206,7 +206,7 @@ def generate(kind: str, rng: random.Random | None = None, **params) -> SocialGra
     pairs = n * (n - 1) // 2
     if make in (complete, erdos_renyi) and pairs > MAX_PAIRS:
         raise GraphValidationError(f"{kind} has {pairs} vertex pairs, over the limit of {MAX_PAIRS}")
-    args = [params[name] for name, _ in names]
+    args = [params[name] for name in names]
     if make is erdos_renyi:
         if rng is None:
             raise ValueError("erdos_renyi needs a random stream")

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from itertools import repeat
 
@@ -24,7 +23,7 @@ from .dynamics import (
 from .graph import SocialGraph
 from .space import (
     BOUND_MC_SAMPLES,
-    Ball,
+    SHAPES,
     InitialDistribution,
     OpinionSpace,
     PointMasses,
@@ -62,10 +61,9 @@ class ExperimentSpec:
     def describe(self) -> dict:
         """Parameter echo embedded in reports."""
         shape = self.space.shape
-        if isinstance(shape, Ball):
-            shape_desc = {"ball": {"center": list(shape.center), "radius": shape.radius}}
-        else:
-            shape_desc = {"box": {"lo": list(shape.lo), "hi": list(shape.hi)}}
+        kind, types = next((kind, types) for kind, (make, types) in SHAPES.items() if isinstance(shape, make))
+        shape_desc = {kind: {name: list(getattr(shape, name)) if typ is tuple else getattr(shape, name)
+                             for name, typ in types.items()}}
         if isinstance(self.init, PointMasses):
             init_desc = {
                 "point_masses": [{"point": list(p), "prob": w} for p, w in self.init.atoms]
@@ -161,6 +159,7 @@ def trial_outcomes(spec: ExperimentSpec, parallelism: int = 1) -> list[TrialOutc
         return [run_single_trial(spec, i) for i in range(spec.trials)]
     chunk = max(1, -(-spec.trials // (parallelism * 4)))
     workers = min(parallelism, -(-spec.trials // chunk), os.cpu_count() or 1)
+    from concurrent.futures import ProcessPoolExecutor  # here, so a serial run never imports the pool
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(run_single_trial, repeat(spec), range(spec.trials), chunksize=chunk))
 

@@ -152,6 +152,11 @@ class Box:
 
 
 ConvexShape = Union[Ball, Box]
+# The shape kinds: constructor and its ordered, typed fields (tuple: a vector), as graph.KINDS.
+SHAPES = {
+    "ball": (Ball, {"center": tuple, "radius": float}),
+    "box": (Box, {"lo": tuple, "hi": tuple}),
+}
 
 
 @dataclass(frozen=True)

@@ -40,6 +40,11 @@ def test_generator_drift_zero_when_all_equal():
     assert generator_drift(cfg(0.2, 0.2, 0.2, 0.2), g, 1.0, Norm.L2, (0.9,)) == 0.0
 
 
+def test_generator_drift_rejects_a_configuration_of_another_graph():
+    with pytest.raises(ValueError, match="configuration does not match the graph"):
+        generator_drift(cfg(0.2, 0.2), complete(4), 1.0, Norm.L2, (0.9,))
+
+
 def test_generator_drift_path3_hand_value():
     g = path(3)
     got = generator_drift(cfg(-1.0, 0.0, 1.0), g, 2.0, Norm.L1, (0.0,))

@@ -66,6 +66,8 @@ def test_model_params_validation():
 def test_configuration_validation():
     with pytest.raises(ValueError):
         Configuration(np.array([[float("inf")]]))
+    with pytest.raises(ValueError, match=r"must be a \(vertices, dim\) array, got shape \(0, 1\)"):
+        Configuration(np.zeros((0, 1)))
     c = Configuration(cfg(0.1, 0.9))
     assert c.opinions.shape == (2, 1)
     with pytest.raises(ValueError):
@@ -213,6 +215,10 @@ def test_stopping_spec_validation():
         StoppingSpec(eps_prime=0.1, eps=0.1, max_events=10).validate_for(g, BOX01, params)
     with pytest.raises(ValueError, match="tau/2"):
         StoppingSpec(eps_prime=0.5, eps=0.125, max_events=10).validate_for(g, BOX01, params)
+    with pytest.raises(ValueError, match="eps must be positive, got 0.0"):
+        StoppingSpec(eps_prime=0.1, eps=0.0)
+    with pytest.raises(ValueError, match="max_events must be >= 1"):
+        StoppingSpec(eps_prime=0.1, eps=0.025, max_events=0)
 
 
 def test_default_stopping_rule():
@@ -749,6 +755,7 @@ def _left_on_box_growth(norm, dim, side):
 
     probe = engine(None)
     while kernel(*box(probe)) > params.tau:  # step() writes the engine's box back
+        assert probe.events < stopping.max_events, "the box never came within tau"
         probe.step()
     at = probe.events + 2
     fast, stepped = engine(at), engine(at)
@@ -787,6 +794,7 @@ def test_consensus_shortcut_agrees_with_search_at_every_stop():
             engine = TrialEngine(g, BOX01, UniformShape(), params, stopping, random.Random(seed))
             if by_step:
                 while not engine.is_stopped():
+                    assert engine.events < stopping.max_events, (g, tau, seed)
                     engine.step()
             else:
                 engine.run_to_stop()
@@ -902,7 +910,8 @@ def test_box_is_recomputed_once_per_window_and_bounds_the_opinions_when_narrow(m
     # is neither grown nor used; it is looked at once every n events and recomputed if
     # wider than tau. So it is recomputed at most once per n events, it notices the
     # opinions' hull narrowing to 2 tau within n events, and whenever it is within 2 tau
-    # it bounds every opinion, as the far-corner test needs.
+    # it bounds every opinion, as the far-corner test needs. The trials stop at events
+    # 1,287, 1,609 and 3,811; a run to 10,000 events fails.
     g, space = graph(), OpinionSpace(Box((0.0,) * dim, (1.0,) * dim), norm)
     params = ModelParams(tau=tau)
     kernel, n = distance_fn(norm), g.vertex_count
@@ -911,6 +920,7 @@ def test_box_is_recomputed_once_per_window_and_bounds_the_opinions_when_narrow(m
     assert kernel(*box(engine)) > 2 * tau
     narrowed = None
     while not engine.is_stopped():
+        assert engine.events < 10_000, "no stop within 10,000 events"
         engine.step()
         hull = [[f(op[i] for op in rows(engine)) for i in range(dim)] for f in (max, min)]
         if narrowed is None and kernel(*hull) <= 2 * tau:
@@ -930,18 +940,20 @@ def test_box_recomputes_fall_on_positive_multiples_of_n(monkeypatch, run):
     # positive multiple of n completed events. Each event loop takes that schedule from
     # the event count, so one run_to_stop call, calls resumed at caps off the schedule
     # (45 events apart) and one step() per event must recompute at the same events. This
-    # trial stays wider than tau to its stop, so every multiple of n below it is one.
+    # trial stays wider than tau to its stop, so every multiple of n below it is one. It
+    # stops at event 1,288; a run to its cap of 5,000 events fails.
     g, params = erdos_renyi(60, 0.1, random.Random(1)), ModelParams(tau=0.3)
     n, at = g.vertex_count, []  # the number of completed events at each recompute
+    stopping = default_stopping(g, BOX01, params, max_events=5_000)
 
     def on_event(event, *_):
         if len(recomputes) > len(at):  # recomputed in this event, which started after event - 1
             at.append(event - 1)
 
-    engine = TrialEngine(g, BOX01, UniformShape(), params, default_stopping(g, BOX01, params), random.Random(0),
-                         on_event=on_event)
+    engine = TrialEngine(g, BOX01, UniformShape(), params, stopping, random.Random(0), on_event=on_event)
     recomputes = instrument(engine, monkeypatch=monkeypatch)
     while not engine.is_stopped():
+        assert engine.events < stopping.max_events, "no stop within 5,000 events"
         if run == "step":
             engine.step()
         else:
@@ -964,7 +976,7 @@ def _ulps_around(x: float, k: int) -> list[float]:
 @pytest.mark.parametrize("tau,eps", [(0.8, 0.01 / 1000), (0.5 + 1e-9, 1e-11 / 20), (0.3, 0.3 / 4 / 7),
                                      # tau**2 and eps**2 underflow: an L2 kernel reads 0.0 up to ~1.5e-162
                                      (0.8e-200, 0.3e-200 / 400), (1e-170, 5e-324)])
-def test_cut_points_are_exact(norm, tau, eps):
+def test_1d_comparisons_agree_with_the_kernel(norm, tau, eps):
     # The event loop's 1-D test |d| > tau, |d| < eps must give the kernel's
     # comparisons, at tau and eps and on 6 ulps either side, so tau and eps are
     # the exact cut points. Where an l2 square underflows, the eps is below the

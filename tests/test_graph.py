@@ -88,6 +88,8 @@ def test_single_vertex_graphs():
     assert complete(1).edge_count == 0
     with pytest.raises(GraphValidationError):
         cycle(2)
+    with pytest.raises(GraphValidationError, match="graph needs at least one vertex"):
+        SocialGraph(0, ())
 
 
 def test_erdos_renyi_deterministic_per_seed():
@@ -161,6 +163,21 @@ def test_generate_dispatch():
     assert generate("grid", w=2, h=2).edge_count == 4
     with pytest.raises(ValueError):
         generate("torus", n=3)
+    with pytest.raises(ValueError, match="erdos_renyi needs a random stream"):
+        generate("erdos_renyi", n=3, p=0.5)
+
+
+@pytest.mark.parametrize(
+    "kind, params, message",
+    [
+        ("complete", {"n": 0}, "complete graph needs n >= 1"),
+        ("erdos_renyi", {"n": 0, "p": 0.5}, "erdos_renyi needs n >= 1"),
+    ],
+)
+def test_generate_rejects_no_vertices(kind, params, message):
+    # as from a config's "graph" object: "n": 0 passes the size limits and reaches the generator's own check
+    with pytest.raises(GraphValidationError, match=f"^{message}$"):
+        generate(kind, rng=random.Random(0), **params)
 
 
 def test_grid_sides_are_checked_before_its_size():
@@ -182,6 +199,7 @@ def test_construction_rejects_asymmetric_adjacency():
         (((3,), (0,), ()), "out of range"),
         (((-1,), (0,), ()), "out of range"),
         (((0, 1), (0,), ()), "self-loop"),
+        (((1,), (0,)), "adjacency length does not match vertex count"),
     ],
 )
 def test_construction_rejects_malformed_adjacency(adjacency, message):

@@ -1,4 +1,9 @@
+import concurrent.futures
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from scipy.stats import binomtest
@@ -125,13 +130,27 @@ def test_pool_capped_by_chunks_and_cpus(monkeypatch, cpus, parallelism, workers)
             return map(fn, *iterables)
 
     monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: cpus)
-    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
     spec = two_vertex_spec(tau=0.5, trials=10, seed=5)  # 10 one-trial chunks at parallelism >= 3
     outs = trial_outcomes(spec, parallelism)
     assert started == [workers]
     assert [(o.events, o.stop_time, o.consensus) for o in outs] == [
         (o.events, o.stop_time, o.consensus) for o in trial_outcomes(spec)
     ]
+
+
+def test_parallelism_below_one_is_rejected():
+    with pytest.raises(ValueError, match="parallelism must be >= 1"):
+        trial_outcomes(two_vertex_spec(trials=2), 0)
+
+
+def test_cli_import_loads_no_process_pool():
+    # a serial run never starts a pool, so importing the CLI imports none of its machinery
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = "import sys, hkc.cli; print([m for m in sys.modules if m.startswith(('concurrent', 'multiprocessing'))])"
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
 
 
 def test_wilson_coverage_over_repeated_experiments():

@@ -42,6 +42,8 @@ def test_to_json_preserves_key_order():
 def test_to_json_rejects_unknown_types():
     with pytest.raises(TypeError):
         to_json({"x": object()})
+    with pytest.raises(TypeError, match="JSON object keys must be strings, got 1"):
+        to_json({1: 2})
 
 
 def test_trace_row_format():

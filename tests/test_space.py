@@ -178,6 +178,18 @@ def test_sample_point_mass_is_constant():
     assert all(sample_initial(dist, space, rng) == (0.25,) for _ in range(50))
 
 
+def test_point_mass_draw_above_the_probability_sum_takes_the_last_atom():
+    # the probabilities sum to 1 - 1e-13, within tolerance; a draw above that sum
+    # passes every atom, and the float remainder goes to the last
+    class Top(random.Random):
+        def random(self):
+            return 1 - 2.0**-53  # the largest draw below 1
+
+    space = OpinionSpace(Box((0.0,), (1.0,)), Norm.L2)
+    dist = PointMasses((((0.25,), 0.5), ((0.75,), 0.5 - 1e-13)))
+    assert sample_initial(dist, space, Top()) == (0.75,)
+
+
 def test_sample_uniform_box_mean():
     space = OpinionSpace(Box((0.0,), (1.0,)), Norm.L2)
     rng = random.Random(17)
@@ -210,6 +222,8 @@ def test_sample_uniform_ball_is_uniform():
 def test_point_mass_validation():
     with pytest.raises(ValueError):
         PointMasses((((0.5,), 0.6), ((0.2,), 0.5)))  # sums to 1.1
+    with pytest.raises(ValueError, match="needs at least one atom"):
+        PointMasses(())
     with pytest.raises(ValueError):
         PointMasses((((0.5,), -0.2), ((0.2,), 1.2)))
     space = OpinionSpace(Box((0.0,), (1.0,)), Norm.L2)
@@ -332,3 +346,5 @@ def test_shape_validation():
         Box((0.0, 0.0), (1.0, 0.0))
     with pytest.raises(ValueError):
         Ball((float("nan"),), 1.0)
+    with pytest.raises(ValueError, match="box lo must have at least one coordinate"):
+        Box((), ())
