@@ -1,7 +1,9 @@
 """Social network representation, edge-list ingestion, and standard generators.
 
-Graphs are undirected, simple, connected, with dense vertex ids 0..n-1.
-Instances are immutable after construction and shareable across workers.
+Graphs are undirected, simple, connected, with dense vertex ids 0..n-1, as checked
+in one O(n + m) pass over the rows and a search from vertex 0 that stops at the
+last new vertex, O(n) on a complete graph. Instances are immutable after
+construction and shareable across workers.
 """
 
 from __future__ import annotations
@@ -32,23 +34,24 @@ class SocialGraph:
     adjacency: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        """Row x must be `lower[x]`, the w < x whose rows list x in ascending order, then
+        strictly increasing y in (x, n), each appending x to `lower[y]`: so rows are sorted,
+        duplicate-free, in range, loop-free and symmetric, as row y must then list x."""
         n = self.vertex_count
         if n < 1:
             raise GraphValidationError("graph needs at least one vertex")
         if len(self.adjacency) != n:
             raise GraphValidationError("adjacency length does not match vertex count")
-        # hashed neighbor sets keep the symmetry check O(m), not O(sum of deg^2)
-        nbr_sets = [set(nbrs) for nbrs in self.adjacency]
-        for x, nbrs in enumerate(self.adjacency):
-            if len(nbr_sets[x]) != len(nbrs) or tuple(sorted(nbrs)) != nbrs:
-                raise GraphValidationError(f"adjacency of {x} must be sorted and duplicate-free")
-            for y in nbrs:
-                if not 0 <= y < n:
-                    raise GraphValidationError(f"neighbor {y} of {x} out of range")
-                if y == x:
-                    raise GraphValidationError(f"self-loop at vertex {x}")
-                if x not in nbr_sets[y]:
-                    raise GraphValidationError(f"edge ({x}, {y}) is not symmetric")
+        lower: list[list[int]] = [[] for _ in range(n)]
+        for x, row in enumerate(self.adjacency):
+            k, prev = len(lower[x]), x
+            if row[:k] != tuple(lower[x]):
+                raise GraphValidationError(_row_defect(x, row, lower[x], n))
+            for y in row[k:]:
+                if not prev < y < n:
+                    raise GraphValidationError(_row_defect(x, row, lower[x], n))
+                lower[y].append(x)
+                prev = y
         if not is_connected(self.adjacency):
             raise GraphValidationError("graph is not connected")
 
@@ -80,17 +83,29 @@ def _adjacency(n: int, edges: Iterable[tuple[int, int]]) -> tuple[tuple[int, ...
     return tuple(tuple(sorted(s)) for s in nbrs)
 
 
+def _row_defect(x: int, row, low: list[int], n: int) -> str:
+    """Why the one-pass check rejects row x: a lower neighbor missing, disorder, or the first bad entry."""
+    if missing := set(low).difference(row):
+        return f"edge ({min(missing)}, {x}) is not symmetric"
+    if tuple(sorted(set(row))) != row:
+        return f"adjacency of {x} must be sorted and duplicate-free"
+    y = next(y for y in row if not 0 <= y < n or y == x or y < x and y not in low)
+    return (f"neighbor {y} of {x} out of range" if not 0 <= y < n
+            else f"self-loop at vertex {x}" if y == x else f"edge ({x}, {y}) is not symmetric")
+
+
 def is_connected(adjacency) -> bool:
     """Whether a search from vertex 0 reaches every vertex; `adjacency[x]` iterates x's neighbors."""
     seen = bytearray(len(adjacency))
     seen[0] = 1
-    stack = [0]
-    while stack:
+    stack, left = [0], len(adjacency) - 1
+    while stack and left:
         for y in adjacency[stack.pop()]:
             if not seen[y]:
                 seen[y] = 1
+                left -= 1
                 stack.append(y)
-    return 0 not in seen
+    return not left
 
 
 def parse_edge_list(text: str) -> SocialGraph:

@@ -7,8 +7,9 @@ these operations side by side on one random stream. `compatibility` and
 `_neighbor_mean` are also the reference for `hkc.invariants.generator_drift`,
 which runs the engine's own edge rule and update, and `check_event_a` is the
 reference for the near-center trigger that `TrialEngine.outcome` decides.
-`box_center_distance` is the reference for the box Monte Carlo bound, and
-`erdos_renyi_pairs` for the draw order of `hkc.graph.erdos_renyi`.
+`box_center_distance` is the reference for the box Monte Carlo bound,
+`erdos_renyi_pairs` for the draw order of `hkc.graph.erdos_renyi`, and
+`adjacency_defect` for the messages of `hkc.graph.SocialGraph`'s check.
 `stop_reached` is the reference for the stop, which the engine decides by a
 box of the opinions and one banded witness edge (the `hkc.dynamics` module
 docstring).
@@ -157,6 +158,34 @@ def components(adjacency) -> tuple[tuple[int, ...], ...]:
                     queue.append(y)
         comps.append(tuple(sorted(comp)))
     return tuple(comps)
+
+
+def adjacency_defect(n: int, adjacency) -> str | None:
+    """The first `GraphValidationError` message of `SocialGraph(n, adjacency)`, or None.
+
+    The same check stated entry by entry: each row in order must be sorted and
+    duplicate-free, then each of its entries in order in range, not the row's own
+    vertex, and mirrored in the neighbor's row; then the graph must be connected.
+    Test oracle for the messages of the one-pass check in `SocialGraph.__post_init__`.
+    """
+    if n < 1:
+        return "graph needs at least one vertex"
+    if len(adjacency) != n:
+        return "adjacency length does not match vertex count"
+    nbr_sets = [set(nbrs) for nbrs in adjacency]
+    for x, nbrs in enumerate(adjacency):
+        if len(nbr_sets[x]) != len(nbrs) or tuple(sorted(nbrs)) != nbrs:
+            return f"adjacency of {x} must be sorted and duplicate-free"
+        for y in nbrs:
+            if not 0 <= y < n:
+                return f"neighbor {y} of {x} out of range"
+            if y == x:
+                return f"self-loop at vertex {x}"
+            if x not in nbr_sets[y]:
+                return f"edge ({x}, {y}) is not symmetric"
+    if len(components(adjacency)) != 1:
+        return "graph is not connected"
+    return None
 
 
 def erdos_renyi_pairs(n: int, p: float, rng: random.Random) -> tuple[tuple[int, ...], ...]:

@@ -1,4 +1,6 @@
 import random
+from bisect import bisect_left
+from collections import Counter
 
 import pytest
 
@@ -16,7 +18,7 @@ from hkc.graph import (
     parse_edge_list,
     path,
 )
-from oracles import components, erdos_renyi_pairs
+from oracles import adjacency_defect, components, erdos_renyi_pairs
 
 
 def test_parse_simple_path():
@@ -138,10 +140,32 @@ def test_erdos_renyi_attempts_are_capped_by_the_draw_budget(monkeypatch):
         erdos_renyi(3, 1e-9, random.Random(1))
 
 
+class _CountingRows(tuple):
+    """Rows that count how many of them are read."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return super().__getitem__(i)
+
+
+@pytest.mark.parametrize("n", [2, 50, 200])
+def test_is_connected_stops_at_the_last_new_vertex(n):
+    # row 0 of a complete graph reaches every vertex, so no other row is read
+    rows = _CountingRows(complete(n).adjacency)
+    assert is_connected(rows)
+    assert rows.reads == 1
+
+
 def test_is_connected_matches_component_count():
-    # random symmetric views, as the engine passes its compatible-neighbor sets
+    # random symmetric views, as the engine passes its compatible-neighbor sets, with
+    # n = 1 and graphs whose last vertex is seen while the search has rows left to read:
+    # complete(5), stars centred at 0, 2 and 1, and the last star with vertex 4 cut off
     rng = random.Random(23)
     views = [((),), ((1,), (0,)), ((), ()), ((1,), (0,), ())]
+    views += [complete(5).adjacency, ((1, 2, 3), (0,), (0,), (0,)), ((2,), (2,), (0, 1, 3), (2,))]
+    views += [((1,), (0, 2, 3, 4), (1,), (1,), (1,)), ((1,), (0, 2, 3), (1,), (1,), ())]
     for _ in range(400):
         n = rng.randint(1, 12)
         p = rng.choice([0.0, 0.1, 0.3, 0.6, 1.0])
@@ -153,9 +177,12 @@ def test_is_connected_matches_component_count():
                     nbrs[y].add(x)
         views.append(tuple(tuple(sorted(s)) for s in nbrs))
     assert {len(view) for view in views} >= {1, 2, 12}
-    connected = [is_connected(view) for view in views]
+    counted = [_CountingRows(view) for view in views]
+    connected = [is_connected(view) for view in counted]
     assert connected == [len(components(view)) == 1 for view in views]
     assert True in connected and False in connected
+    # the search stopped with rows left to read in some connected views
+    assert sum(c and view.reads < len(view) for c, view in zip(connected, counted)) >= 100
 
 
 def test_generate_dispatch():
@@ -205,6 +232,95 @@ def test_construction_rejects_asymmetric_adjacency():
 def test_construction_rejects_malformed_adjacency(adjacency, message):
     with pytest.raises(GraphValidationError, match=message):
         SocialGraph(3, adjacency)
+
+
+def _valid_graph(rng: random.Random) -> SocialGraph:
+    kind = rng.choice(["path", "cycle", "complete", "grid", "erdos_renyi", "from_edges"])
+    n = rng.randint(1, 12)
+    if kind == "path":
+        return path(n)
+    if kind == "cycle":
+        return cycle(max(n, 3))
+    if kind == "complete":
+        return complete(n)
+    if kind == "grid":
+        return grid(rng.randint(1, 4), rng.randint(1, 3))
+    if kind == "erdos_renyi":
+        return erdos_renyi(n, rng.choice([0.3, 0.6, 1.0]), rng)
+    # a random spanning tree and a few more edges, in random order and orientation
+    edges = [(rng.randrange(v), v) for v in range(1, n)]
+    edges += [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(0, n) if n > 1 else 0)]
+    rng.shuffle(edges)
+    return SocialGraph.from_edges(n, [e if rng.random() < 0.5 else e[::-1] for e in edges])
+
+
+def _insert(rng: random.Random, row: list[int], v: int) -> None:
+    """Insert v at its sorted place or, half of the time, anywhere."""
+    row.insert(bisect_left(row, v) if rng.random() < 0.5 else rng.randint(0, len(row)), v)
+
+
+def _mutate(rng: random.Random, g: SocialGraph) -> tuple[tuple[int, ...], ...] | None:
+    """g's rows with one defect, or None where the drawn kind of defect does not apply to g."""
+    n, rows = g.vertex_count, [list(row) for row in g.adjacency]
+    edges = list(g.edges())
+    x = rng.randrange(n)
+    kind = rng.choice(["drop", "drop mirror", "duplicate", "swap", "self", "range", "one-sided", "split"])
+    if kind in ("drop", "drop mirror", "duplicate") and not edges:
+        return None
+    if kind == "drop":  # the upper entry v of row u; row v still lists u
+        u, v = rng.choice(edges)
+        rows[u].remove(v)
+    elif kind == "drop mirror":  # the lower entry u of row v; row u still lists v
+        u, v = rng.choice(edges)
+        rows[v].remove(u)
+    elif kind == "duplicate":
+        u, v = rng.choice(edges) if rng.random() < 0.5 else rng.choice(edges)[::-1]
+        _insert(rng, rows[u], v)
+    elif kind == "swap":
+        if len(rows[x]) < 2:
+            return None
+        i, j = rng.sample(range(len(rows[x])), 2)
+        rows[x][i], rows[x][j] = rows[x][j], rows[x][i]
+    elif kind == "self":
+        _insert(rng, rows[x], x)
+    elif kind == "range":
+        _insert(rng, rows[x], rng.choice([-1, n]))
+    elif kind == "one-sided":
+        absent = [y for y in range(n) if y != x and y not in rows[x]]
+        if not absent:
+            return None
+        _insert(rng, rows[x], rng.choice(absent))
+    else:  # remove every edge across a cut, which leaves the rows valid but disconnected
+        if n < 2:
+            return None
+        side = [rng.random() < 0.5 for _ in range(n)]
+        side[0], side[rng.randrange(1, n)] = True, False
+        rows = [[y for y in row if side[y] == side[u]] for u, row in enumerate(rows)]
+    return tuple(map(tuple, rows))
+
+
+def test_one_pass_check_gives_the_entry_by_entry_message():
+    # one defect in a valid graph: the one-pass check rejects it with the message the
+    # entry-by-entry check gives, whichever row the one pass finds it at
+    rng = random.Random(31)
+    messages = Counter()
+    while sum(messages.values()) < 2400:
+        g = _valid_graph(rng)
+        assert adjacency_defect(g.vertex_count, g.adjacency) is None
+        rows = _mutate(rng, g)
+        if rows is None:
+            continue
+        want = adjacency_defect(g.vertex_count, rows)
+        try:
+            SocialGraph(g.vertex_count, rows)
+        except GraphValidationError as e:
+            got = str(e)
+        else:
+            got = None
+        assert got == want, rows
+        messages[want and want.split()[0]] += 1
+    assert None not in messages
+    assert min(messages[word] for word in ("adjacency", "neighbor", "self-loop", "edge", "graph")) >= 100
 
 
 @pytest.mark.parametrize(
