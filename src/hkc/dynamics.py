@@ -37,7 +37,7 @@ one coordinate into a single accumulator from 0.0. Each is bitwise equal to
 the loop form: the same float operations on the same operands in the same
 order, every sum taken left to right. For that reason no form uses `sum()`
 (compensated from Python 3.12), `math.fsum`, `math.hypot` or `math.dist`
-(rounded differently), or numpy. Every other space calls the loop kernel
+(rounded differently). Every other space calls the loop kernel
 `distance_fn(norm)` per edge and loops over coordinates in the update.
 
 A trial stops at the first time every edge's opinion distance falls strictly
@@ -92,15 +92,14 @@ consumed in a fixed order (holding time, then vertex choice, per event).
 from __future__ import annotations
 
 import random
+from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import reduce
 from itertools import chain, compress, repeat
-from math import log, sqrt
+from math import isfinite, log, sqrt
 from operator import add, itemgetter
 from typing import Callable, Sequence
-
-import numpy as np
 
 from .graph import SocialGraph
 from .space import (
@@ -143,18 +142,24 @@ class ModelParams:
 
 @dataclass(frozen=True, eq=False)
 class Configuration:
-    """A trial's final opinions as a read-only (vertices, dim) float array."""
+    """A trial's final opinions as a read-only (vertices, dim) float64 memoryview; `.tolist()` gives the rows."""
 
-    opinions: np.ndarray
+    opinions: memoryview
 
     def __post_init__(self):
-        arr = np.array(self.opinions, dtype=np.float64, copy=True)
-        if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
-            raise ValueError(f"opinions must be a (vertices, dim) array, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
+        lengths = set(map(len, rows := self.opinions))
+        if len(lengths) != 1 or 0 in lengths:
+            raise ValueError(f"opinions must be rows of one length dim >= 1, got row lengths {sorted(lengths)}")
+        data = array("d", chain.from_iterable(rows))
+        if not all(map(isfinite, data)):
             raise ValueError("opinions must be finite")
-        arr.setflags(write=False)
-        object.__setattr__(self, "opinions", arr)
+        self.__setstate__((data.tobytes(), (len(rows), *lengths)))
+
+    def __reduce__(self):  # a memoryview does not pickle; its raw bytes and shape do
+        return object.__new__, (Configuration,), (self.opinions.tobytes(), self.opinions.shape)
+
+    def __setstate__(self, state):
+        object.__setattr__(self, "opinions", memoryview(state[0]).cast("d", state[1]))
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import compress
 from typing import Iterable, Iterator
 
 _ER_MAX_ATTEMPTS = 10**4
@@ -144,13 +145,18 @@ def parse_edge_list(text: str) -> SocialGraph:
 def path(n: int) -> SocialGraph:
     if n < 1:
         raise GraphValidationError("path needs n >= 1")
-    return SocialGraph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
+    rows = [(x - 1, x + 1) for x in range(n)]
+    rows[-1] = rows[-1][:1]  # trimmed before row 0, so path(1)'s one row ends empty
+    rows[0] = rows[0][1:]
+    return SocialGraph(n, tuple(rows))
 
 
 def cycle(n: int) -> SocialGraph:
     if n < 3:
         raise GraphValidationError("cycle needs n >= 3")
-    return SocialGraph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+    rows = [(x - 1, x + 1) for x in range(n)]
+    rows[0], rows[-1] = (1, n - 1), (0, n - 2)
+    return SocialGraph(n, tuple(rows))
 
 
 def complete(n: int) -> SocialGraph:
@@ -163,15 +169,11 @@ def complete(n: int) -> SocialGraph:
 def grid(w: int, h: int) -> SocialGraph:
     if w < 1 or h < 1:
         raise GraphValidationError("grid needs w >= 1 and h >= 1")
-    edges = []
-    for r in range(h):
-        for c in range(w):
-            v = r * w + c
-            if c + 1 < w:
-                edges.append((v, v + 1))
-            if r + 1 < h:
-                edges.append((v, v + w))
-    return SocialGraph.from_edges(w * h, edges)
+    # vertex r * w + c: the neighbors above, left, right and below, in ascending order
+    return SocialGraph(w * h, tuple(
+        tuple(compress((v - w, v - 1, v + 1, v + w), (r > 0, c > 0, c < w - 1, r < h - 1)))
+        for r in range(h) for c, v in enumerate(range(r * w, r * w + w))
+    ))
 
 
 def erdos_renyi(n: int, p: float, rng: random.Random) -> SocialGraph:

@@ -192,7 +192,7 @@ def test_criterion_06_stopping_structure(bound_runs):
             if not out.stopped:
                 continue
             trials_seen += 1
-            ops = out.final.opinions
+            ops = out.final.opinions.tolist()
             for u, v in spec.graph.edges():
                 d = distance(ops[u], ops[v])
                 if eps <= d <= tau:

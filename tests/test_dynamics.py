@@ -1,5 +1,6 @@
 import itertools
 import math
+import pickle
 import random
 from array import array
 
@@ -64,14 +65,40 @@ def test_model_params_validation():
 
 
 def test_configuration_validation():
-    with pytest.raises(ValueError):
-        Configuration(np.array([[float("inf")]]))
-    with pytest.raises(ValueError, match=r"must be a \(vertices, dim\) array, got shape \(0, 1\)"):
-        Configuration(np.zeros((0, 1)))
+    # zero rows, zero columns and ragged rows are refused, also ragged rows whose
+    # lengths add up to a whole number of rows (4 values in 2 rows)
+    for bad, lengths in ((np.zeros((0, 1)), r"\[\]"), (((), ()), r"\[0\]"), (((0.1, 0.2, 0.3), (0.4,)), r"\[1, 3\]")):
+        with pytest.raises(ValueError, match=rf"rows of one length dim >= 1, got row lengths {lengths}$"):
+            Configuration(bad)
+    for bad in (np.array([[float("inf")]]), cfg(0.1, float("nan"))):
+        with pytest.raises(ValueError, match="must be finite"):
+            Configuration(bad)
     c = Configuration(cfg(0.1, 0.9))
-    assert c.opinions.shape == (2, 1)
-    with pytest.raises(ValueError):
-        c.opinions[0, 0] = 5.0  # read-only
+    assert (c.opinions.shape, c.opinions.format, c.opinions.readonly) == ((2, 1), "d", True)
+    with pytest.raises(TypeError, match="read-only"):
+        c.opinions[0, 0] = 5.0
+    assert c.opinions.tolist() == [[0.1], [0.9]]
+
+
+def test_trial_outcome_survives_a_pickle_round_trip():
+    # a pool worker returns its outcomes by pickle, which a memoryview alone does not survive;
+    # the final rows come back bitwise, and as the float64 array numpy made of the rows before
+    space = OpinionSpace(Box((0.0, 0.0), (1.0, 1.0)), Norm.L2)
+    g, params = cycle(7), ModelParams(tau=0.9)
+    engine = TrialEngine(g, space, UniformShape(), params, default_stopping(g, space, params), random.Random(5),
+                         record_samples=True)
+    engine.run_to_stop()
+    out = engine.outcome()
+    back = pickle.loads(pickle.dumps(out))
+    fields = ("stopped", "stop_time", "events", "consensus", "event_a", "x_samples")
+    assert [getattr(back, f) for f in fields] == [getattr(out, f) for f in fields]
+    assert out.stopped and out.events > 0
+    for final in (out.final, back.final):
+        assert _bits(itertools.chain.from_iterable(final.opinions.tolist())) == _bits(itertools.chain(*engine.opinions))
+        assert (final.opinions.shape, final.opinions.readonly) == ((7, 2), True)
+        arr = np.asarray(final.opinions)
+        assert arr.dtype == np.float64 and arr.tobytes() == np.array(engine.opinions, dtype=np.float64).tobytes()
+        assert arr.shape == (7, 2)
 
 
 def test_compatibility_path3_hand_case():
@@ -768,7 +795,7 @@ def _left_on_box_growth(norm, dim, side):
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
 @pytest.mark.parametrize("norm", list(Norm))
-def test_certified_phase_left_on_box_growth(norm, dim):
+def test_update_above_the_box_grows_it_and_runs_the_rule(norm, dim):
     _left_on_box_growth(norm, dim, "hi")
 
 

@@ -85,6 +85,18 @@ def test_grid_graph_shape():
     assert g.edge_count == 7  # 3 vertical + 4 horizontal
 
 
+def test_generated_rows_equal_from_edges_of_their_edge_lists():
+    # path, cycle and grid build their sorted rows directly, as complete does
+    for n in range(1, 41):
+        assert path(n) == SocialGraph.from_edges(n, [(i, i + 1) for i in range(n - 1)]), n
+    for n in range(3, 41):
+        assert cycle(n) == SocialGraph.from_edges(n, [(i, (i + 1) % n) for i in range(n)]), n
+    for w in range(1, 8):
+        for h in range(1, 41):
+            edges = [(v, v + 1) for v in range(w * h) if v % w < w - 1] + [(v, v + w) for v in range(w * h - w)]
+            assert grid(w, h) == SocialGraph.from_edges(w * h, edges), (w, h)
+
+
 def test_single_vertex_graphs():
     assert path(1).vertex_count == 1
     assert complete(1).edge_count == 0
