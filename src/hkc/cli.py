@@ -41,10 +41,8 @@ def cmd_simulate(args) -> tuple[str, int]:
                 norm = spec.space.norm
 
                 def on_event(event, time, vertex, x_center, opinions):
-                    trace.write(
-                        trace_row(event, time, vertex, x_center, max_pairwise_distance(opinions, norm))
-                        + "\n"
-                    )
+                    row = trace_row(event, time, vertex, x_center, max_pairwise_distance(opinions, norm))
+                    trace.write(row + "\n")
 
             outcome = run_single_trial(spec, 0, on_event)
     except OSError as exc:

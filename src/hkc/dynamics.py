@@ -46,20 +46,20 @@ hit.
 
 After an update only the edges at the moved vertex x can change state, and
 where it can the engine decides them by a box [lo, hi] that bounds every
-opinion. The box is exact at the start, grows by each new opinion (an update can
-round an ulp out of the hull, which a convex combination otherwise never
-leaves, Moreau 2005), and is recomputed exactly, while the kernel distance
-between its corners exceeds tau, at each event that starts after a positive
-multiple of n completed events. Rounding is monotone, so no opinion v in the
-box has a larger |fl(new_i - v_i)| than x's far corner (`far_corner`), and
-each kernel is monotone in every |d_i|. So if the box's corners are within
-tau, or x's far corner is by the edge rule's own form, every edge at x is
-compatible, with no tolerance; only otherwise does the rule run on x's row.
-While the corners are farther apart than 2 tau no far corner can be within tau
-(each coordinate's farther end is at least half its extent away), so the test
-and the growth are skipped; the box then bounds the opinions only from its
-next recompute on, when its span is exact. Either way the zero entries of the
-edge-state table, and so the rates, are exact.
+opinion. The box is exact at the start, grows by each new opinion (an update
+can round an ulp out of the hull, which a convex combination otherwise never
+leaves, Moreau 2005), and is recomputed exactly by `space.bounds`, while the
+kernel distance between its corners exceeds tau, at each event that starts
+after a positive multiple of n completed events. Rounding is monotone, so no
+opinion v in the box has a larger |fl(new_i - v_i)| than x's far corner
+(`far_corner`), and each kernel is monotone in every |d_i|. So if the box's
+corners are within tau, or x's far corner is by the edge rule's own form, every
+edge at x is compatible, with no tolerance; only otherwise does the rule run on
+x's row. While the corners are farther apart than 2 tau no far corner can be
+within tau (each coordinate's farther end is at least half its extent away), so
+the test and the growth are skipped; the box then bounds the opinions only from
+its next recompute on, when its span is exact. Either way the zero entries of
+the edge-state table, and so the rates, are exact.
 
 The stop is found exactly by one banded witness edge, examined again only when
 one of its ends moves. One search (`TrialEngine._find_witness`) runs the edge
@@ -98,7 +98,7 @@ from dataclasses import dataclass
 from functools import reduce
 from itertools import chain, compress, repeat
 from math import isfinite, log, sqrt
-from operator import add, itemgetter
+from operator import add
 from typing import Callable, Sequence
 
 from .graph import SocialGraph
@@ -106,6 +106,7 @@ from .space import (
     InitialDistribution,
     Norm,
     OpinionSpace,
+    bounds,
     coordinate_ulp,
     distance_fn,
     sample_initial,
@@ -331,13 +332,6 @@ def far_corner(op: Sequence[float], lo: Sequence[float], hi: Sequence[float]) ->
     return [a if c - a >= b - c else b for c, a, b in zip(op, lo, hi)]
 
 
-def _bounds(opinions: Rows) -> tuple[list[float], list[float]]:
-    """Each coordinate's least and greatest value over the rows, by a pass per coordinate: zip(*opinions)
-    would allocate an iterator per row, n objects that set off the cyclic garbage collector in a trial."""
-    dims = range(len(opinions[0]))
-    return [min(map(itemgetter(i), opinions)) for i in dims], [max(map(itemgetter(i), opinions)) for i in dims]
-
-
 class TrialEngine:
     """Single-trial state machine with incremental edge bookkeeping.
 
@@ -345,16 +339,17 @@ class TrialEngine:
     incompatible; a nonzero entry, 1 (near) or 2 (banded) as last set, means
     only "compatible". `_states(op, nbrs)` builds every row of the table here,
     from both ends of each edge (the kernels are symmetric bitwise), and later
-    the row of an updated vertex that the box `_lo`, `_hi` cannot decide.
-    Adjacency rows are sorted, so a flipped edge's mirror entry is found by
-    bisection. A vertex's rate, its number of nonzero entries, sits in the
-    Fenwick tree `_tree`, whose root `_tree[-1]` is the total rate; `_owner` is
-    the owner table, built once here. `_witness` is a banded edge, or None when
-    the trial is stopped, and `_find_witness` its one search. `step` and
+    the row of an updated vertex that the box `_lo`, `_hi`, exact from
+    `space.bounds` here and at each recompute, cannot decide. Adjacency rows
+    are sorted, so a flipped edge's mirror entry is found by bisection. A
+    vertex's rate, its number of nonzero entries, sits in the Fenwick tree
+    `_tree`, whose root `_tree[-1]` is the total rate; `_owner` is the owner
+    table, built once here. `_witness` is a banded edge, or None when the
+    trial is stopped, and `_find_witness` its one search. `step` and
     `run_to_stop` both run the one event loop, `_run`. The module docstring
-    argues selection, the box, the witness and the consensus verdict, and tests
-    pin them to the oracles in `tests/oracles.py`. Not thread-safe; one engine
-    and one stream per trial.
+    argues selection, the box, the witness and the consensus verdict, and
+    tests pin them to the oracles in `tests/oracles.py`. Not thread-safe; one
+    engine and one stream per trial.
     """
 
     def __init__(
@@ -388,7 +383,7 @@ class TrialEngine:
         for i in range(1, size):  # built in O(n)
             tree[i + (i & -i)] += tree[i]
         self._witness = self._find_witness(0)
-        self._lo, self._hi = _bounds(opinions)  # the opinions' box, exact here
+        self._lo, self._hi = bounds(opinions)  # the opinions' box, exact here
         self.time = 0.0
         self.events = 0
         self._on_event = on_event
@@ -466,7 +461,7 @@ class TrialEngine:
             new = opinions[x] = update(ys, opinions[x])
             if events >= check:  # once every n events: recompute the box if it is wider than tau
                 if span > tau:
-                    lo, hi = _bounds(opinions)
+                    lo, hi = bounds(opinions)
                     span = kernel(hi, lo)
                 check = events + n
             if span > tau2:

@@ -150,15 +150,15 @@ def run_single_trial(
 def trial_outcomes(spec: ExperimentSpec, parallelism: int = 1) -> list[TrialOutcome]:
     """All trial outcomes in trial order, computed with up to `parallelism` workers.
 
-    The chunk bounds depend only on `parallelism` and the trial count; the
-    pool never starts more workers than there are chunks or CPUs.
+    The chunk bounds depend only on `parallelism` and the trial count; the pool
+    never starts more workers than there are chunks or CPUs, and never just one.
     """
     if parallelism < 1:
         raise ValueError("parallelism must be >= 1")
-    if parallelism == 1 or spec.trials == 1:
-        return [run_single_trial(spec, i) for i in range(spec.trials)]
     chunk = max(1, -(-spec.trials // (parallelism * 4)))
     workers = min(parallelism, -(-spec.trials // chunk), os.cpu_count() or 1)
+    if workers == 1:  # parallelism 1, one trial, or one CPU: a pool of one would only add its start-up
+        return [run_single_trial(spec, i) for i in range(spec.trials)]
     from concurrent.futures import ProcessPoolExecutor  # here, so a serial run never imports the pool
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(run_single_trial, repeat(spec), range(spec.trials), chunksize=chunk))

@@ -12,6 +12,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import itemgetter
 from typing import Sequence, Union
 
 Vector = tuple[float, ...]
@@ -305,6 +306,13 @@ def expected_center_distance(
     return total / samples
 
 
+def bounds(rows: Sequence[Sequence[float]]) -> tuple[list[float], list[float]]:
+    """Each coordinate's least and greatest value over the (nonempty) rows, from one list per coordinate: a
+    transposition would allocate an iterator per row, n objects that set off the cyclic garbage collector."""
+    cols = [list(map(itemgetter(i), rows)) for i in range(len(rows[0]))]
+    return list(map(min, cols)), list(map(max, cols))
+
+
 def max_pairwise_distance(rows: Sequence[Sequence[float]], norm: Norm) -> float:
     """Largest opinion distance over all vertex pairs (diameter of the configuration).
 
@@ -315,9 +323,8 @@ def max_pairwise_distance(rows: Sequence[Sequence[float]], norm: Norm) -> float:
     """
     kernel = distance_fn(norm)
     if len(rows) and (norm is Norm.LINF or len(rows[0]) == 1):
-        # not dynamics._bounds: a pass per coordinate took 1.1-1.4x as long in 2-3 dims (n = 36-1000, Python 3.11)
-        cols = tuple(zip(*rows))
-        return float(kernel(tuple(map(max, cols)), tuple(map(min, cols))))
+        lo, hi = bounds(rows)
+        return float(kernel(hi, lo))
     best = 0.0
     for i in range(len(rows)):
         ri = rows[i]

@@ -373,6 +373,6 @@ def instrument(engine: TrialEngine, states=None, update=None, monkeypatch=None) 
         engine._update = partial(update, engine._update)
     recomputes: list[None] = []
     if monkeypatch is not None:
-        bounds = dynamics._bounds
-        monkeypatch.setattr(dynamics, "_bounds", lambda ops: recomputes.append(None) or bounds(ops))
+        bounds = dynamics.bounds
+        monkeypatch.setattr(dynamics, "bounds", lambda ops: recomputes.append(None) or bounds(ops))
     return recomputes

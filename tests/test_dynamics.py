@@ -748,7 +748,7 @@ def test_run_to_stop_equals_step_by_step_oracle(norm, dim):
     assert skipped >= runs * 2 // 3
 
 
-def _left_on_box_growth(norm, dim, side):
+def _update_outside_the_box(norm, dim, side):
     # An update that lands 2 tau past the opinions' box in the first coordinate, above
     # hi or below lo, leaves that vertex incompatible with all its neighbors. The box
     # must grow to hold it, so that the vertex's far corner is beyond tau and the edge
@@ -796,13 +796,13 @@ def _left_on_box_growth(norm, dim, side):
 @pytest.mark.parametrize("dim", [1, 2, 3])
 @pytest.mark.parametrize("norm", list(Norm))
 def test_update_above_the_box_grows_it_and_runs_the_rule(norm, dim):
-    _left_on_box_growth(norm, dim, "hi")
+    _update_outside_the_box(norm, dim, "hi")
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
 @pytest.mark.parametrize("norm", list(Norm))
-def test_certified_phase_left_on_low_box_growth(norm, dim):
-    _left_on_box_growth(norm, dim, "lo")
+def test_update_below_the_box_grows_it_and_runs_the_rule(norm, dim):
+    _update_outside_the_box(norm, dim, "lo")
 
 
 def test_consensus_shortcut_agrees_with_search_at_every_stop():

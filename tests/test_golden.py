@@ -110,6 +110,8 @@ GOLDEN = {
     "simulate_grid_dissensus_stdout": "7a4bd82c4a3c11fd57bdd4204331df907637ea2bad18ef733aaa8fdfcda4813a",
     "simulate_grid_dissensus_trace": "ca47efc57cbfb8c3ce14a5469fa62d3b667cf5f36d7a671439d4b6ad9529d469",
     "estimate_complete_dissensus_3d": "8baced4244d586deca3e7234ceaa5cf79c9682bbaf87b2a8ff16d1bea99f9d43",
+    "simulate_complete_dissensus_3d_stdout": "54dfb40209a91d866eec2b66c3ff3153419f4a7e912c8204b81c0cd5667bcb0d",
+    "simulate_complete_dissensus_3d_trace": "dab4baeb649830362f1e15e05e76a0771af9d6b46bb53aed09ccfb5d3dcac0fe",
     "check_invariants_200_3": "98f703914ced18fa0509771cce852b09ff97d7317616e734d16752924ab9663d",
 }
 
@@ -143,11 +145,16 @@ def test_estimate_and_bound_linf_masses_3d_bytes(tmp_path, capsys):
     assert _sha(_stdout(capsys, tmp_path, LINF_MASSES_3D, "bound")) == GOLDEN["bound_linf_masses_3d"]
 
 
-def test_simulate_trace_cycle_bytes(tmp_path, capsys):
+def _simulate_trace(capsys, tmp_path: Path, doc: dict) -> tuple[str, str]:
+    """sha256 of `simulate --trace` stdout and of the trace file."""
     trace = tmp_path / "trace.csv"
-    out = _stdout(capsys, tmp_path, CYCLE_TRACE, "simulate", "--trace", str(trace))
-    assert _sha(out) == GOLDEN["simulate_cycle_stdout"]
-    assert hashlib.sha256(trace.read_bytes()).hexdigest() == GOLDEN["simulate_cycle_trace"]
+    out = _stdout(capsys, tmp_path, doc, "simulate", "--trace", str(trace))
+    return _sha(out), hashlib.sha256(trace.read_bytes()).hexdigest()
+
+
+def test_simulate_trace_cycle_bytes(tmp_path, capsys):
+    assert _simulate_trace(capsys, tmp_path, CYCLE_TRACE) == (
+        GOLDEN["simulate_cycle_stdout"], GOLDEN["simulate_cycle_trace"])
 
 
 def test_estimate_dissensus_bytes(tmp_path, capsys):
@@ -158,10 +165,15 @@ def test_estimate_dissensus_bytes(tmp_path, capsys):
 
 
 def test_simulate_trace_grid_dissensus_bytes(tmp_path, capsys):
-    trace = tmp_path / "trace.csv"
-    out = _stdout(capsys, tmp_path, GRID_DISSENSUS_2D, "simulate", "--trace", str(trace))
-    assert _sha(out) == GOLDEN["simulate_grid_dissensus_stdout"]
-    assert hashlib.sha256(trace.read_bytes()).hexdigest() == GOLDEN["simulate_grid_dissensus_trace"]
+    assert _simulate_trace(capsys, tmp_path, GRID_DISSENSUS_2D) == (
+        GOLDEN["simulate_grid_dissensus_stdout"], GOLDEN["simulate_grid_dissensus_trace"])
+
+
+def test_simulate_trace_complete_dissensus_3d_bytes(tmp_path, capsys):
+    # the one traced run in more than one dimension whose diameter comes from the
+    # per-coordinate extremes (Linf); the 2-D l1 trace above scans pairs
+    assert _simulate_trace(capsys, tmp_path, COMPLETE_DISSENSUS_3D) == (
+        GOLDEN["simulate_complete_dissensus_3d_stdout"], GOLDEN["simulate_complete_dissensus_3d_trace"])
 
 
 def test_check_invariants_bytes(capsys):

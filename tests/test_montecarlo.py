@@ -110,10 +110,11 @@ def test_trial_outcomes_order_matches_single_runs():
 
 @pytest.mark.parametrize(
     "cpus, parallelism, workers",
-    [(64, 5000, 10), (2, 5000, 2), (64, 3, 3), (None, 4, 1)],
+    [(64, 5000, 10), (2, 5000, 2), (64, 3, 3), (None, 4, 1), (1, 8, 1)],
 )
 def test_pool_capped_by_chunks_and_cpus(monkeypatch, cpus, parallelism, workers):
-    # a fake pool records max_workers and maps in-process, so no process starts
+    # a fake pool records max_workers and maps in-process, so no process starts; where
+    # the cap leaves one worker, no pool starts and the trials run in-process
     started = []
 
     class InProcessPool:
@@ -133,7 +134,7 @@ def test_pool_capped_by_chunks_and_cpus(monkeypatch, cpus, parallelism, workers)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
     spec = two_vertex_spec(tau=0.5, trials=10, seed=5)  # 10 one-trial chunks at parallelism >= 3
     outs = trial_outcomes(spec, parallelism)
-    assert started == [workers]
+    assert started == ([workers] if workers > 1 else [])
     assert [(o.events, o.stop_time, o.consensus) for o in outs] == [
         (o.events, o.stop_time, o.consensus) for o in trial_outcomes(spec)
     ]

@@ -26,8 +26,7 @@ def _numpy_names(tree: ast.Module) -> list[int]:
     )
 
 
-def test_numpy_is_named_only_inside_configuration():
-    # no module names numpy, `Configuration` included
+def test_no_module_of_the_package_names_numpy():
     offenders = {}
     for path in sorted(PACKAGE.glob("*.py")):
         lines = _numpy_names(ast.parse(path.read_text(encoding="utf-8")))
@@ -36,7 +35,7 @@ def test_numpy_is_named_only_inside_configuration():
     assert offenders == {}
 
 
-def test_scope_check_sees_numpy_outside_configuration():
+def test_scope_check_sees_every_numpy_name():
     source = (
         "import numpy as np, numpy.linalg\n"
         "from numpy import asarray\n"

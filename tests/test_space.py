@@ -16,6 +16,7 @@ from hkc.space import (
     OpinionSpace,
     PointMasses,
     UniformShape,
+    bounds,
     distance_fn,
     expected_center_distance,
     max_pairwise_distance,
@@ -305,6 +306,19 @@ def test_max_pairwise_distance():
     assert max_pairwise_distance(rows, Norm.L1) == 3.0
     assert max_pairwise_distance(rows, Norm.L2) == pytest.approx(math.sqrt(5))
     assert max_pairwise_distance([(0.5,)], Norm.L2) == 0.0
+
+
+def test_bounds_are_each_coordinates_least_and_greatest_value():
+    # the one extremes pass, which the engine's box and the Linf / 1-D diameter both read
+    assert bounds([(0.5, 2.0, -1.0), (0.25, 3.0, -4.0), (0.75, 1.0, -2.0)]) == ([0.25, 1.0, -4.0], [0.75, 3.0, -1.0])
+    rng = random.Random(21)
+    for _ in range(500):
+        dim = rng.randint(1, MAX_DIM)
+        rows = [tuple(rng.choice((0.0, -0.0, rng.uniform(-1, 1))) for _ in range(dim)) for _ in range(rng.randint(1, 12))]
+        lo, hi = bounds(rows)
+        # min and max keep the first of equal values, so the signed zeros must match too
+        assert [c.hex() for c in lo] == [min(r[i] for r in rows).hex() for i in range(dim)], rows
+        assert [c.hex() for c in hi] == [max(r[i] for r in rows).hex() for i in range(dim)], rows
 
 
 def _pair_scan_diameter(rows, norm: Norm) -> float:
